@@ -95,8 +95,8 @@ def factor_product(
     """Shared assembly core: the tensor product of loop-space factors.
 
     One factor of j = m_dim + n - q loops on the q-fold suspension of the
-    labels appears for every relative class in degree q, so j >= n >= 1
-    always; the degenerate q > m_dim branch is unreachable.
+    labels appears for every relative class in degree q; a class with
+    j < 1 (q beyond m_dim + n - 1) raises InvalidInputError.
     """
     rel = normalize_betti(rel_betti)
     x = normalize_betti(x_betti)
@@ -104,7 +104,10 @@ def factor_product(
     acc = BiSeries.one(max_degree, max_weight)
     for q in sorted(rel):
         j = m - q
-        assert j >= 1, "factor with j < 1: relative class beyond m_dim"
+        if j < 1:
+            raise InvalidInputError(
+                f"relative class in degree {q} lies beyond m_dim + n - 1 = {m - 1}"
+            )
         fs = factor_series(suspend_betti(x, q), j, char, max_degree, max_weight)
         acc = multiply(acc, fs ** rel[q] if rel[q] != 1 else fs)
     return acc
@@ -178,7 +181,7 @@ def preset(
         if key not in params:
             raise InvalidInputError(f"preset {name!r} needs parameter {key!r}")
         v = params[key]
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise InvalidInputError(f"preset parameter {key!r} must be an int >= 0")
         return v
 

@@ -5,7 +5,9 @@ computation or consistency suite, and renders a table, CSV or JSON.
 Rendering is deterministic: identical configs give byte-identical output.
 
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
-config, 3 violated input hypothesis, 4 internal integrity failure.
+config or an unreadable --config / unwritable --output file, 3 violated
+input hypothesis (JSON booleans are not accepted where an int is
+expected), 4 internal integrity failure.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_int(value: Any) -> bool:
+    # bool is a subclass of int, but JSON true/false is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_betti(raw: Any, what: str) -> GradedBetti:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{what} must be an object of degree -> dimension")
@@ -87,7 +94,7 @@ def _parse_betti(raw: Any, what: str) -> GradedBetti:
             d = int(key)
         except (TypeError, ValueError):
             raise InvalidInputError(f"{what}: bad degree key {key!r}") from None
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise InvalidInputError(f"{what}: dimension for degree {d} must be int")
         out[d] = value
     return normalize_betti(out)
@@ -102,7 +109,7 @@ def _parse_manifold(raw: Any, char: FieldChar) -> tuple[int, GradedBetti]:
         return preset(name, char=char, **params)
     if "dim" in raw and "rel_betti" in raw:
         dim = raw["dim"]
-        if not isinstance(dim, int) or dim < 0:
+        if not _is_int(dim) or dim < 0:
             raise InvalidInputError("manifold dim must be an int >= 0")
         return dim, _parse_betti(raw["rel_betti"], "rel_betti")
     raise InvalidInputError(
@@ -117,7 +124,7 @@ def _parse_label_space(raw: Any) -> GradedBetti:
         return _parse_betti(raw["betti"], "label betti")
     if raw.get("preset") == "sphere":
         d = raw.get("d")
-        if not isinstance(d, int) or d < 0:
+        if not _is_int(d) or d < 0:
             raise InvalidInputError("label sphere needs an int dimension 'd' >= 0")
         return {d: 1}
     if raw.get("preset") == "wedge":
@@ -126,7 +133,7 @@ def _parse_label_space(raw: Any) -> GradedBetti:
             raise InvalidInputError("label wedge needs a nonempty list 'spheres'")
         out: GradedBetti = {}
         for d in spheres:
-            if not isinstance(d, int) or d < 0:
+            if not _is_int(d) or d < 0:
                 raise InvalidInputError("wedge sphere dimensions must be ints >= 0")
             out[d] = out.get(d, 0) + 1
         return out
@@ -188,7 +195,7 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     x = _parse_label_space(_require(config, "label_space", dict))
     max_degree = _require(config, "max_degree", int)
     max_weight = config.get("max_weight")
-    if max_weight is not None and not isinstance(max_weight, int):
+    if max_weight is not None and not _is_int(max_weight):
         raise InvalidInputError("max_weight must be an integer")
 
     spec = ProblemSpec(
@@ -215,7 +222,7 @@ def _require(config: dict[str, Any], key: str, typ: type) -> Any:
     if key not in config:
         raise InvalidInputError(f"config is missing required key {key!r}")
     value = config[key]
-    if not isinstance(value, typ):
+    if not (_is_int(value) if typ is int else isinstance(value, typ)):
         raise InvalidInputError(f"config key {key!r} must be of type {typ.__name__}")
     return value
 
@@ -225,7 +232,7 @@ def _run_check_ab(config: dict[str, Any], fmt: str) -> tuple[int, str]:
     trials = config.get("trials", 20)
     max_degree = config.get("max_degree", 30)
     for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise InvalidInputError(f"{name} must be an int >= 0")
     report = ab_coherence_report(seed=seed, trials=trials, max_degree=max_degree)
     status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -248,7 +255,7 @@ def _run_check_hilton(config: dict[str, Any], fmt: str) -> tuple[int, str]:
     else:
         # default suite: unit interval with S2 v S3, circle with S2 v S2
         max_degree = config.get("max_degree", 20)
-        if not isinstance(max_degree, int) or max_degree < 0:
+        if not _is_int(max_degree) or max_degree < 0:
             raise InvalidInputError("max_degree must be an int >= 0")
         cases.append(("interval_s2_s3", 1, {0: 1}, [{2: 1}, {3: 1}], max_degree))
         cases.append(("circle_s2_s2", 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], max_degree))
@@ -502,8 +509,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write output {args.output}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(rendered)
     return status

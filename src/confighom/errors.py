@@ -26,7 +26,7 @@ class IntegrityError(CalculatorError):
     """An internal consistency check failed.
 
     This never signals bad user input: it means an algebraic identity the
-    engine relies on (nonnegative solved counts, reconstruction of a
-    defining product, desuspension staying in nonnegative degrees) broke,
+    engine relies on (nonnegative solved counts, exact divisibility in the
+    Witt recurrence, desuspension staying in nonnegative degrees) broke,
     i.e. a bug in the grammar or the caller.
     """

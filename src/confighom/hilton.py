@@ -24,6 +24,7 @@ from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti
 from .assemble import factor_product
 from .series import BiSeries, multiply
+from .witt import _solve_cell
 
 
 @dataclass(frozen=True)
@@ -35,28 +36,6 @@ class BasicWord:
     count: int
 
 
-def _mobius(n: int) -> int:
-    result = 1
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            n //= k
-            if n % k == 0:
-                return 0
-            result = -result
-        k += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def _gcd_all(values: tuple[int, ...]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 def _multinomial(total: int, parts: tuple[int, ...]) -> int:
     out = math.factorial(total)
     for p in parts:
@@ -64,32 +43,28 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> int:
     return out
 
 
-def _witt_count(mult: tuple[int, ...]) -> int:
-    """Number of basic products with the given letter multiplicities
-    (the necklace/Witt formula; periodic vectors come out as zero)."""
-    length = sum(mult)
-    total = 0
-    for div in range(1, _gcd_all(mult) + 1):
-        if all(a % div == 0 for a in mult):
-            total += _mobius(div) * _multinomial(
-                length // div, tuple(a // div for a in mult)
-            )
-    count, rem = divmod(total, length)
-    assert rem == 0, "Witt formula must divide evenly"
-    return count
-
-
 def basic_words(r: int, max_length: int) -> list[BasicWord]:
     """All multiplicity vectors of basic products on r letters, with counts,
-    for lengths 1..max_length."""
+    for lengths 1..max_length.
+
+    The counts solve the Witt recurrence with the multinomial word counts
+    (periodic vectors come out as zero)."""
     if r < 1:
         raise InvalidInputError("need at least one letter")
+    counts: dict[tuple[int, ...], int] = {}
     words = []
     for length in range(1, max_length + 1):
         for slots in combinations_with_replacement(range(r), length):
             mult = tuple(slots.count(i) for i in range(r))
-            count = _witt_count(mult)
+            count = _solve_cell(
+                mult,
+                _multinomial(length, mult),
+                length,
+                math.gcd(*mult),
+                lambda k: counts.get(tuple(a // k for a in mult), 0),
+            )
             if count:
+                counts[mult] = count
                 words.append(BasicWord(mult, length, count))
     return words
 

@@ -260,9 +260,10 @@ def classical_series(
             raise InvalidInputError("omega2_s3_modp needs an odd prime")
         ext, poly = [], []
         q = 1
-        while 2 * q - 1 <= D:
-            ext.append(2 * q - 1)
-            if q > 1 and 2 * q - 2 <= D:
+        while 2 * q - 2 <= D:
+            if 2 * q - 1 <= D:
+                ext.append(2 * q - 1)
+            if q > 1:
                 poly.append(2 * q - 2)
             q *= p
         values = _conv(_ext_counts(ext, D), _poly_counts(poly, D))

@@ -2,22 +2,28 @@
 bracket length.
 
 Given generator counts g_d (all at length 1), the counts L(d, l) of basic
-products are defined by inverting the Poincare-Birkhoff-Witt identity
-against the tensor algebra: with f = sum_d g_d t^d u,
+products are defined by the Poincare-Birkhoff-Witt identity against the
+word series T = 1/(1 - f) of the tensor algebra, f = sum_d g_d t^d u:
 
 * signed (super) convention::
 
-    1/(1 - f) = prod_{d odd} (1 + t^d u^l)^L(d,l)
-              * prod_{d even} (1 - t^d u^l)^(-L(d,l))
+    T = prod_{d odd} (1 + t^d u^l)^L(d,l)
+      * prod_{d even} (1 - t^d u^l)^(-L(d,l))
 
 * unsigned convention::
 
-    1/(1 - f) = prod_{d,l} (1 - t^d u^l)^(-L(d,l))
+    T = prod_{d,l} (1 - t^d u^l)^(-L(d,l))
 
-The solution proceeds by induction on length: once every count of length
-below l is known and divided out of 1/(1-f), the weight-l slice of the
-residual reads off L(., l) directly (distinct length-l factors only
-interact from weight 2l upward).  Parity refers to the degree grading of
+Every letter has length 1, so u d/du log T = T - 1, and comparing the
+coefficients of t^d u^l gives the generalized Witt formula (Kang-Kim,
+J. Algebra 1996)::
+
+    l L(d,l) = T(d,l) - sum_{r >= 2, r | gcd(d,l)} (l/r) s L(d/r, l/r)
+
+with s = (-1)^(r+1) for an exterior factor (signed, d/r odd) and s = 1
+otherwise.  Each cell needs only cells of smaller length, so one pass in
+increasing length solves the table.  ``hilton`` runs the same recurrence
+over letter multiplicity vectors.  Parity refers to the degree grading of
 the table handed in; callers working with a degree-shifted bracket pass
 shifted degrees.
 """
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ConfigurationError, IntegrityError, InvalidInputError
 from .series import BiSeries, inverse_one_minus
@@ -78,31 +84,27 @@ class DegreeWeightTable:
         )
 
 
-def _divide_factor(
-    rows: list[list[int]], d: int, l: int, count: int, exterior: bool
-) -> None:
-    """In place: divide the raw table by (1+t^d u^l)^count (exterior) or by
-    (1-t^d u^l)^(-count) (polynomial).  Exact within the caps; intermediate
-    cells may go negative only if the input was not actually divisible."""
-    D = len(rows) - 1
-    K = len(rows[0]) - 1
-    imax = min(D // d, K // l)
-    if exterior:
-        # multiply by (1+s)^(-count) = sum (-1)^i C(count+i-1, i) s^i
-        coeffs = [
-            (-1) ** i * math.comb(count + i - 1, i) for i in range(imax + 1)
-        ]
-    else:
-        # multiply by (1-s)^count = sum (-1)^i C(count, i) s^i
-        imax = min(imax, count)
-        coeffs = [(-1) ** i * math.comb(count, i) for i in range(imax + 1)]
-    for x in range(D, -1, -1):
-        row = rows[x]
-        for y in range(K, -1, -1):
-            acc = row[y]
-            for i in range(1, min(imax, x // d, y // l) + 1):
-                acc += coeffs[i] * rows[x - i * d][y - i * l]
-            row[y] = acc
+def _solve_cell(
+    cell: object, words: int, length: int, g: int, lower: Callable[[int], int]
+) -> int:
+    """One step of the Witt recurrence: the number of basic products in
+    ``cell`` from its word count, its length, the gcd ``g`` of its grading
+    and ``lower(r)`` = s * L(cell / r) for each divisor r >= 2 of ``g``.
+
+    A residual that is negative or not a multiple of ``length`` cannot come
+    from a genuine word series and raises IntegrityError.
+    """
+    residual = words
+    for r in range(2, g + 1):
+        if g % r == 0:
+            residual -= (length // r) * lower(r)
+    count, rem = divmod(residual, length)
+    if residual < 0 or rem:
+        raise IntegrityError(
+            f"Witt recurrence broke at {cell}: residual {residual} is not a "
+            f"nonnegative multiple of the length {length}"
+        )
+    return count
 
 
 def lie_atom_counts(
@@ -114,10 +116,9 @@ def lie_atom_counts(
     """Solve the defining product identity for the basic-product counts.
 
     ``gens`` must live at length 1 with degrees >= 1.  Exactness needs the
-    input caps at least as large as the requested output caps.  After
-    peeling, the residual is checked to be exactly 1; any negative solved
-    count or nonunit residual raises IntegrityError since neither can occur
-    for a genuine generating set within adequate caps.
+    input caps at least as large as the requested output caps.  A word
+    count that breaks exact divisibility in the Witt recurrence raises
+    IntegrityError, since that cannot occur for a genuine generating set.
     """
     D = gens.max_degree if max_degree is None else max_degree
     K = gens.max_weight if max_weight is None else max_weight
@@ -132,30 +133,19 @@ def lie_atom_counts(
         degrees[d] = c
 
     f = BiSeries.from_entries(D, K, {(d, 1): c for d, c in degrees.items()})
-    rows = [list(row) for row in inverse_one_minus(f)._c]
+    words = inverse_one_minus(f)
 
     counts: dict[tuple[int, int], int] = {}
     for length in range(1, K + 1):
-        solved = []
         for d in range(D + 1):
-            c = rows[d][length]
-            if c < 0:
-                raise IntegrityError(
-                    f"solved count {c} at ({d},{length}) is negative; "
-                    "inconsistent input or caps too small for exact peeling"
-                )
-            if c:
-                solved.append((d, c))
-                counts[(d, length)] = c
-        for d, c in solved:
-            _divide_factor(rows, d, length, c, exterior=signed and d % 2 == 1)
 
-    for d in range(D + 1):
-        for k in range(K + 1):
-            expect = 1 if (d, k) == (0, 0) else 0
-            if rows[d][k] != expect:
-                raise IntegrityError(
-                    "reconstruction failed: residual is not the unit series "
-                    f"at ({d},{k})"
-                )
+            def lower(r: int) -> int:
+                sign = -1 if signed and r % 2 == 0 and (d // r) % 2 else 1
+                return sign * counts.get((d // r, length // r), 0)
+
+            c = _solve_cell(
+                (d, length), words.get(d, length), length, math.gcd(d, length), lower
+            )
+            if c:
+                counts[(d, length)] = c
     return DegreeWeightTable(D, K, counts)

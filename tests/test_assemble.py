@@ -8,6 +8,7 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
+    factor_product,
     factor_series,
     filtration_table,
     multiply,
@@ -202,3 +203,9 @@ def test_ab_coherence_small_run_passes_and_is_reproducible():
     rep2 = ab_coherence_report(seed=5, trials=6, max_degree=16)
     assert rep1.passed and rep2.passed
     assert rep1.to_json() == rep2.to_json()
+
+
+def test_factor_product_rejects_class_beyond_loop_range():
+    # q = 1 > m_dim + n - 1 = 0 would need a factor with j = 0 loops
+    with pytest.raises(InvalidInputError):
+        factor_product(0, {1: 1}, 1, {2: 1}, F2, 6, 3)

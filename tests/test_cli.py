@@ -215,3 +215,44 @@ def test_rp_preset_requires_f2_field():
 
 def test_exit_check_failed_is_distinct():
     assert EXIT_CHECK_FAILED not in (EXIT_OK, EXIT_PARSE, EXIT_INPUT)
+
+
+def test_boolean_n_is_rejected(tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(base_config(n=True)))
+    assert main(["--config", str(config_path)]) == EXIT_INPUT
+    assert "'n' must be of type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        base_config(max_degree=True),
+        base_config(max_weight=False),
+        base_config(manifold={"dim": True, "rel_betti": {"0": 1}}),
+        base_config(manifold={"dim": 1, "rel_betti": {"0": True}}),
+        base_config(manifold={"preset": "cube", "m": True}),
+        # generators mode accepts degree-1 labels, so True would pass as 1
+        base_config(mode="generators", label_space={"preset": "sphere", "d": True}),
+        base_config(
+            mode="generators", label_space={"preset": "wedge", "spheres": [2, True]}
+        ),
+        base_config(label_space={"betti": {"2": True}}),
+        base_config(mode="check:ab", seed=True),
+        base_config(mode="check:ab", trials=True),
+        base_config(mode="check:ab", max_degree=True),
+        {"mode": "check:hilton_milnor", "max_degree": True},
+    ],
+)
+def test_booleans_rejected_where_ints_expected(config):
+    with pytest.raises(InvalidInputError, match="int"):
+        run(config)
+
+
+def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(base_config()))
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["--config", str(config_path), "--output", str(target)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cannot write output ")
+    assert not target.exists()

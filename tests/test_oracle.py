@@ -156,3 +156,11 @@ def test_diff_report_requires_shared_caps():
 
     with pytest.raises(ConfigurationError):
         diff_report(BiSeries.zero(3, 3), BiSeries.zero(3, 4))
+
+
+@pytest.mark.parametrize("p, cap", [(3, 16), (3, 52), (5, 48)])
+def test_odd_primary_catalog_keeps_polynomial_generator_at_the_cap(p, cap):
+    # cap == 2p^i - 2 is the degree of a polynomial generator
+    got = classical_series("omega2_s3_modp", {"p": p}, cap, 0).degree_totals()
+    engine = factor_series({1: 1}, 2, FieldChar.odd(p), cap, cap).degree_totals()
+    assert got == engine

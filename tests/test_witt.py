@@ -2,19 +2,30 @@
 the reconstruction property (counts substituted back into the defining
 product must reproduce the tensor-algebra series)."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confighom import (
     BiSeries,
     DegreeWeightTable,
     IntegrityError,
     InvalidInputError,
+    basic_words,
+    cli,
     inverse_one_minus,
     lie_atom_counts,
+    loops,
     power_factor,
+    witt,
 )
 
 
@@ -125,3 +136,104 @@ def test_words_identity_signed_vs_unsigned_agree_through_tensor_series():
     for signed in (True, False):
         L = lie_atom_counts(gens, signed)
         assert reconstruct(L, signed) == target
+
+
+# -- properties of the shared Witt recurrence --------------------------------
+
+generator_maps = st.dictionaries(
+    st.integers(1, 5), st.integers(1, 3), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_maps, st.integers(0, 14), st.integers(0, 7), st.booleans())
+def test_property_counts_reconstruct_tensor_series(degrees, D, K, signed):
+    L = lie_atom_counts(DegreeWeightTable.from_generators(degrees, D, K), signed)
+    assert reconstruct(L, signed) == tensor_series(degrees, D, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_maps, st.booleans(), st.data())
+def test_property_smaller_caps_equal_truncated_larger_run(degrees, signed, data):
+    D, K = 14, 7
+    d_cap = data.draw(st.integers(0, D))
+    k_cap = data.draw(st.integers(0, K))
+    gens = DegreeWeightTable.from_generators(degrees, D, K)
+    big = lie_atom_counts(gens, signed)
+    small = lie_atom_counts(gens, signed, max_degree=d_cap, max_weight=k_cap)
+    assert small.entries == {
+        (d, l): c for d, l, c in big.items() if d <= d_cap and l <= k_cap
+    }
+
+
+def brute_lyndon_by_multiplicity(n_letters: int, max_len: int) -> Counter:
+    counts = Counter()
+    for length in range(1, max_len + 1):
+        for word in iproduct(range(n_letters), repeat=length):
+            if all(word < word[i:] + word[:i] for i in range(1, length)):
+                counts[tuple(word.count(i) for i in range(n_letters))] += 1
+    return counts
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6))
+def test_property_basic_words_equal_lyndon_enumeration(r, max_len):
+    got = {w.multiplicities: w.count for w in basic_words(r, max_len)}
+    assert got == dict(brute_lyndon_by_multiplicity(r, max_len))
+
+
+def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
+    # hand the recurrence a word series with one weight-2 cell raised by 1
+    real = witt.inverse_one_minus
+
+    def bumped(f):
+        words = real(f)
+        D, K = words.caps()
+        entries = words.to_dict()
+        if K >= 2:
+            entries[(D, 2)] = entries.get((D, 2), 0) + 1
+        return BiSeries.from_entries(D, K, entries, is_algebra=True)
+
+    monkeypatch.setattr(witt, "inverse_one_minus", bumped)
+    for signed in (True, False):
+        with pytest.raises(IntegrityError, match="Witt recurrence"):
+            lie_atom_counts(DegreeWeightTable.from_generators({2: 1}, 12, 6), signed)
+
+    monkeypatch.setattr(loops, "_factor_cache", {})
+    config = {
+        "field": "F2",
+        "manifold": {"preset": "cube", "m": 1},
+        "n": 1,
+        "label_space": {"preset": "sphere", "d": 2},
+        "mode": "theorem_a",
+        "max_degree": 8,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+
+
+def test_integrity_gate_holds_without_asserts():
+    script = """
+import confighom.witt as witt
+from confighom import BiSeries, IntegrityError
+assert False  # stripped by -O
+words = witt.inverse_one_minus(
+    BiSeries.from_entries(8, 4, {(2, 1): 1, (3, 1): 1}))
+entries = words.to_dict()
+entries[(5, 2)] += 1
+witt.inverse_one_minus = lambda f: BiSeries.from_entries(8, 4, entries)
+try:
+    gens = witt.DegreeWeightTable.from_generators({2: 1, 3: 1}, 8, 4)
+    witt.lie_atom_counts(gens, True)
+except IntegrityError:
+    print("raised")
+"""
+    src = os.path.dirname(os.path.dirname(witt.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "raised", done.stderr
