@@ -18,6 +18,7 @@ from .series import (
     EXTERIOR,
     POLYNOMIAL,
     desuspend_by_weight,
+    free_commutative,
     inverse_one_minus,
     multiply,
     power_factor,
@@ -85,6 +86,7 @@ __all__ = [
     "factor_product",
     "factor_series",
     "filtration_table",
+    "free_commutative",
     "generator_census",
     "hilton_milnor_check",
     "inverse_one_minus",

@@ -7,7 +7,8 @@ Rendering is deterministic: identical configs give byte-identical output.
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
 config or an unreadable --config / unwritable --output file, 3 violated
 input hypothesis (JSON booleans are not accepted where an int is
-expected), 4 internal integrity failure.
+expected, ``seed`` must be an int >= 0 in every mode and ``orientable`` a
+boolean), 4 internal integrity failure.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     fmt = config.get("format", "table")
     if fmt not in ("table", "csv", "json"):
         raise InvalidInputError(f"format must be table, csv or json; got {fmt!r}")
+    seed = config.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError("seed must be an int >= 0")
 
     if mode == "check:ab":
         return _run_check_ab(config, fmt)
@@ -231,7 +235,7 @@ def _run_check_ab(config: dict[str, Any], fmt: str) -> tuple[int, str]:
     seed = config.get("seed", 0)
     trials = config.get("trials", 20)
     max_degree = config.get("max_degree", 30)
-    for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
+    for name, v in (("trials", trials), ("max_degree", max_degree)):
         if not _is_int(v) or v < 0:
             raise InvalidInputError(f"{name} must be an int >= 0")
     report = ab_coherence_report(seed=seed, trials=trials, max_degree=max_degree)
@@ -243,7 +247,9 @@ def _run_check_ab(config: dict[str, Any], fmt: str) -> tuple[int, str]:
 
 def _run_check_hilton(config: dict[str, Any], fmt: str) -> tuple[int, str]:
     seed = config.get("seed", 0)
-    orientable = bool(config.get("orientable", False))
+    orientable = config.get("orientable", False)
+    if not isinstance(orientable, bool):
+        raise InvalidInputError("orientable must be a boolean")
     char = FieldChar.from_name(config.get("field", "F2"))
     cases = []
     if "manifold" in config or "label_spaces" in config:

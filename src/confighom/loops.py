@@ -18,6 +18,10 @@ The generator grammar, by characteristic:
   units.  Atoms carry no standalone Bockstein (inputs behave like wedges
   of spheres).
 
+For j >= 2 the series is that of the free graded-commutative algebra on
+the census, solved in one weight recurrence for the whole census by
+``series.free_commutative``.
+
 Basic products are counted by the Witt inversion in a shifted grading
 where every letter is raised by j-1 (making the degree-(j-1) bracket
 degree-preserving); the sign convention of the count uses that shifted
@@ -31,7 +35,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .series import BiSeries, EXTERIOR, POLYNOMIAL, inverse_one_minus, power_factor
+from .series import (
+    BiSeries,
+    EXTERIOR,
+    POLYNOMIAL,
+    free_commutative,
+    inverse_one_minus,
+)
 from .witt import DegreeWeightTable, lie_atom_counts
 
 GradedBetti = dict[int, int]
@@ -238,7 +248,11 @@ def factor_series(
       characteristic.
     * j >= 2: free graded-commutative algebra on the generator census; in
       characteristic 2 all generators are polynomial, otherwise odd actual
-      degree is exterior and even actual degree polynomial.
+      degree is exterior and even actual degree polynomial.  The whole
+      census goes to :func:`~confighom.series.free_commutative` at once,
+      which solves the weight rows from k A_k = sum_i B_i A_{k-i} with
+      B = u d/du log A and raises IntegrityError naming the cell (d, k)
+      whose residual is negative or not a multiple of k.
     """
     if j < 0:
         raise InvalidInputError("loop count j must be >= 0")
@@ -262,13 +276,14 @@ def factor_series(
     else:
         atoms = atom_census(y, j, char, max_degree, max_weight)
         census = generator_census(atoms, j, char, max_degree, max_weight)
-        result = BiSeries.one(max_degree, max_weight)
-        for d, k, c in census.items():
-            if char.is_two or d % 2 == 0:
-                kind = POLYNOMIAL
-            else:
-                kind = EXTERIOR
-            result = power_factor(result, d, k, c, kind)
+        result = free_commutative(
+            max_degree,
+            max_weight,
+            (
+                (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
+                for d, k, c in census.items()
+            ),
+        )
 
     if len(_factor_cache) >= _FACTOR_CACHE_LIMIT:
         _factor_cache.clear()

@@ -15,6 +15,19 @@ Products are computed by packing each operand into a single big integer
 carries cannot cross weight rows) and doing one native big-int
 multiplication.  This is exact for nonnegative coefficients and far faster
 than a quadruple loop in pure Python.
+
+Free graded-commutative algebras, products of (1 - t^d u^w)^(-c) and
+(1 + t^d u^w)^c, are solved by one log-derivative kernel,
+:func:`free_commutative`.  With B = u d/du log A, which has integer
+coefficients, u dA/du = A * B gives the weight recurrence
+
+    k A_k = sum_{i=1..k} B_i A_{k-i}
+
+for the weight-k row A_k, a polynomial in t.  Rows are packed big
+integers, so each step is a short sum of shifted scalar multiples.  Every
+residual must be a nonnegative multiple of k; one that is not raises
+IntegrityError naming the cell (d, k).  :func:`power_factor` multiplies
+by a single generator's factor and is kept as the independent reference.
 """
 
 from __future__ import annotations
@@ -287,6 +300,120 @@ def power_factor(
                 if v:
                     out_row[k] += m * v
     return BiSeries(D, K, c, is_algebra=acc.is_algebra)
+
+
+def weight_log_derivative(
+    max_degree: int, max_weight: int, generators: Iterable[tuple[int, int, int, str]]
+) -> dict[tuple[int, int], int]:
+    """Nonzero coefficients B(e, i) of B = u d/du log A inside the caps,
+    where A is the free commutative algebra on ``generators``.
+
+    Each generator (degree d, weight w, count c, kind) adds c*w*s_r at
+    (r*d, r*w) for every r >= 1 inside the caps: s_r = 1 for a polynomial
+    generator, whose factor is (1 - t^d u^w)^(-c), and s_r = (-1)^(r+1)
+    for an exterior one, whose factor is (1 + t^d u^w)^c.
+    """
+    b: dict[tuple[int, int], int] = {}
+    for degree, weight, count, kind in generators:
+        if kind not in (POLYNOMIAL, EXTERIOR):
+            raise InvalidInputError(f"unknown generator kind {kind!r}")
+        if degree == 0 and kind == POLYNOMIAL:
+            raise DivergentSeriesError(
+                "polynomial generator in degree 0 gives a divergent truncation"
+            )
+        if degree < 1:
+            raise InvalidInputError("generator degree must be >= 1")
+        if weight < 1 or count < 0:
+            raise InvalidInputError("generator weight must be >= 1 and count >= 0")
+        step = count * weight
+        for r in range(1, min(max_degree // degree, max_weight // weight) + 1):
+            key = (r * degree, r * weight)
+            b[key] = b.get(key, 0) + (step if kind == POLYNOMIAL or r % 2 else -step)
+    return {key: v for key, v in b.items() if v}
+
+
+def free_commutative(
+    max_degree: int, max_weight: int, generators: Iterable[tuple[int, int, int, str]]
+) -> BiSeries:
+    """Series of the free graded-commutative algebra on ``generators``,
+    given as (degree, weight, count, kind) with weight >= 1.
+
+    Equal to one :func:`power_factor` per generator applied to the unit,
+    but solved in one pass over the weights from u dA/du = A * B with
+    B = :func:`weight_log_derivative`: the weight-k row A_k, a polynomial
+    in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
+
+    Each row is one packed big integer with a fixed-width slot per degree.
+    B is sparse, so a row step sums the shifted scalar multiples
+    B(e, i) * (A_{k-i} << e slots).  B can be negative, so the slots are
+    read back signed: half a slot is added to every slot up to the degree
+    cap and subtracted after reading.  The slot width keeps
+    bits(sum |B|) + bits(max A) + 2 bits, and all rows are repacked at
+    double width when that no longer fits.  A residual that is negative or
+    not a multiple of k cannot come from a genuine algebra and raises
+    IntegrityError naming the cell.
+    """
+    if max_degree < 0 or max_weight < 0:
+        raise InvalidInputError("caps must be nonnegative")
+    D, K = max_degree, max_weight
+    b = weight_log_derivative(D, K, generators)
+    by_weight: list[list[tuple[int, int]]] = [[] for _ in range(K + 1)]
+    for (e, i), v in sorted(b.items()):
+        by_weight[i].append((e, v))
+    b_bits = sum(abs(v) for v in b.values()).bit_length()
+
+    c = _blank(D, K)
+    c[0][0] = 1
+    cell = 0  # slot width in bytes
+    rows = [1]  # packed A_0 = 1
+    peak = 1
+    for k in range(1, K + 1):
+        if b_bits + peak.bit_length() + 2 > 8 * cell:
+            cell = max(cell, 1)
+            while b_bits + peak.bit_length() + 2 > 8 * cell:
+                cell *= 2
+            rows = [_pack_row(c, w, cell) for w in range(k)]
+            slot = 8 * cell
+            span = (D + 1) * slot
+            half = 1 << (slot - 1)
+            halves = half * (((1 << span) - 1) // ((1 << slot) - 1))
+            # keep[e]: the slots of a row that stay below the cap after
+            # a shift by e degrees
+            keep = {e: (1 << (span - e * slot)) - 1 for e, _ in b}
+        total = 0
+        for i in range(1, k + 1):
+            prev = rows[k - i]
+            if prev:
+                for e, v in by_weight[i]:
+                    total += v * ((prev & keep[e]) << (e * slot))
+        raw = (total + halves).to_bytes(span // 8, "little")
+        # the residual is zero, so passes the gate, outside slots first..last
+        if total:
+            first = ((total & -total).bit_length() - 1) // slot
+            last = min(D, (abs(total).bit_length() - 1) // slot + 1)
+        else:
+            first, last = 0, -1
+        for d in range(first, last + 1):
+            residual = int.from_bytes(raw[d * cell : (d + 1) * cell], "little") - half
+            value, rem = divmod(residual, k)
+            if residual < 0 or rem:
+                raise IntegrityError(
+                    f"free-algebra recurrence broke at (d, k) = ({d}, {k}): "
+                    f"residual {residual} is not a nonnegative multiple of {k}"
+                )
+            if value:
+                c[d][k] = value
+                if value > peak:
+                    peak = value
+        rows.append(total // k)
+    return BiSeries(D, K, c, is_algebra=True)
+
+
+def _pack_row(c: list[list[int]], weight: int, cell: int) -> int:
+    """The weight row of table ``c`` as one int, ``cell`` bytes per degree."""
+    return int.from_bytes(
+        b"".join(row[weight].to_bytes(cell, "little") for row in c), "little"
+    )
 
 
 def inverse_one_minus(f: BiSeries) -> BiSeries:

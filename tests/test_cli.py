@@ -256,3 +256,40 @@ def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
     assert main(["--config", str(config_path), "--output", str(target)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: cannot write output ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("orientable", ["no", 1, []])
+def test_non_boolean_orientable_is_rejected(orientable, tmp_path):
+    config = {"mode": "check:hilton_milnor", "field": "Q",
+              "orientable": orientable, "max_degree": 4}
+    with pytest.raises(InvalidInputError, match="orientable"):
+        run(config)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_INPUT
+
+
+def test_boolean_orientable_still_runs():
+    config = {"mode": "check:hilton_milnor", "field": "Q", "orientable": True,
+              "max_degree": 4}
+    assert run(config)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        base_config(seed="abc"),
+        base_config(mode="theorem_b", max_weight=4, seed=-1),
+        base_config(mode="dk_table", max_weight=4, seed=1.5),
+        base_config(mode="generators", seed=None),
+        base_config(seed=False),
+        {"mode": "check:hilton_milnor", "max_degree": 4, "seed": [1, 2]},
+        {"mode": "check:ab", "trials": 1, "max_degree": 6, "seed": "3"},
+    ],
+)
+def test_seed_must_be_a_nonnegative_int_in_every_mode(config, tmp_path):
+    with pytest.raises(InvalidInputError, match="seed"):
+        run(config)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_INPUT

@@ -4,20 +4,34 @@ The reference multiplication used here is a direct dict convolution written
 independently of the packed-integer path in the package.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confighom import (
     BiSeries,
     ConfigurationError,
     DivergentSeriesError,
+    FieldChar,
     IntegrityError,
     InvalidInputError,
+    atom_census,
+    cli,
     desuspend_by_weight,
+    factor_series,
+    free_commutative,
+    generator_census,
     inverse_one_minus,
+    loops,
     multiply,
     power_factor,
+    series,
 )
 
 
@@ -148,6 +162,162 @@ def test_power_factor_divergent_degree_zero():
         power_factor(BiSeries.one(4, 4), 0, 1, 1, "polynomial")
     with pytest.raises(InvalidInputError):
         power_factor(BiSeries.one(4, 4), 0, 1, 1, "exterior")
+
+
+# -- free_commutative -------------------------------------------------------
+
+
+def power_chain(D: int, K: int, generators) -> BiSeries:
+    """The free algebra as one power_factor per generator, from the unit."""
+    acc = BiSeries.one(D, K)
+    for degree, weight, count, kind in generators:
+        acc = power_factor(acc, degree, weight, count, kind)
+    return acc
+
+
+generator_lists = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.one_of(st.integers(0, 4), st.integers(0, 10**12)),
+        st.sampled_from(("polynomial", "exterior")),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists, st.integers(0, 18), st.integers(0, 9), st.data())
+def test_property_free_commutative_equals_power_factor_chain(gens, D, K, data):
+    # repeat a drawn generator so equal bidegrees (and kinds) meet in B
+    if gens and data.draw(st.booleans()):
+        gens = gens + [data.draw(st.sampled_from(gens))]
+    assert free_commutative(D, K, gens) == power_chain(D, K, gens)
+
+
+def test_free_commutative_small_examples():
+    assert free_commutative(6, 3, [(2, 1, 1, "polynomial")]).to_dict() == {
+        (0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1}
+    assert free_commutative(6, 3, [(3, 2, 1, "exterior")]).to_dict() == {
+        (0, 0): 1, (3, 2): 1}
+    # x, y exterior in degree 1 weight 1: 1 + 2tu + t^2u^2
+    assert free_commutative(4, 4, [(1, 1, 2, "exterior")]).to_dict() == {
+        (0, 0): 1, (1, 1): 2, (2, 2): 1}
+    assert free_commutative(5, 0, [(1, 1, 3, "polynomial")]) == BiSeries.one(5, 0)
+    assert free_commutative(0, 0, []) == BiSeries.one(0, 0)
+
+
+def test_free_commutative_rejects_bad_generators():
+    with pytest.raises(DivergentSeriesError):
+        free_commutative(4, 4, [(0, 1, 1, "polynomial")])
+    with pytest.raises(InvalidInputError):
+        free_commutative(4, 4, [(0, 1, 1, "exterior")])
+    with pytest.raises(InvalidInputError, match="weight"):
+        free_commutative(4, 4, [(2, 0, 1, "polynomial")])
+    with pytest.raises(InvalidInputError):
+        free_commutative(4, 4, [(2, 1, -1, "polynomial")])
+    with pytest.raises(InvalidInputError):
+        free_commutative(4, 4, [(2, 1, 1, "divided_power")])
+    with pytest.raises(InvalidInputError):
+        free_commutative(-1, 4, [])
+
+
+def census_generators(y, j, char, D, K):
+    census = generator_census(atom_census(y, j, char, D, K), j, char, D, K)
+    return [
+        (d, k, c, "polynomial" if char.is_two or d % 2 == 0 else "exterior")
+        for d, k, c in census.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "y, j, p, D, K",
+    [({2: 1}, 3, 3, 120, 40), ({2: 1}, 3, 2, 120, 40), ({1: 1, 2: 1}, 2, 3, 90, 40)],
+)
+def test_loop_factor_equals_power_factor_chain_across_slot_growth(
+    monkeypatch, y, j, p, D, K
+):
+    widths = []
+    real = series._pack_row
+
+    def spy(c, weight, cell):
+        widths.append(cell)
+        return real(c, weight, cell)
+
+    monkeypatch.setattr(series, "_pack_row", spy)
+    monkeypatch.setattr(loops, "_factor_cache", {})
+    char = FieldChar(p)
+    got = factor_series(y, j, char, D, K)
+    assert got == power_chain(D, K, census_generators(y, j, char, D, K))
+    if p == 2 or j == 2:
+        # the slots outgrew their first width and every row was repacked
+        assert len(set(widths)) >= 2
+
+
+def bump_weight_two(real):
+    """weight_log_derivative with B raised by 1 at (max_degree, 2)."""
+
+    def bumped(max_degree, max_weight, generators):
+        b = real(max_degree, max_weight, generators)
+        b[(max_degree, 2)] = b.get((max_degree, 2), 0) + 1
+        return b
+
+    return bumped
+
+
+def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative)
+    )
+    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(8, 2\)"):
+        free_commutative(8, 4, [(2, 1, 1, "polynomial"), (3, 1, 2, "exterior")])
+
+    monkeypatch.setattr(loops, "_factor_cache", {})
+    config = {
+        "field": "F2",
+        "manifold": {"preset": "cube", "m": 1},
+        "n": 1,
+        "label_space": {"preset": "sphere", "d": 2},
+        "mode": "theorem_a",
+        "max_degree": 8,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+
+
+def test_free_algebra_gate_holds_without_asserts(tmp_path):
+    script = """
+import json, sys
+import confighom.series as series
+from confighom import cli
+assert False  # stripped by -O
+real = series.weight_log_derivative
+def bumped(max_degree, max_weight, generators):
+    b = real(max_degree, max_weight, generators)
+    b[(max_degree, 2)] = b.get((max_degree, 2), 0) + 1
+    return b
+series.weight_log_derivative = bumped
+sys.exit(cli.main(["--config", sys.argv[1]]))
+"""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "field": "Fp:3",
+        "manifold": {"preset": "cube", "m": 1},
+        "n": 2,
+        "label_space": {"preset": "sphere", "d": 2},
+        "mode": "theorem_a",
+        "max_degree": 12,
+    }))
+    src = os.path.dirname(os.path.dirname(series.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == cli.EXIT_INTEGRITY, done.stderr
+    assert "free-algebra recurrence broke at (d, k)" in done.stderr
 
 
 # -- inverse_one_minus ------------------------------------------------------
