@@ -83,6 +83,30 @@ class ProblemSpec:
         return self.max_degree // 2
 
 
+def factor_plan(
+    m_dim: int, rel_betti: GradedBetti, n: int, x_betti: GradedBetti
+) -> list[tuple[int, int, GradedBetti, int]]:
+    """The loop-space factors of the product, in increasing q.
+
+    Each entry is ``(q, j, y, copies)``: the ``copies`` relative classes in
+    degree q each contribute H_*(Omega^j Sigma^j y) with j = m_dim + n - q
+    loops on y = Sigma^q X.  A class with j < 1 (q beyond m_dim + n - 1)
+    raises InvalidInputError.
+    """
+    rel = normalize_betti(rel_betti)
+    x = normalize_betti(x_betti)
+    m = m_dim + n
+    plan = []
+    for q in sorted(rel):
+        j = m - q
+        if j < 1:
+            raise InvalidInputError(
+                f"relative class in degree {q} lies beyond m_dim + n - 1 = {m - 1}"
+            )
+        plan.append((q, j, suspend_betti(x, q), rel[q]))
+    return plan
+
+
 def factor_product(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -92,24 +116,12 @@ def factor_product(
     max_degree: int,
     max_weight: int,
 ) -> BiSeries:
-    """Shared assembly core: the tensor product of loop-space factors.
-
-    One factor of j = m_dim + n - q loops on the q-fold suspension of the
-    labels appears for every relative class in degree q; a class with
-    j < 1 (q beyond m_dim + n - 1) raises InvalidInputError.
-    """
-    rel = normalize_betti(rel_betti)
-    x = normalize_betti(x_betti)
-    m = m_dim + n
+    """Shared assembly core: the tensor product of the loop-space factors
+    of :func:`factor_plan`."""
     acc = BiSeries.one(max_degree, max_weight)
-    for q in sorted(rel):
-        j = m - q
-        if j < 1:
-            raise InvalidInputError(
-                f"relative class in degree {q} lies beyond m_dim + n - 1 = {m - 1}"
-            )
-        fs = factor_series(suspend_betti(x, q), j, char, max_degree, max_weight)
-        acc = multiply(acc, fs ** rel[q] if rel[q] != 1 else fs)
+    for _q, j, y, copies in factor_plan(m_dim, rel_betti, n, x_betti):
+        fs = factor_series(y, j, char, max_degree, max_weight)
+        acc = multiply(acc, fs ** copies if copies != 1 else fs)
     return acc
 
 
@@ -186,7 +198,7 @@ def preset(
         return v
 
     known = {"sphere", "torus", "surface", "disk_pair", "rp", "cube", "point"}
-    if name not in known:
+    if not isinstance(name, str) or name not in known:
         raise InvalidInputError(
             f"unknown preset {name!r}; known: {', '.join(sorted(known))}"
         )

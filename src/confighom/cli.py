@@ -5,18 +5,22 @@ computation or consistency suite, and renders a table, CSV or JSON.
 Rendering is deterministic: identical configs give byte-identical output.
 
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
-config or an unreadable --config / unwritable --output file, 3 violated
-input hypothesis (JSON booleans are not accepted where an int is
-expected, ``seed`` must be an int >= 0 in every mode and ``orientable`` a
-boolean), 4 internal integrity failure.
+config (bad JSON, unknown key, wrong schema_version) or an unreadable
+--config / unwritable --output file, 3 violated input hypothesis (JSON
+booleans are not accepted where an int is expected, ``seed`` must be an
+int >= 0 in every mode, ``orientable`` a boolean, ``field`` and a manifold
+``preset`` strings, and no Betti degree may be given twice), 4 internal
+integrity failure: a broken identity or mismatched caps inside the engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Any
+from dataclasses import replace
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .assemble import (
@@ -25,6 +29,7 @@ from .assemble import (
     ProblemSpec,
     ab_coherence_report,
     describe_spec,
+    factor_plan,
     filtration_table,
     preset,
     theorem_a,
@@ -37,14 +42,7 @@ from .errors import (
     InvalidInputError,
 )
 from .hilton import hilton_milnor_check
-from .loops import (
-    FieldChar,
-    GradedBetti,
-    atom_census,
-    generator_census,
-    normalize_betti,
-    suspend_betti,
-)
+from .loops import FieldChar, GradedBetti, factor_generators, normalize_betti
 from .series import BiSeries
 
 SCHEMA_VERSION = 1
@@ -95,6 +93,8 @@ def _parse_betti(raw: Any, what: str) -> GradedBetti:
             d = int(key)
         except (TypeError, ValueError):
             raise InvalidInputError(f"{what}: bad degree key {key!r}") from None
+        if d in out:
+            raise InvalidInputError(f"{what}: degree {d} is given twice")
         if not _is_int(value):
             raise InvalidInputError(f"{what}: dimension for degree {d} must be int")
         out[d] = value
@@ -188,10 +188,12 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     if not _is_int(seed) or seed < 0:
         raise InvalidInputError("seed must be an int >= 0")
 
-    if mode == "check:ab":
-        return _run_check_ab(config, fmt)
-    if mode == "check:hilton_milnor":
-        return _run_check_hilton(config, fmt)
+    if mode in ("check:ab", "check:hilton_milnor"):
+        run_check = _run_check_ab if mode == "check:ab" else _run_check_hilton
+        echo, reports = run_check(config, seed)
+        passed = all(rep["status"] == "pass" for rep in reports)
+        status = EXIT_OK if passed else EXIT_CHECK_FAILED
+        return status, _render(fmt, echo, _check_lines(reports, fmt), checks=reports)
 
     char = FieldChar.from_name(_require(config, "field", str))
     m_dim, rel = _parse_manifold(_require(config, "manifold", dict), char)
@@ -213,13 +215,14 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
         mode=MODE_THEOREM_B if mode in ("theorem_b", "dk_table") else MODE_THEOREM_A,
     )
 
+    echo = dict(describe_spec(spec), mode=mode, seed=seed)
     if mode == "generators":
-        return EXIT_OK, _render_generators(spec, config, fmt)
+        rows = _generator_rows(spec)
+        return EXIT_OK, _render(fmt, echo, _generator_lines(rows, fmt), generators=rows)
 
     series = theorem_a(spec) if spec.mode == MODE_THEOREM_A else theorem_b(spec)
-    if mode == "dk_table":
-        return EXIT_OK, _render_dk_table(series, spec, config, fmt)
-    return EXIT_OK, _render_series(series, spec, config, fmt)
+    view = _dk_lines if mode == "dk_table" else _grid_lines
+    return EXIT_OK, _render(fmt, echo, view(series, fmt), series=series)
 
 
 def _require(config: dict[str, Any], key: str, typ: type) -> Any:
@@ -231,22 +234,19 @@ def _require(config: dict[str, Any], key: str, typ: type) -> Any:
     return value
 
 
-def _run_check_ab(config: dict[str, Any], fmt: str) -> tuple[int, str]:
-    seed = config.get("seed", 0)
+def _run_check_ab(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
     trials = config.get("trials", 20)
     max_degree = config.get("max_degree", 30)
     for name, v in (("trials", trials), ("max_degree", max_degree)):
         if not _is_int(v) or v < 0:
             raise InvalidInputError(f"{name} must be an int >= 0")
     report = ab_coherence_report(seed=seed, trials=trials, max_degree=max_degree)
-    status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    spec_echo = {"mode": "check:ab", "seed": seed, "trials": trials,
-                 "max_degree": max_degree}
-    return status, _render_checks([report.to_json()], spec_echo, fmt)
+    echo = {"mode": "check:ab", "seed": seed, "trials": trials,
+            "max_degree": max_degree}
+    return echo, [report.to_json()]
 
 
-def _run_check_hilton(config: dict[str, Any], fmt: str) -> tuple[int, str]:
-    seed = config.get("seed", 0)
+def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
     orientable = config.get("orientable", False)
     if not isinstance(orientable, bool):
         raise InvalidInputError("orientable must be a boolean")
@@ -267,204 +267,146 @@ def _run_check_hilton(config: dict[str, Any], fmt: str) -> tuple[int, str]:
         cases.append(("circle_s2_s2", 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], max_degree))
 
     reports = []
-    all_pass = True
     for name, m_dim, rel, x_list, cap in cases:
         rep = hilton_milnor_check(
             m_dim, rel, x_list, cap, char=char, orientable=orientable
         )
-        payload = rep.to_json()
-        payload["case"] = name
-        reports.append(payload)
-        all_pass = all_pass and rep.passed
-    spec_echo = {"mode": "check:hilton_milnor", "field": char.name, "seed": seed}
-    status = EXIT_OK if all_pass else EXIT_CHECK_FAILED
-    return status, _render_checks(reports, spec_echo, fmt)
+        reports.append(dict(rep.to_json(), case=name))
+    return {"mode": "check:hilton_milnor", "field": char.name, "seed": seed}, reports
+
+
+def _generator_rows(spec: ProblemSpec) -> list[dict]:
+    # the census listing only needs connected labels, not simply connected
+    # ones, so validate under the permissive mode before the >= 1 gate
+    K = spec.effective_max_weight()
+    replace(spec, max_weight=K, mode=MODE_THEOREM_B).validate()
+    if any(d < 1 for d in normalize_betti(spec.x_betti)):
+        raise InvalidInputError(
+            "the generator census needs a connected label space "
+            "(reduced classes in degrees >= 1)"
+        )
+    rows = []
+    plan = factor_plan(spec.m_dim, spec.rel_betti, spec.n, spec.x_betti)
+    for q, j, y, copies in plan:
+        if j == 1:
+            kind = "free_associative"
+            gens = [
+                {"degree": d, "weight": 1, "count": c} for d, c in sorted(y.items())
+            ]
+        else:
+            kind = "free_commutative"
+            gens = [
+                {"degree": d, "weight": k, "kind": g_kind, "count": c}
+                for d, k, c, g_kind in factor_generators(
+                    y, j, spec.char, spec.max_degree, K
+                )
+            ]
+        rows.append(
+            {"q": q, "j": j, "copies": copies, "kind": kind, "generators": gens}
+        )
+    return rows
 
 
 # -- rendering -------------------------------------------------------------
 
 
-def _spec_echo(spec: ProblemSpec, config: dict[str, Any]) -> dict[str, Any]:
-    echo = describe_spec(spec)
-    echo["mode"] = config.get("mode")
-    echo["seed"] = config.get("seed", 0)
-    return echo
-
-
-def _header_lines(echo: dict[str, Any]) -> list[str]:
-    parts = " ".join(f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo))
-    return [f"# confighom {__version__} schema_version={SCHEMA_VERSION}", f"# {parts}"]
-
-
-def _json_doc(
+def _render(
+    fmt: str,
     echo: dict[str, Any],
+    lines: Iterable[str],
     series: BiSeries | None = None,
     checks: list[dict] | None = None,
     generators: list[dict] | None = None,
 ) -> str:
-    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "spec": echo}
-    doc["series"] = (
-        [[d, k, v] for d, k, v in series.items()] if series is not None else []
-    )
-    doc["checks"] = checks or []
-    if generators is not None:
-        doc["generators"] = generators
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The one place each output format is put together.
 
-
-def _render_series(
-    series: BiSeries, spec: ProblemSpec, config: dict[str, Any], fmt: str
-) -> str:
-    echo = _spec_echo(spec, config)
+    json is the envelope of the spec echo, the series cells and the check
+    reports (plus the generator rows in generators mode); csv joins the
+    view's ``lines``; table puts two header lines before them.  ``lines``
+    is a generator, so no view is built for json.
+    """
     if fmt == "json":
-        return _json_doc(echo, series=series)
+        doc: dict[str, Any] = {
+            "schema_version": SCHEMA_VERSION,
+            "spec": echo,
+            "series": [] if series is None else [list(cell) for cell in series.items()],
+            "checks": checks or [],
+        }
+        if generators is not None:
+            doc["generators"] = generators
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "table":
+        parts = " ".join(
+            f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
+        )
+        title = f"# confighom {__version__} schema_version={SCHEMA_VERSION}"
+        lines = itertools.chain((title, f"# {parts}"), lines)
+    return "\n".join(lines) + "\n"
+
+
+def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
     D, K = series.caps()
+    rows = [[series.get(d, k) for k in range(K + 1)] for d in range(D + 1)]
     if fmt == "csv":
-        lines = ["degree," + ",".join(f"w{k}" for k in range(K + 1)) + ",total"]
-        for d in range(D + 1):
-            row = [series.get(d, k) for k in range(K + 1)]
-            lines.append(f"{d}," + ",".join(map(str, row)) + f",{sum(row)}")
-        return "\n".join(lines) + "\n"
-    lines = _header_lines(echo)
-    width = max(
-        [len(str(series.get(d, k))) for d in range(D + 1) for k in range(K + 1)] + [4]
+        yield "degree," + ",".join(f"w{k}" for k in range(K + 1)) + ",total"
+        for d, row in enumerate(rows):
+            yield f"{d}," + ",".join(map(str, row)) + f",{sum(row)}"
+        return
+    width = max([len(str(v)) for row in rows for v in row] + [4])
+    head = (
+        "degree | " + " ".join(f"w{k}".rjust(width) for k in range(K + 1)) + " | total"
     )
-    head = "degree | " + " ".join(f"w{k}".rjust(width) for k in range(K + 1)) + " | total"
-    lines.append(head)
-    lines.append("-" * len(head))
-    for d in range(D + 1):
-        row = [series.get(d, k) for k in range(K + 1)]
-        lines.append(
-            f"{d:6d} | "
-            + " ".join(str(v).rjust(width) for v in row)
-            + f" | {sum(row)}"
-        )
-    return "\n".join(lines) + "\n"
+    yield head
+    yield "-" * len(head)
+    for d, row in enumerate(rows):
+        cells = " ".join(str(v).rjust(width) for v in row)
+        yield f"{d:6d} | {cells} | {sum(row)}"
 
 
-def _render_dk_table(
-    series: BiSeries, spec: ProblemSpec, config: dict[str, Any], fmt: str
-) -> str:
-    echo = _spec_echo(spec, config)
-    if fmt == "json":
-        return _json_doc(echo, series=series)
-    rows = filtration_table(series)
+def _dk_lines(series: BiSeries, fmt: str) -> Iterator[str]:
     if fmt == "csv":
-        lines = ["weight,degree,dim"]
-        for k, row in enumerate(rows):
-            for d in sorted(row):
-                lines.append(f"{k},{d},{row[d]}")
-        return "\n".join(lines) + "\n"
-    lines = _header_lines(echo)
-    for k, row in enumerate(rows):
-        cells = " ".join(f"{d}:{row[d]}" for d in sorted(row)) or "-"
-        lines.append(f"weight {k:3d} | {cells}")
-    return "\n".join(lines) + "\n"
-
-
-def _generator_rows(spec: ProblemSpec) -> list[dict]:
-    x = normalize_betti(spec.x_betti)
-    if any(d < 1 for d in x):
-        raise InvalidInputError(
-            "the generator census needs a connected label space "
-            "(reduced classes in degrees >= 1)"
-        )
-    rel = normalize_betti(spec.rel_betti)
-    K = spec.effective_max_weight()
-    rows: list[dict] = []
-    m = spec.m_dim + spec.n
-    for q in sorted(rel):
-        j = m - q
-        y = suspend_betti(x, q)
-        entry: dict[str, Any] = {"q": q, "j": j, "copies": rel[q]}
-        if j == 1:
-            entry["kind"] = "free_associative"
-            entry["generators"] = [
-                {"degree": d, "weight": 1, "count": c} for d, c in sorted(y.items())
-            ]
+        yield "weight,degree,dim"
+    for k, row in enumerate(filtration_table(series)):
+        if fmt == "csv":
+            yield from (f"{k},{d},{row[d]}" for d in sorted(row))
         else:
-            census = generator_census(
-                atom_census(y, j, spec.char, spec.max_degree, K),
-                j,
-                spec.char,
-                spec.max_degree,
-                K,
-            )
-            gens = []
-            for d, k, c in census.items():
-                kind = (
-                    "polynomial"
-                    if spec.char.is_two or d % 2 == 0
-                    else "exterior"
-                )
-                gens.append({"degree": d, "weight": k, "kind": kind, "count": c})
-            entry["kind"] = "free_commutative"
-            entry["generators"] = gens
-        rows.append(entry)
-    return rows
+            cells = " ".join(f"{d}:{row[d]}" for d in sorted(row)) or "-"
+            yield f"weight {k:3d} | {cells}"
 
 
-def _render_generators(
-    spec: ProblemSpec, config: dict[str, Any], fmt: str
-) -> str:
-    # the census listing only needs connected labels, not simply connected
-    # ones, so validate under the permissive mode before the >= 1 gate
-    probe = ProblemSpec(
-        m_dim=spec.m_dim,
-        rel_betti=spec.rel_betti,
-        n=spec.n,
-        x_betti=spec.x_betti,
-        char=spec.char,
-        max_degree=spec.max_degree,
-        max_weight=spec.effective_max_weight(),
-        mode=MODE_THEOREM_B,
-    )
-    probe.validate()
-    rows = _generator_rows(spec)
-    echo = _spec_echo(spec, config)
-    if fmt == "json":
-        return _json_doc(echo, generators=rows)
+def _generator_lines(rows: list[dict], fmt: str) -> Iterator[str]:
     if fmt == "csv":
-        lines = ["q,j,copies,degree,weight,kind,count"]
-        for entry in rows:
-            for g in entry["generators"]:
-                lines.append(
-                    f"{entry['q']},{entry['j']},{entry['copies']},"
-                    f"{g['degree']},{g['weight']},{g.get('kind', entry['kind'])},"
-                    f"{g['count']}"
-                )
-        return "\n".join(lines) + "\n"
-    lines = _header_lines(echo)
+        yield "q,j,copies,degree,weight,kind,count"
     for entry in rows:
-        lines.append(
-            f"factor q={entry['q']} j={entry['j']} copies={entry['copies']} "
-            f"({entry['kind']})"
-        )
+        q, j, copies, kind = entry["q"], entry["j"], entry["copies"], entry["kind"]
+        if fmt == "table":
+            yield f"factor q={q} j={j} copies={copies} ({kind})"
         for g in entry["generators"]:
-            kind = g.get("kind", "")
-            lines.append(
-                f"  degree {g['degree']:3d} weight {g['weight']:3d} "
-                f"count {g['count']}" + (f" {kind}" if kind else "")
-            )
-    return "\n".join(lines) + "\n"
+            g_kind = g.get("kind", "")
+            if fmt == "csv":
+                yield (
+                    f"{q},{j},{copies},{g['degree']},{g['weight']},"
+                    f"{g_kind or kind},{g['count']}"
+                )
+            else:
+                yield (
+                    f"  degree {g['degree']:3d} weight {g['weight']:3d} "
+                    f"count {g['count']}" + (f" {g_kind}" if g_kind else "")
+                )
 
 
-def _render_checks(reports: list[dict], echo: dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return _json_doc(echo, checks=reports)
+def _check_lines(reports: list[dict], fmt: str) -> Iterator[str]:
     if fmt == "csv":
-        lines = ["check,status"]
-        for rep in reports:
-            lines.append(f"{rep.get('case', rep['name'])},{rep['status']}")
-        return "\n".join(lines) + "\n"
-    lines = _header_lines(echo)
+        yield "check,status"
     for rep in reports:
         label = rep.get("case", rep["name"])
-        lines.append(f"check {label}: {rep['status'].upper()}")
+        if fmt == "csv":
+            yield f"{label},{rep['status']}"
+            continue
+        yield f"check {label}: {rep['status'].upper()}"
         if rep["status"] != "pass":
             detail = rep.get("failures") or rep.get("first_mismatch")
-            lines.append(f"  detail: {json.dumps(detail, sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+            yield f"  detail: {json.dumps(detail, sort_keys=True)}"
 
 
 # -- entry point ------------------------------------------------------------
@@ -501,16 +443,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = load_config(args.config, overrides)
-        status, rendered = run(config)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except IntegrityError as exc:
+    try:
+        status, rendered = run(config)
+    except (ConfigurationError, IntegrityError) as exc:
+        # past load_config, mismatched engine objects are an engine fault
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CalculatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

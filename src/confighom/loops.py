@@ -93,6 +93,8 @@ class FieldChar:
 
     @classmethod
     def from_name(cls, name: str) -> "FieldChar":
+        if not isinstance(name, str):
+            raise InvalidInputError(f"field name must be a str; got {name!r}")
         if name == "Q":
             return cls.rational()
         if name == "F2":
@@ -230,6 +232,24 @@ def generator_census(
     return DegreeWeightTable(max_degree, max_weight, census)
 
 
+def factor_generators(
+    y: GradedBetti,
+    j: int,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> list[tuple[int, int, int, str]]:
+    """Generators ``(degree, weight, count, kind)`` of H_*(Omega^j Sigma^j Y)
+    for j >= 2: the generator census of the atoms, each entry tagged
+    polynomial in characteristic 2 or in even degree, exterior otherwise."""
+    atoms = atom_census(y, j, char, max_degree, max_weight)
+    census = generator_census(atoms, j, char, max_degree, max_weight)
+    return [
+        (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
+        for d, k, c in census.items()
+    ]
+
+
 _factor_cache: dict[tuple, BiSeries] = {}
 _FACTOR_CACHE_LIMIT = 512
 
@@ -246,13 +266,12 @@ def factor_series(
     * j = 0: the module 1 + sum y_d t^d u (every reduced class at weight 1).
     * j = 1: tensor algebra, weight = word length; identical for every
       characteristic.
-    * j >= 2: free graded-commutative algebra on the generator census; in
-      characteristic 2 all generators are polynomial, otherwise odd actual
-      degree is exterior and even actual degree polynomial.  The whole
-      census goes to :func:`~confighom.series.free_commutative` at once,
-      which solves the weight rows from k A_k = sum_i B_i A_{k-i} with
-      B = u d/du log A and raises IntegrityError naming the cell (d, k)
-      whose residual is negative or not a multiple of k.
+    * j >= 2: free graded-commutative algebra on
+      :func:`factor_generators`, all of which go to
+      :func:`~confighom.series.free_commutative` at once, which solves
+      the weight rows from k A_k = sum_i B_i A_{k-i} with B = u d/du log A
+      and raises IntegrityError naming the cell (d, k) whose residual is
+      negative or not a multiple of k.
     """
     if j < 0:
         raise InvalidInputError("loop count j must be >= 0")
@@ -274,15 +293,10 @@ def factor_series(
         )
         result = inverse_one_minus(f)
     else:
-        atoms = atom_census(y, j, char, max_degree, max_weight)
-        census = generator_census(atoms, j, char, max_degree, max_weight)
         result = free_commutative(
             max_degree,
             max_weight,
-            (
-                (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
-                for d, k, c in census.items()
-            ),
+            factor_generators(y, j, char, max_degree, max_weight),
         )
 
     if len(_factor_cache) >= _FACTOR_CACHE_LIMIT:

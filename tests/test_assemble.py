@@ -17,6 +17,7 @@ from confighom import (
     theorem_b,
     weight_one_slice_expected,
 )
+from confighom.assemble import factor_plan
 
 Q = FieldChar.rational()
 F2 = FieldChar.mod2()
@@ -209,3 +210,9 @@ def test_factor_product_rejects_class_beyond_loop_range():
     # q = 1 > m_dim + n - 1 = 0 would need a factor with j = 0 loops
     with pytest.raises(InvalidInputError):
         factor_product(0, {1: 1}, 1, {2: 1}, F2, 6, 3)
+
+
+def test_factor_plan_lists_one_loop_factor_per_relative_degree():
+    # (S^1, pt) x R^2 with S^2 v S^3 labels: classes in degrees 0 and 1
+    plan = factor_plan(1, {0: 1, 1: 2}, 2, {2: 1, 3: 1})
+    assert plan == [(0, 3, {2: 1, 3: 1}, 1), (1, 2, {3: 1, 4: 1}, 2)]

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import confighom.assemble as assemble
 from confighom.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
+    EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_PARSE,
     load_config,
@@ -293,3 +295,64 @@ def test_seed_must_be_a_nonnegative_int_in_every_mode(config, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == EXIT_INPUT
+
+
+def _main_on(config, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return main(["--config", str(path)])
+
+
+def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
+    real = assemble.multiply
+
+    def drifting(a, b):
+        out = real(a, b)
+        return out.truncated(out.max_degree - 1, out.max_weight)
+
+    monkeypatch.setattr(assemble, "multiply", drifting)
+    config = base_config(manifold={"preset": "surface", "genus": 0}, max_degree=6)
+    assert _main_on(config, tmp_path) == EXIT_INTEGRITY
+    assert capsys.readouterr().err.startswith(
+        "integrity error: cap mismatch: (5, 3) vs (6, 3)"
+    )
+    # a configuration error before the run is still a parse error
+    assert _main_on(dict(config, modee="theorem_a"), tmp_path) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: unknown config keys")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"mode": "check:hilton_milnor", "field": 2, "max_degree": 4},
+        {"mode": "check:hilton_milnor", "field": None, "max_degree": 4},
+    ],
+)
+def test_non_string_field_is_rejected(config, tmp_path):
+    with pytest.raises(InvalidInputError, match="field"):
+        run(config)
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("name", [[1], {"m": 1}])
+def test_non_string_manifold_preset_is_rejected(name, tmp_path, capsys):
+    config = base_config(manifold={"preset": name, "m": 1})
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        base_config(label_space={"betti": {"2": 1, "02": 3}}),
+        base_config(manifold={"dim": 1, "rel_betti": {"0": 1, " 0": 1}}),
+        base_config(
+            mode="check:hilton_milnor",
+            manifold={"dim": 1, "rel_betti": {"1": 1, "+1": 2}},
+            label_spaces=[{"preset": "sphere", "d": 2}],
+        ),
+    ],
+)
+def test_betti_degree_given_twice_is_rejected(config, tmp_path, capsys):
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert "given twice" in capsys.readouterr().err
