@@ -2,15 +2,18 @@
 
 For a compact manifold pair (M, M0) of dimension m_dim with relative Betti
 numbers b_q over F, a Euclidean factor R^n (n >= 1) and a label space X,
-the homology series of C((M,M0) x R^n; X) is assembled as
+the homology series of C((M,M0) x R^n; X) is
 
     prod_{q=0}^{m_dim} factor_series(Sigma^q X, m_dim + n - q, F)^(b_q)
 
 with the configuration-length filtration as weight grading (mode
 ``theorem_a``; X must be simply connected, reduced classes in degrees
->= 2).  Mode ``theorem_b`` lifts the restriction on X: the same product is
-formed with the double suspension S^2 X at an enlarged internal degree cap
-and each weight-k slice is desuspended by 2k, which computes the reduced
+>= 2).  Each factor is a free graded-commutative algebra (for j = 1 by
+Poincare-Birkhoff-Witt), so the product is one, on all factors'
+generators counted b_q times each: one ``series.free_commutative`` call.
+Mode ``theorem_b`` lifts the restriction on X: the same product is formed
+with the double suspension S^2 X at an enlarged internal degree cap and
+each weight-k slice is desuspended by 2k, which computes the reduced
 homology of every filtration quotient D_k for arbitrary X.
 """
 
@@ -21,8 +24,14 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .loops import FieldChar, GradedBetti, factor_series, normalize_betti, suspend_betti
-from .series import BiSeries, desuspend_by_weight, multiply
+from .loops import (
+    FieldChar,
+    GradedBetti,
+    factor_generators,
+    normalize_betti,
+    suspend_betti,
+)
+from .series import BiSeries, desuspend_by_weight, free_commutative
 
 MODE_THEOREM_A = "theorem_a"
 MODE_THEOREM_B = "theorem_b"
@@ -107,6 +116,24 @@ def factor_plan(
     return plan
 
 
+def product_generators(
+    m_dim: int,
+    rel_betti: GradedBetti,
+    n: int,
+    x_betti: GradedBetti,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> list[tuple[int, int, int, str]]:
+    """Generators ``(degree, weight, count, kind)`` of the whole product:
+    those of every factor of :func:`factor_plan`, counted ``copies`` times."""
+    return [
+        (d, k, c * copies, kind)
+        for _q, j, y, copies in factor_plan(m_dim, rel_betti, n, x_betti)
+        for d, k, c, kind in factor_generators(y, j, char, max_degree, max_weight)
+    ]
+
+
 def factor_product(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -117,12 +144,9 @@ def factor_product(
     max_weight: int,
 ) -> BiSeries:
     """Shared assembly core: the tensor product of the loop-space factors
-    of :func:`factor_plan`."""
-    acc = BiSeries.one(max_degree, max_weight)
-    for _q, j, y, copies in factor_plan(m_dim, rel_betti, n, x_betti):
-        fs = factor_series(y, j, char, max_degree, max_weight)
-        acc = multiply(acc, fs ** copies if copies != 1 else fs)
-    return acc
+    of :func:`factor_plan`, the free algebra on :func:`product_generators`."""
+    problem = (m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
+    return free_commutative(max_degree, max_weight, product_generators(*problem))
 
 
 def theorem_a(spec: ProblemSpec) -> BiSeries:
@@ -179,6 +203,24 @@ def filtration_table(s: BiSeries) -> list[dict[int, int]]:
 
 # -- manifold presets ----------------------------------------------------
 
+_PRESET_PARAMETERS = {
+    "sphere": ("m",),
+    "torus": ("m",),
+    "surface": ("genus",),
+    "disk_pair": ("m",),
+    "rp": ("m",),
+    "cube": ("m",),
+    "point": (),
+}
+
+
+def preset_parameters(name: str) -> tuple[str, ...]:
+    """The parameters the named manifold preset takes."""
+    if not isinstance(name, str) or name not in _PRESET_PARAMETERS:
+        known = ", ".join(sorted(_PRESET_PARAMETERS))
+        raise InvalidInputError(f"unknown preset {name!r}; known: {known}")
+    return _PRESET_PARAMETERS[name]
+
 
 def preset(
     name: str, char: FieldChar | None = None, **params: int
@@ -197,14 +239,11 @@ def preset(
             raise InvalidInputError(f"preset parameter {key!r} must be an int >= 0")
         return v
 
-    known = {"sphere", "torus", "surface", "disk_pair", "rp", "cube", "point"}
-    if not isinstance(name, str) or name not in known:
-        raise InvalidInputError(
-            f"unknown preset {name!r}; known: {', '.join(sorted(known))}"
-        )
-    extra = set(params) - {"m", "genus"}
+    extra = set(params) - set(preset_parameters(name))
     if extra:
-        raise InvalidInputError(f"unexpected preset parameters {sorted(extra)}")
+        raise InvalidInputError(
+            f"preset {name!r} takes no parameters {sorted(extra)}"
+        )
 
     if name == "sphere":
         m = need("m")

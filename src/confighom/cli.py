@@ -9,8 +9,9 @@ config (bad JSON, unknown key, wrong schema_version) or an unreadable
 --config / unwritable --output file, 3 violated input hypothesis (JSON
 booleans are not accepted where an int is expected, ``seed`` must be an
 int >= 0 in every mode, ``orientable`` a boolean, ``field`` and a manifold
-``preset`` strings, and no Betti degree may be given twice), 4 internal
-integrity failure: a broken identity or mismatched caps inside the engine.
+``preset`` strings, no Betti degree may be given twice, and a manifold or
+label object may carry only the keys of its shape), 4 internal integrity
+failure: a broken identity or mismatched caps inside the engine.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .assemble import (
     factor_plan,
     filtration_table,
     preset,
+    preset_parameters,
     theorem_a,
     theorem_b,
 )
@@ -101,14 +103,24 @@ def _parse_betti(raw: Any, what: str) -> GradedBetti:
     return normalize_betti(out)
 
 
+def _only_keys(raw: dict, allowed: tuple[str, ...], what: str) -> None:
+    extra = set(raw) - set(allowed)
+    if extra:
+        raise InvalidInputError(
+            f"{what}: unexpected keys {sorted(extra)} (allowed: {list(allowed)})"
+        )
+
+
 def _parse_manifold(raw: Any, char: FieldChar) -> tuple[int, GradedBetti]:
     if not isinstance(raw, dict):
         raise InvalidInputError("manifold must be an object")
     if "preset" in raw:
         name = raw["preset"]
         params = {k: v for k, v in raw.items() if k != "preset"}
+        _only_keys(params, preset_parameters(name), f"manifold preset {name!r}")
         return preset(name, char=char, **params)
     if "dim" in raw and "rel_betti" in raw:
+        _only_keys(raw, ("dim", "rel_betti"), "explicit manifold")
         dim = raw["dim"]
         if not _is_int(dim) or dim < 0:
             raise InvalidInputError("manifold dim must be an int >= 0")
@@ -122,13 +134,16 @@ def _parse_label_space(raw: Any) -> GradedBetti:
     if not isinstance(raw, dict):
         raise InvalidInputError("label_space must be an object")
     if "betti" in raw:
+        _only_keys(raw, ("betti",), "label betti")
         return _parse_betti(raw["betti"], "label betti")
     if raw.get("preset") == "sphere":
+        _only_keys(raw, ("preset", "d"), "label sphere")
         d = raw.get("d")
         if not _is_int(d) or d < 0:
             raise InvalidInputError("label sphere needs an int dimension 'd' >= 0")
         return {d: 1}
     if raw.get("preset") == "wedge":
+        _only_keys(raw, ("preset", "spheres"), "label wedge")
         spheres = raw.get("spheres")
         if not isinstance(spheres, list) or not spheres:
             raise InvalidInputError("label wedge needs a nonempty list 'spheres'")

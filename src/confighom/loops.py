@@ -18,9 +18,11 @@ The generator grammar, by characteristic:
   units.  Atoms carry no standalone Bockstein (inputs behave like wedges
   of spheres).
 
-For j >= 2 the series is that of the free graded-commutative algebra on
-the census, solved in one weight recurrence for the whole census by
-``series.free_commutative``.
+For j >= 1 the series is that of the free graded-commutative algebra on
+the census, solved by ``series.free_commutative``.  At j = 1 the census is
+the basic products alone (no operation index lies in 1..j-1), and by
+Poincare-Birkhoff-Witt the tensor algebra has the series of the free
+commutative algebra on them.
 
 Basic products are counted by the Witt inversion in a shifted grading
 where every letter is raised by j-1 (making the degree-(j-1) bracket
@@ -35,13 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .series import (
-    BiSeries,
-    EXTERIOR,
-    POLYNOMIAL,
-    free_commutative,
-    inverse_one_minus,
-)
+from .series import BiSeries, EXTERIOR, POLYNOMIAL, free_commutative
 from .witt import DegreeWeightTable, lie_atom_counts
 
 GradedBetti = dict[int, int]
@@ -164,8 +160,8 @@ def atom_census(
     down: a length-l shifted word of degree d' is an actual word of degree
     d' - (j-1).
     """
-    if j < 2:
-        raise InvalidInputError("atom census needs j >= 2")
+    if j < 1:
+        raise InvalidInputError("atom census needs j >= 1")
     y = normalize_betti(y, min_degree=1)
     shift = j - 1
     shifted_cap = max_degree + shift
@@ -197,8 +193,8 @@ def generator_census(
     (degree, weight, largest index the next operation may use); every
     operation strictly raises degree, so the frontier dies within caps.
     """
-    if j < 2:
-        raise InvalidInputError("generator census needs j >= 2")
+    if j < 1:
+        raise InvalidInputError("generator census needs j >= 1")
     census: dict[tuple[int, int], int] = {}
     for d, k, c in atoms.items():
         if d <= max_degree and k <= max_weight:
@@ -232,26 +228,36 @@ def generator_census(
     return DegreeWeightTable(max_degree, max_weight, census)
 
 
+_factor_cache: dict[tuple, tuple[tuple[int, int, int, str], ...]] = {}
+_FACTOR_CACHE_LIMIT = 512
+
+
 def factor_generators(
     y: GradedBetti,
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> list[tuple[int, int, int, str]]:
+) -> tuple[tuple[int, int, int, str], ...]:
     """Generators ``(degree, weight, count, kind)`` of H_*(Omega^j Sigma^j Y)
-    for j >= 2: the generator census of the atoms, each entry tagged
-    polynomial in characteristic 2 or in even degree, exterior otherwise."""
+    as a free graded-commutative algebra, j >= 1: the generator census of
+    the atoms, each entry tagged polynomial in characteristic 2 or in even
+    degree, exterior otherwise.  Cached by (y, j, characteristic, caps)."""
+    y = normalize_betti(y, min_degree=1)
+    key = (tuple(sorted(y.items())), j, char.p, max_degree, max_weight)
+    cached = _factor_cache.get(key)
+    if cached is not None:
+        return cached
     atoms = atom_census(y, j, char, max_degree, max_weight)
     census = generator_census(atoms, j, char, max_degree, max_weight)
-    return [
+    result = tuple(
         (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
         for d, k, c in census.items()
-    ]
-
-
-_factor_cache: dict[tuple, BiSeries] = {}
-_FACTOR_CACHE_LIMIT = 512
+    )
+    if len(_factor_cache) >= _FACTOR_CACHE_LIMIT:
+        _factor_cache.clear()
+    _factor_cache[key] = result
+    return result
 
 
 def factor_series(
@@ -264,42 +270,22 @@ def factor_series(
     """Poincare series of the free E_j-algebra on reduced Betti data ``y``.
 
     * j = 0: the module 1 + sum y_d t^d u (every reduced class at weight 1).
-    * j = 1: tensor algebra, weight = word length; identical for every
-      characteristic.
-    * j >= 2: free graded-commutative algebra on
-      :func:`factor_generators`, all of which go to
-      :func:`~confighom.series.free_commutative` at once, which solves
-      the weight rows from k A_k = sum_i B_i A_{k-i} with B = u d/du log A
-      and raises IntegrityError naming the cell (d, k) whose residual is
-      negative or not a multiple of k.
+    * j >= 1: free graded-commutative algebra on :func:`factor_generators`
+      (for j = 1 the tensor algebra, by PBW), solved by
+      :func:`~confighom.series.free_commutative` from k A_k = sum_i
+      B_i A_{k-i} with B = u d/du log A, which raises IntegrityError naming
+      the cell (d, k) whose residual is negative or not a multiple of k.
     """
     if j < 0:
         raise InvalidInputError("loop count j must be >= 0")
-    y = normalize_betti(y, min_degree=0 if j == 0 else 1)
-    key = (tuple(sorted(y.items())), j, char.p, max_degree, max_weight)
-    cached = _factor_cache.get(key)
-    if cached is not None:
-        return cached
-
-    if j == 0:
-        entries = {(0, 0): 1}
-        for d, c in y.items():
-            if d <= max_degree and 1 <= max_weight:
-                entries[(d, 1)] = entries.get((d, 1), 0) + c
-        result = BiSeries.from_entries(max_degree, max_weight, entries)
-    elif j == 1:
-        f = BiSeries.from_entries(
-            max_degree, max_weight, {(d, 1): c for d, c in y.items()}
-        )
-        result = inverse_one_minus(f)
-    else:
-        result = free_commutative(
+    if j >= 1:
+        return free_commutative(
             max_degree,
             max_weight,
             factor_generators(y, j, char, max_degree, max_weight),
         )
-
-    if len(_factor_cache) >= _FACTOR_CACHE_LIMIT:
-        _factor_cache.clear()
-    _factor_cache[key] = result
-    return result
+    entries = {(0, 0): 1}
+    for d, c in normalize_betti(y).items():
+        if d <= max_degree and 1 <= max_weight:
+            entries[(d, 1)] = entries.get((d, 1), 0) + c
+    return BiSeries.from_entries(max_degree, max_weight, entries)

@@ -10,11 +10,12 @@ All operations are pure: a BiSeries is never mutated after construction, so
 values can be shared freely (including across threads) and products may be
 evaluated in any order.
 
-Products are computed by packing each operand into a single big integer
-(one fixed-width little-endian slot per coefficient, rows padded so degree
-carries cannot cross weight rows) and doing one native big-int
-multiplication.  This is exact for nonnegative coefficients and far faster
-than a quadruple loop in pure Python.
+:func:`multiply`, the product of two series, packs each operand into a
+single big integer (one fixed-width little-endian slot per coefficient,
+rows padded so degree carries cannot cross weight rows) and does one
+native big-int multiplication.  The engine assembles no products with it:
+a product of free algebras is itself free, so it is one
+:func:`free_commutative` call on the union of the generators.
 
 Free graded-commutative algebras, products of (1 - t^d u^w)^(-c) and
 (1 + t^d u^w)^c, are solved by one log-derivative kernel,
@@ -162,7 +163,7 @@ class BiSeries:
     def caps(self) -> tuple[int, int]:
         return (self.max_degree, self.max_weight)
 
-    # -- comparisons / algebra ----------------------------------------
+    # -- comparisons --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiSeries):
@@ -174,22 +175,6 @@ class BiSeries:
         return eq if eq is NotImplemented else not eq
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        return multiply(self, other)
-
-    def __pow__(self, n: int) -> "BiSeries":
-        if n < 0:
-            raise InvalidInputError("negative powers are not defined")
-        result = BiSeries.one(self.max_degree, self.max_weight)
-        base = self
-        while n:
-            if n & 1:
-                result = multiply(result, base)
-            n >>= 1
-            if n:
-                base = multiply(base, base)
-        return result
 
     def __repr__(self) -> str:
         nnz = sum(1 for _ in self.items())

@@ -2,8 +2,13 @@
 worked examples, filtration rows, presets and the structural invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confighom.assemble as assemble
+import confighom.loops as loops
 from confighom import (
+    BiSeries,
     FieldChar,
     InvalidInputError,
     ProblemSpec,
@@ -166,6 +171,52 @@ def test_filtration_rows_sum_to_series():
             assert series.get(d, k) == v
             totals[d] += v
     assert totals == series.degree_totals()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_property_factor_product_equals_the_multiply_chain(data):
+    m_dim = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 2))
+    rel = data.draw(
+        st.dictionaries(st.integers(0, m_dim), st.integers(1, 3), min_size=1, max_size=3)
+    )
+    if data.draw(st.booleans()):
+        # a class in the top degree with n = 1 gives a j = 1 factor
+        n, rel[m_dim] = 1, data.draw(st.integers(1, 3))
+    x = data.draw(
+        st.dictionaries(st.integers(1, 4), st.integers(1, 2), min_size=1, max_size=2)
+    )
+    char = FieldChar(data.draw(st.sampled_from((0, 2, 3))))
+    D, K = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 7))
+    chain = BiSeries.one(D, K)
+    for _q, j, y, copies in factor_plan(m_dim, rel, n, x):
+        for _ in range(copies):
+            chain = multiply(chain, factor_series(y, j, char, D, K))
+    assert factor_product(m_dim, rel, n, x, char, D, K) == chain
+
+
+def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_census(monkeypatch):
+    solves, censuses = [], []
+    real_solve, real_census = assemble.free_commutative, loops.atom_census
+
+    def solve(*args):
+        solves.append(args[:2])
+        return real_solve(*args)
+
+    def census(y, j, *args):
+        censuses.append(j)
+        return real_census(y, j, *args)
+
+    monkeypatch.setattr(assemble, "free_commutative", solve)
+    monkeypatch.setattr(loops, "atom_census", census)
+    monkeypatch.setattr(loops, "_factor_cache", {})
+    # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1
+    args = (2, {0: 1, 1: 2, 2: 1}, 1, {2: 1, 3: 1}, F3, 16, 8)
+    first = factor_product(*args)
+    assert (solves, sorted(censuses)) == ([(16, 8)], [1, 2, 3])
+    assert factor_product(*args) == first
+    assert (len(solves), len(censuses)) == (2, 3)
 
 
 # -- presets ---------------------------------------------------------------

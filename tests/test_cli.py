@@ -304,21 +304,50 @@ def _main_on(config, tmp_path):
 
 
 def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
-    real = assemble.multiply
+    real = assemble.free_commutative
 
-    def drifting(a, b):
-        out = real(a, b)
-        return out.truncated(out.max_degree - 1, out.max_weight)
+    def drifting(max_degree, max_weight, generators):
+        return real(max_degree, max_weight - 1, generators)
 
-    monkeypatch.setattr(assemble, "multiply", drifting)
-    config = base_config(manifold={"preset": "surface", "genus": 0}, max_degree=6)
+    monkeypatch.setattr(assemble, "free_commutative", drifting)
+    config = base_config(
+        manifold={"preset": "surface", "genus": 0},
+        mode="theorem_b",
+        max_degree=6,
+        max_weight=3,
+    )
     assert _main_on(config, tmp_path) == EXIT_INTEGRITY
     assert capsys.readouterr().err.startswith(
-        "integrity error: cap mismatch: (5, 3) vs (6, 3)"
+        "integrity error: cannot enlarge caps of a truncated series"
     )
     # a configuration error before the run is still a parse error
     assert _main_on(dict(config, modee="theorem_a"), tmp_path) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: unknown config keys")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        base_config(manifold={"preset": "cube", "m": 1, "char": 2}),
+        base_config(manifold={"preset": "cube", "m": 1, "name": "cube"}),
+        base_config(manifold={"preset": "cube", "m": 1, "genus": 3}),
+        base_config(manifold={"preset": "point", "m": 0}),
+        base_config(manifold={"dim": 1, "rel_betti": {"0": 1}, "genus": 7}),
+        base_config(label_space={"preset": "sphere", "d": 2, "spheres": [3]}),
+        base_config(label_space={"preset": "wedge", "spheres": [2, 3], "d": 2}),
+        base_config(label_space={"betti": {"2": 1}, "preset": "sphere"}),
+        base_config(
+            mode="check:hilton_milnor",
+            label_spaces=[{"preset": "sphere", "d": 2, "name": "S2"}],
+        ),
+    ],
+)
+def test_nested_objects_accept_only_their_own_keys(config, tmp_path, capsys):
+    with pytest.raises(InvalidInputError, match="unexpected keys"):
+        run(config)
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unexpected keys" in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+import confighom.assemble as assemble
+import confighom.hilton as hilton
 from confighom import (
     FieldChar,
     InvalidInputError,
@@ -112,3 +114,18 @@ def test_report_shape():
     assert payload["status"] == "pass"
     assert payload["words_used"] == len(payload["words"])
     assert len(payload["lhs_totals"]) == 11
+
+
+def test_each_side_is_one_free_algebra(monkeypatch):
+    calls = []
+    for module in (assemble, hilton):
+        real = module.free_commutative
+
+        def solve(*args, _real=real, _name=module.__name__):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "free_commutative", solve)
+    report = hilton_milnor_check(1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
+    assert report.passed and report.words_used > 1
+    assert sorted(calls) == ["confighom.assemble", "confighom.hilton"]

@@ -4,14 +4,18 @@ structural invariants (weight slices, stability, double suspension)."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confighom import (
+    BiSeries,
     DegreeWeightTable,
     FieldChar,
     InvalidInputError,
     atom_census,
     factor_series,
     generator_census,
+    inverse_one_minus,
     suspend_betti,
 )
 
@@ -163,6 +167,33 @@ def test_weight_two_slice_mod2_is_stunted_band(j, d):
     for deg in range(2 * d, 2 * d + j):
         expect[deg] = 1
     assert got == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3),
+    st.sampled_from((0, 2, 3, 5)),
+    st.integers(0, 14),
+    st.integers(0, 9),
+)
+def test_property_one_loop_factor_is_the_tensor_algebra(y, p, D, K):
+    # PBW in the engine's sign conventions: the free commutative algebra on
+    # the basic products has the series of the words in the letters of y
+    words = inverse_one_minus(
+        BiSeries.from_entries(D, K, {(d, 1): c for d, c in y.items()})
+    )
+    assert factor_series(y, 1, FieldChar(p), D, K) == words
+
+
+def test_one_loop_census_is_the_basic_products():
+    # no operation index lies in 1..j-1 = 0, so the census adds nothing
+    for char in (Q, F2, F3):
+        atoms = atom_census({1: 2, 2: 1}, 1, char, 9, 6)
+        assert generator_census(atoms, 1, char, 9, 6) == atoms
+    with pytest.raises(InvalidInputError):
+        atom_census({1: 1}, 0, F2, 5, 3)
+    with pytest.raises(InvalidInputError):
+        generator_census(DegreeWeightTable(5, 3), 0, F2, 5, 3)
 
 
 def test_j_one_is_characteristic_independent():

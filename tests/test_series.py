@@ -21,6 +21,7 @@ from confighom import (
     FieldChar,
     IntegrityError,
     InvalidInputError,
+    assemble,
     atom_census,
     cli,
     desuspend_by_weight,
@@ -286,6 +287,27 @@ def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
 
 
+def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(
+        series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative)
+    )
+    config = {
+        "field": "F2",
+        "manifold": {"preset": "surface", "genus": 1},
+        "n": 1,
+        "label_space": {"preset": "wedge", "spheres": [2, 3]},
+        "mode": "theorem_a",
+        "max_degree": 10,
+    }
+    # the product has loop factors with j = 3, 2 and 1
+    plan = assemble.factor_plan(2, {0: 1, 1: 2, 2: 1}, 1, {2: 1, 3: 1})
+    assert [j for _q, j, _y, _copies in plan] == [3, 2, 1]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+    assert "free-algebra recurrence broke at (d, k) = (10, 2)" in capsys.readouterr().err
+
+
 def test_free_algebra_gate_holds_without_asserts(tmp_path):
     script = """
 import json, sys
@@ -413,11 +435,3 @@ def test_truncated_keeps_low_cells_and_refuses_growth():
     assert all(t.get(d, k) == s.get(d, k) for d in range(6) for k in range(4))
     with pytest.raises(ConfigurationError):
         s.truncated(9, 5)
-
-
-def test_pow_matches_repeated_multiply():
-    rng = random.Random(13)
-    s = random_series(rng, 6, 4)
-    assert s**0 == BiSeries.one(6, 4)
-    assert s**1 == s
-    assert s**3 == multiply(multiply(s, s), s)
