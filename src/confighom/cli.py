@@ -9,9 +9,10 @@ config (bad JSON, unknown key, wrong schema_version) or an unreadable
 --config / unwritable --output file, 3 violated input hypothesis (JSON
 booleans are not accepted where an int is expected, ``seed`` must be an
 int >= 0 in every mode, ``orientable`` a boolean, ``field`` and a manifold
-``preset`` strings, no Betti degree may be given twice, and a manifold or
-label object may carry only the keys of its shape), 4 internal integrity
-failure: a broken identity or mismatched caps inside the engine.
+``preset`` strings, no Betti degree may be given twice, a manifold or
+label object may carry only the keys of its shape, and the config only
+top-level keys its mode reads), 4 internal integrity failure: a broken
+identity or mismatched caps inside the engine.
 """
 
 from __future__ import annotations
@@ -64,21 +65,21 @@ MODES = (
     "check:hilton_milnor",
 )
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "field",
-    "manifold",
-    "n",
-    "label_space",
-    "label_spaces",
-    "mode",
-    "max_degree",
-    "max_weight",
-    "format",
-    "seed",
-    "trials",
-    "orientable",
+_COMMON_KEYS = ("mode", "format", "seed", "schema_version")
+_TABLE_KEYS = ("field", "manifold", "n", "label_space", "max_degree", "max_weight")
+
+# the top-level keys each mode reads
+_MODE_KEYS = {
+    **{
+        mode: _COMMON_KEYS + _TABLE_KEYS
+        for mode in ("theorem_a", "theorem_b", "dk_table", "generators")
+    },
+    "check:ab": _COMMON_KEYS + ("trials", "max_degree"),
+    "check:hilton_milnor": _COMMON_KEYS
+    + ("field", "manifold", "label_spaces", "max_degree", "orientable"),
 }
+
+_CONFIG_KEYS = set().union(*_MODE_KEYS.values())
 
 
 def _is_int(value: Any) -> bool:
@@ -195,6 +196,11 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     if mode not in MODES:
         raise InvalidInputError(
             f"mode must be one of {', '.join(MODES)}; got {mode!r}"
+        )
+    unread = set(config) - set(_MODE_KEYS[mode])
+    if unread:
+        raise InvalidInputError(
+            f"mode {mode!r} does not read the config keys {sorted(unread)}"
         )
     fmt = config.get("format", "table")
     if fmt not in ("table", "csv", "json"):

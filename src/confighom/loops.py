@@ -145,6 +145,33 @@ def suspend_betti(x: GradedBetti, q: int) -> GradedBetti:
     return {d + q: c for d, c in x.items()}
 
 
+# memos of atom_census and factor_generators, each cleared when full
+_FACTOR_CACHE_LIMIT = 512
+_witt_cache: dict[tuple, DegreeWeightTable] = {}
+
+
+def _shifted_atoms(
+    letters: GradedBetti, signed: bool, max_degree: int, max_weight: int
+) -> DegreeWeightTable:
+    """``lie_atom_counts`` of the shifted letters, at least up to degree
+    ``max_degree``.
+
+    Factor q of a plan raises the letters of Sigma^q X by j - 1 = m_dim +
+    n - q - 1, so every factor sees the same shifted letters.  One table
+    per (letters, signed, max_weight) serves any degree cap up to the one
+    it was solved at (the caller filters); a larger cap solves it again.
+    """
+    key = (tuple(sorted(letters.items())), signed, max_weight)
+    table = _witt_cache.get(key)
+    if table is None or table.max_degree < max_degree:
+        gens = DegreeWeightTable.from_generators(letters, max_degree, max_weight)
+        table = lie_atom_counts(gens, signed=signed)
+        if len(_witt_cache) >= _FACTOR_CACHE_LIMIT:
+            _witt_cache.clear()
+        _witt_cache[key] = table
+    return table
+
+
 def atom_census(
     y: GradedBetti,
     j: int,
@@ -158,17 +185,18 @@ def atom_census(
     in that shifted grading (signed unless char is 2, where the self
     bracket vanishes in the free object), and shifting atom degrees back
     down: a length-l shifted word of degree d' is an actual word of degree
-    d' - (j-1).
+    d' - (j-1).  The shifted table is shared through :func:`_shifted_atoms`.
     """
     if j < 1:
         raise InvalidInputError("atom census needs j >= 1")
     y = normalize_betti(y, min_degree=1)
     shift = j - 1
-    shifted_cap = max_degree + shift
-    gens = DegreeWeightTable.from_generators(
-        {d + shift: c for d, c in y.items()}, shifted_cap, max_weight
+    shifted = _shifted_atoms(
+        {d + shift: c for d, c in y.items()},
+        not char.is_two,
+        max_degree + shift,
+        max_weight,
     )
-    shifted = lie_atom_counts(gens, signed=not char.is_two)
     return DegreeWeightTable(
         max_degree,
         max_weight,
@@ -229,7 +257,6 @@ def generator_census(
 
 
 _factor_cache: dict[tuple, tuple[tuple[int, int, int, str], ...]] = {}
-_FACTOR_CACHE_LIMIT = 512
 
 
 def factor_generators(

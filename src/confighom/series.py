@@ -29,6 +29,12 @@ integers, so each step is a short sum of shifted scalar multiples.  Every
 residual must be a nonnegative multiple of k; one that is not raises
 IntegrityError naming the cell (d, k).  :func:`power_factor` multiplies
 by a single generator's factor and is kept as the independent reference.
+
+:func:`inverse_one_minus`, :func:`multiply` and :func:`power_factor` have
+no engine caller: ``witt`` builds its sparse word rows itself, and every
+table is one :func:`free_commutative` call.  They stay as the tests'
+dense references, ``oracle`` uses :func:`multiply`, and
+``bench/spans.py`` wraps all three by name.
 """
 
 from __future__ import annotations

@@ -26,6 +26,13 @@ increasing length solves the table.  ``hilton`` runs the same recurrence
 over letter multiplicity vectors.  Parity refers to the degree grading of
 the table handed in; callers working with a degree-shifted bracket pass
 shifted degrees.
+
+The table is sparse: a sphere or a wedge of a few spheres has words in
+few degrees of each length.  :func:`word_rows` builds T_l = f T_{l-1}
+over the nonzero cells only, and the recurrence runs on the cells that
+have words or a nonzero divisor term; every other cell has residual 0
+and no basic products.  ``loops`` solves one such table per factor plan:
+every factor of a plan sees the same shifted letters.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .errors import ConfigurationError, IntegrityError, InvalidInputError
-from .series import BiSeries, inverse_one_minus
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,32 @@ def _solve_cell(
     return count
 
 
+def word_rows(
+    degrees: Mapping[int, int], max_degree: int, max_weight: int
+) -> list[dict[int, int]]:
+    """Rows of the word series T = 1/(1 - f), f = sum_d g_d t^d u, over
+    their nonzero cells: entry l maps degree -> number of length-l words.
+
+    T_0 = {0: 1} and T_l = f * T_{l-1}, truncated at ``max_degree``.  With
+    every letter in degree >= 1 the rows die once l exceeds ``max_degree``
+    over the lowest letter degree; the list stops before the first empty
+    row (or after length ``max_weight``), and every later row is empty.
+    """
+    letters = sorted(degrees.items())
+    rows = [{0: 1}]
+    for _ in range(max_weight):
+        row: dict[int, int] = {}
+        for d, c in rows[-1].items():
+            for e, g in letters:
+                if d + e > max_degree:
+                    break
+                row[d + e] = row.get(d + e, 0) + c * g
+        if not row:
+            break
+        rows.append(row)
+    return rows
+
+
 def lie_atom_counts(
     gens: DegreeWeightTable,
     signed: bool,
@@ -119,6 +151,11 @@ def lie_atom_counts(
     input caps at least as large as the requested output caps.  A word
     count that breaks exact divisibility in the Witt recurrence raises
     IntegrityError, since that cannot occur for a genuine generating set.
+
+    Only cells that can be nonzero are solved: at length l, the degrees
+    of :func:`word_rows` row l and every r*d' (r >= 2 dividing l) with
+    L(d', l/r) != 0.  Any other cell has no words and no divisor term, so
+    its residual and its count are 0.
     """
     D = gens.max_degree if max_degree is None else max_degree
     K = gens.max_weight if max_weight is None else max_weight
@@ -132,20 +169,28 @@ def lie_atom_counts(
             raise InvalidInputError("generator degrees must be >= 1")
         degrees[d] = c
 
-    f = BiSeries.from_entries(D, K, {(d, 1): c for d, c in degrees.items()})
-    words = inverse_one_minus(f)
-
-    counts: dict[tuple[int, int], int] = {}
-    for length in range(1, K + 1):
-        for d in range(D + 1):
+    rows = word_rows(degrees, D, K)
+    # solved[l]: degree -> L(degree, l), nonzero counts only
+    solved: list[dict[int, int]] = [{}]
+    for length in range(1, len(rows)):
+        words = rows[length]
+        cells = set(words)
+        for r in range(2, length + 1):
+            if length % r == 0:
+                cells.update(r * d for d in solved[length // r] if r * d <= D)
+        row: dict[int, int] = {}
+        for d in sorted(cells):
 
             def lower(r: int) -> int:
                 sign = -1 if signed and r % 2 == 0 and (d // r) % 2 else 1
-                return sign * counts.get((d // r, length // r), 0)
+                return sign * solved[length // r].get(d // r, 0)
 
             c = _solve_cell(
-                (d, length), words.get(d, length), length, math.gcd(d, length), lower
+                (d, length), words.get(d, 0), length, math.gcd(d, length), lower
             )
             if c:
-                counts[(d, length)] = c
-    return DegreeWeightTable(D, K, counts)
+                row[d] = c
+        solved.append(row)
+    return DegreeWeightTable(
+        D, K, {(d, l): c for l, row in enumerate(solved) for d, c in row.items()}
+    )

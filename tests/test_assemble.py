@@ -1,6 +1,8 @@
 """Assembly of the full configuration-space series: mode preconditions,
 worked examples, filtration rows, presets and the structural invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,56 @@ def test_braid_group_rows_mod2():
     )
     rows = filtration_table(theorem_b(spec))
     assert rows == [{0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}]
+
+
+def binomial(a: int, k: int) -> int:
+    """The generalized binomial coefficient a choose k, for any integer a."""
+    return math.prod(a - i for i in range(k)) // math.factorial(k)
+
+
+# (preset, parameters) of manifolds M with M0 empty
+ABSOLUTE_MANIFOLDS = [
+    ("torus", {"m": 2}),
+    ("torus", {"m": 3}),
+    ("surface", {"genus": 0}),
+    ("surface", {"genus": 2}),
+    ("sphere", {"m": 3}),
+    ("sphere", {"m": 4}),
+    ("cube", {"m": 1}),
+    ("point", {}),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(ABSOLUTE_MANIFOLDS),
+    st.sampled_from(("Q", "F2", "Fp:3", "Fp:5")),
+    st.integers(1, 3),
+)
+def test_property_s0_rows_have_the_gal_euler_characteristic(manifold, field, n):
+    # with X = S^0, row k is H_*(B_k(N)) for N = M x R^n; Gal's formula:
+    # sum_k chi(B_k N) t^k is (1+t)^chi(N) for even dim N and
+    # (1-t)^(-chi(N)) for odd dim N, and chi(N) = chi(M)
+    char = FieldChar.from_name(field)
+    m_dim, rel = preset(manifold[0], char=char, **manifold[1])
+    spec = make_spec(
+        m_dim=m_dim,
+        rel_betti=rel,
+        n=n,
+        x_betti={0: 1},
+        char=char,
+        mode="theorem_b",
+        max_degree=60,
+        max_weight=6,
+    )
+    rows = filtration_table(theorem_b(spec))
+    chi = sum((-1) ** q * b for q, b in rel.items())
+    for k in range(1, 7):
+        if (m_dim + n) % 2 == 0:
+            expected = binomial(chi, k)
+        else:
+            expected = (-1) ** k * binomial(-chi, k)
+        assert sum((-1) ** d * v for d, v in rows[k].items()) == expected
 
 
 def test_weight_one_slice_is_relative_smash():

@@ -240,15 +240,35 @@ def test_boolean_n_is_rejected(tmp_path, capsys):
             mode="generators", label_space={"preset": "wedge", "spheres": [2, True]}
         ),
         base_config(label_space={"betti": {"2": True}}),
-        base_config(mode="check:ab", seed=True),
-        base_config(mode="check:ab", trials=True),
-        base_config(mode="check:ab", max_degree=True),
+        {"mode": "check:ab", "seed": True},
+        {"mode": "check:ab", "trials": True},
+        {"mode": "check:ab", "max_degree": True},
         {"mode": "check:hilton_milnor", "max_degree": True},
     ],
 )
 def test_booleans_rejected_where_ints_expected(config):
     with pytest.raises(InvalidInputError, match="int"):
         run(config)
+
+
+@pytest.mark.parametrize(
+    "config, unread",
+    [
+        ({"mode": "check:ab", "field": "Q", "n": 3}, "['field', 'n']"),
+        (base_config(mode="check:ab"), "['field', 'label_space', 'manifold', 'n']"),
+        ({"mode": "check:hilton_milnor", "n": 1, "trials": 2}, "['n', 'trials']"),
+        (base_config(trials=3), "['trials']"),
+        (base_config(mode="generators", orientable=True), "['orientable']"),
+        (base_config(mode="dk_table", label_spaces=[]), "['label_spaces']"),
+    ],
+)
+def test_top_level_keys_the_mode_does_not_read_are_rejected(
+    config, unread, tmp_path, capsys
+):
+    with pytest.raises(InvalidInputError, match="does not read"):
+        run(config)
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(f"config keys {unread}\n")
 
 
 def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
@@ -336,10 +356,12 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
         base_config(label_space={"preset": "sphere", "d": 2, "spheres": [3]}),
         base_config(label_space={"preset": "wedge", "spheres": [2, 3], "d": 2}),
         base_config(label_space={"betti": {"2": 1}, "preset": "sphere"}),
-        base_config(
-            mode="check:hilton_milnor",
-            label_spaces=[{"preset": "sphere", "d": 2, "name": "S2"}],
-        ),
+        {
+            "mode": "check:hilton_milnor",
+            "manifold": {"preset": "cube", "m": 1},
+            "label_spaces": [{"preset": "sphere", "d": 2, "name": "S2"}],
+            "max_degree": 8,
+        },
     ],
 )
 def test_nested_objects_accept_only_their_own_keys(config, tmp_path, capsys):
@@ -375,11 +397,12 @@ def test_non_string_manifold_preset_is_rejected(name, tmp_path, capsys):
     [
         base_config(label_space={"betti": {"2": 1, "02": 3}}),
         base_config(manifold={"dim": 1, "rel_betti": {"0": 1, " 0": 1}}),
-        base_config(
-            mode="check:hilton_milnor",
-            manifold={"dim": 1, "rel_betti": {"1": 1, "+1": 2}},
-            label_spaces=[{"preset": "sphere", "d": 2}],
-        ),
+        {
+            "mode": "check:hilton_milnor",
+            "manifold": {"dim": 1, "rel_betti": {"1": 1, "+1": 2}},
+            "label_spaces": [{"preset": "sphere", "d": 2}],
+            "max_degree": 8,
+        },
     ],
 )
 def test_betti_degree_given_twice_is_rejected(config, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confighom.loops as loops
 from confighom import (
     BiSeries,
     DegreeWeightTable,
@@ -183,6 +184,33 @@ def test_property_one_loop_factor_is_the_tensor_algebra(y, p, D, K):
         BiSeries.from_entries(D, K, {(d, 1): c for d, c in y.items()})
     )
     assert factor_series(y, 1, FieldChar(p), D, K) == words
+
+
+def test_shifted_witt_table_serves_smaller_caps_and_grows(monkeypatch):
+    calls = []
+    real = loops.lie_atom_counts
+
+    def spy(gens, signed):
+        calls.append(gens.max_degree)
+        return real(gens, signed)
+
+    monkeypatch.setattr(loops, "lie_atom_counts", spy)
+    monkeypatch.setattr(loops, "_witt_cache", {})
+    y, char = {2: 1, 3: 1}, F3
+    # Sigma y at j = 2 sees the same shifted letters {4, 5} as y at j = 3
+    first = atom_census(y, 3, char, 12, 6)
+    shared = atom_census(suspend_betti(y, 1), 2, char, 12, 6)
+    assert atom_census(y, 3, char, 8, 6) == DegreeWeightTable(
+        8, 6, {(d, l): c for d, l, c in first.items() if d <= 8}
+    )
+    assert calls == [14]
+    # a larger cap solves the table again; a new weight cap is a new table
+    grown = atom_census(y, 3, char, 20, 6)
+    atom_census(y, 3, char, 12, 5)
+    assert calls == [14, 22, 14]
+    for args, table in (((y, 3), grown), ((suspend_betti(y, 1), 2), shared)):
+        monkeypatch.setattr(loops, "_witt_cache", {})
+        assert atom_census(*args, char, table.max_degree, 6) == table
 
 
 def test_one_loop_census_is_the_basic_products():

@@ -3,6 +3,7 @@ the reconstruction property (counts substituted back into the defining
 product must reproduce the tensor-algebra series)."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,16 +18,21 @@ from hypothesis import strategies as st
 from confighom import (
     BiSeries,
     DegreeWeightTable,
+    FieldChar,
     IntegrityError,
     InvalidInputError,
+    ProblemSpec,
     basic_words,
     cli,
     inverse_one_minus,
     lie_atom_counts,
     loops,
     power_factor,
+    preset,
+    theorem_a,
     witt,
 )
+from confighom.assemble import factor_plan
 
 
 def reconstruct(L: DegreeWeightTable, signed: bool) -> BiSeries:
@@ -183,23 +189,23 @@ def test_property_basic_words_equal_lyndon_enumeration(r, max_len):
 
 
 def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
-    # hand the recurrence a word series with one weight-2 cell raised by 1
-    real = witt.inverse_one_minus
+    # hand the recurrence word rows with one length-2 cell raised by 1
+    real = witt.word_rows
 
-    def bumped(f):
-        words = real(f)
-        D, K = words.caps()
-        entries = words.to_dict()
-        if K >= 2:
-            entries[(D, 2)] = entries.get((D, 2), 0) + 1
-        return BiSeries.from_entries(D, K, entries, is_algebra=True)
+    def bumped(degrees, max_degree, max_weight):
+        rows = real(degrees, max_degree, max_weight)
+        if max_weight >= 2:
+            rows += [{} for _ in range(3 - len(rows))]
+            rows[2][max_degree] = rows[2].get(max_degree, 0) + 1
+        return rows
 
-    monkeypatch.setattr(witt, "inverse_one_minus", bumped)
+    monkeypatch.setattr(witt, "word_rows", bumped)
     for signed in (True, False):
         with pytest.raises(IntegrityError, match="Witt recurrence"):
             lie_atom_counts(DegreeWeightTable.from_generators({2: 1}, 12, 6), signed)
 
     monkeypatch.setattr(loops, "_factor_cache", {})
+    monkeypatch.setattr(loops, "_witt_cache", {})
     config = {
         "field": "F2",
         "manifold": {"preset": "cube", "m": 1},
@@ -213,16 +219,37 @@ def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_a_word_row_that_lost_a_cell_raises(monkeypatch, degree):
+    # the square of the letter has no words left, but its divisor term
+    # L(degree, 1) = 1 still reaches the cell, so its residual is -1 or 1
+    real = witt.word_rows
+
+    def dropped(degrees, max_degree, max_weight):
+        rows = real(degrees, max_degree, max_weight)
+        del rows[2][2 * degree]
+        return rows
+
+    monkeypatch.setattr(witt, "word_rows", dropped)
+    gens = DegreeWeightTable.from_generators({degree: 1}, 4 * degree, 4)
+    for signed in (True, False):
+        with pytest.raises(IntegrityError, match=rf"\({2 * degree}, 2\)"):
+            lie_atom_counts(gens, signed)
+
+
 def test_integrity_gate_holds_without_asserts():
     script = """
 import confighom.witt as witt
-from confighom import BiSeries, IntegrityError
+from confighom import IntegrityError
 assert False  # stripped by -O
-words = witt.inverse_one_minus(
-    BiSeries.from_entries(8, 4, {(2, 1): 1, (3, 1): 1}))
-entries = words.to_dict()
-entries[(5, 2)] += 1
-witt.inverse_one_minus = lambda f: BiSeries.from_entries(8, 4, entries)
+real = witt.word_rows
+
+def bumped(degrees, max_degree, max_weight):
+    rows = real(degrees, max_degree, max_weight)
+    rows[2][5] += 1
+    return rows
+
+witt.word_rows = bumped
 try:
     gens = witt.DegreeWeightTable.from_generators({2: 1, 3: 1}, 8, 4)
     witt.lie_atom_counts(gens, True)
@@ -237,3 +264,74 @@ except IntegrityError:
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "raised", done.stderr
+
+
+# -- the sparse kernel against the dense recurrence ---------------------------
+
+
+def dense_atom_counts(degrees: dict, D: int, K: int, signed: bool) -> dict:
+    """The dense Witt recurrence: the word series by ``inverse_one_minus``
+    and ``_solve_cell`` on every cell of the (D+1) x (K+1) grid."""
+    words = tensor_series(degrees, D, K)
+    counts = {}
+    for length in range(1, K + 1):
+        for d in range(D + 1):
+
+            def lower(r):
+                sign = -1 if signed and r % 2 == 0 and (d // r) % 2 else 1
+                return sign * counts.get((d // r, length // r), 0)
+
+            c = witt._solve_cell(
+                (d, length), words.get(d, length), length, math.gcd(d, length), lower
+            )
+            if c:
+                counts[(d, length)] = c
+    return counts
+
+
+@pytest.mark.parametrize(
+    "degrees, D, K, signed",
+    [
+        ({3: 1}, 260, 100, True),  # odd sphere: one letter and its square
+        ({3: 1, 4: 1, 5: 1}, 130, 65, True),  # wedge of three spheres
+        ({2: 1}, 210, 100, False),  # unsigned sphere: one letter
+    ],
+)
+def test_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed):
+    got = lie_atom_counts(DegreeWeightTable.from_generators(degrees, D, K), signed)
+    assert got.entries == dense_atom_counts(degrees, D, K, signed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 7), st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 30),
+    st.integers(0, 15),
+    st.booleans(),
+    st.data(),
+)
+def test_property_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed, data):
+    d_cap = data.draw(st.integers(0, D))
+    k_cap = data.draw(st.integers(0, K))
+    gens = DegreeWeightTable.from_generators(degrees, D, K)
+    got = lie_atom_counts(gens, signed, max_degree=d_cap, max_weight=k_cap)
+    assert got.entries == dense_atom_counts(degrees, d_cap, k_cap, signed)
+
+
+def test_one_witt_table_serves_every_factor_of_a_plan(monkeypatch):
+    calls = []
+    real = loops.lie_atom_counts
+
+    def spy(gens, signed):
+        calls.append(gens.max_degree)
+        return real(gens, signed)
+
+    monkeypatch.setattr(loops, "lie_atom_counts", spy)
+    monkeypatch.setattr(loops, "_factor_cache", {})
+    monkeypatch.setattr(loops, "_witt_cache", {})
+    m_dim, rel = preset("torus", m=6)
+    spec = ProblemSpec(m_dim, rel, 1, {2: 1}, FieldChar.odd(3), 30)
+    assert len(factor_plan(m_dim, rel, 1, {2: 1})) == 7
+    theorem_a(spec)
+    # the q = 0 factor has the largest shifted cap, 30 + (j - 1) = 36
+    assert calls == [36]
