@@ -6,15 +6,18 @@ the homology series of C((M,M0) x R^n; X) is
 
     prod_{q=0}^{m_dim} factor_series(Sigma^q X, m_dim + n - q, F)^(b_q)
 
-with the configuration-length filtration as weight grading (mode
-``theorem_a``; X must be simply connected, reduced classes in degrees
+with the configuration-length filtration as weight grading
+(:func:`theorem_a`; X must be simply connected, reduced classes in degrees
 >= 2).  Each factor is a free graded-commutative algebra (for j = 1 by
 Poincare-Birkhoff-Witt), so the product is one, on all factors'
 generators counted b_q times each: one ``series.free_commutative`` call.
-Mode ``theorem_b`` lifts the restriction on X: the same product is formed
-with the double suspension S^2 X at an enlarged internal degree cap and
-each weight-k slice is desuspended by 2k, which computes the reduced
-homology of every filtration quotient D_k for arbitrary X.
+:func:`theorem_b` lifts the restriction on X: the same product is formed
+with the double suspension S^2 X, and its weight-k slice shifted down by
+2k degrees is the reduced homology of the filtration quotient D_k for
+arbitrary X.  The shift t^d u^k -> t^(d-2k) u^k is a ring homomorphism,
+so theorem_b solves one free algebra on the shifted generators, of the
+same kinds, at the caps it returns; ``series.desuspend_by_weight`` of
+the whole table stays as the tests' reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import IntegrityError, InvalidInputError
 from .loops import (
     FieldChar,
     GradedBetti,
@@ -31,15 +34,12 @@ from .loops import (
     normalize_betti,
     suspend_betti,
 )
-from .series import BiSeries, desuspend_by_weight, free_commutative
-
-MODE_THEOREM_A = "theorem_a"
-MODE_THEOREM_B = "theorem_b"
+from .series import BiSeries, free_commutative, require_caps
 
 
 @dataclass
 class ProblemSpec:
-    """One full problem instance.
+    """One full problem instance, for :func:`theorem_a` or :func:`theorem_b`.
 
     ``max_weight`` is mandatory for theorem_b (for disconnected X
     arbitrarily many weights land in each low degree); theorem_a derives
@@ -54,11 +54,8 @@ class ProblemSpec:
     char: FieldChar
     max_degree: int
     max_weight: int | None = None
-    mode: str = MODE_THEOREM_A
 
     def validate(self) -> None:
-        if self.mode not in (MODE_THEOREM_A, MODE_THEOREM_B):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.m_dim < 0:
             raise InvalidInputError("manifold dimension must be >= 0")
         if self.n < 1:
@@ -70,19 +67,7 @@ class ProblemSpec:
             raise InvalidInputError(
                 "relative Betti classes must live in degrees 0..m_dim"
             )
-        if self.mode == MODE_THEOREM_A:
-            x = normalize_betti(self.x_betti)
-            if any(d < 2 for d in x):
-                raise InvalidInputError(
-                    "theorem_a mode requires a simply connected label space: "
-                    "reduced classes in degrees >= 2 (theorem_b handles any X)"
-                )
-        else:
-            normalize_betti(self.x_betti)
-            if self.max_weight is None:
-                raise InvalidInputError(
-                    "theorem_b mode needs an explicit max_weight cap"
-                )
+        normalize_betti(self.x_betti)
         if self.max_weight is not None and self.max_weight < 0:
             raise InvalidInputError("max_weight must be >= 0")
 
@@ -146,14 +131,20 @@ def factor_product(
     """Shared assembly core: the tensor product of the loop-space factors
     of :func:`factor_plan`, the free algebra on :func:`product_generators`."""
     problem = (m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
-    return free_commutative(max_degree, max_weight, product_generators(*problem))
+    generators = product_generators(*problem)
+    return require_caps(
+        free_commutative(max_degree, max_weight, generators), max_degree, max_weight
+    )
 
 
 def theorem_a(spec: ProblemSpec) -> BiSeries:
     """Filtration series of C((M,M0) x R^n; X) for simply connected X."""
-    if spec.mode != MODE_THEOREM_A:
-        raise InvalidInputError("spec mode must be theorem_a")
     spec.validate()
+    if any(d < 2 for d in normalize_betti(spec.x_betti)):
+        raise InvalidInputError(
+            "theorem_a mode requires a simply connected label space: "
+            "reduced classes in degrees >= 2 (theorem_b handles any X)"
+        )
     return factor_product(
         spec.m_dim,
         spec.rel_betti,
@@ -168,25 +159,28 @@ def theorem_a(spec: ProblemSpec) -> BiSeries:
 def theorem_b(spec: ProblemSpec) -> BiSeries:
     """Per-weight homology of the filtration quotients D_k, any label space.
 
-    The product is assembled with the doubly suspended labels at internal
-    degree cap max_degree + 2*max_weight, so that shifting the weight-k
-    slice down by 2k fills the requested window exactly.
+    The generators of the product on the doubly suspended labels, counted
+    at degree cap max_degree + 2*max_weight, are shifted down by 2k degrees
+    at weight k; those that land within max_degree span the table.  A
+    generator shifted below degree 0 raises IntegrityError naming it.
     """
-    if spec.mode != MODE_THEOREM_B:
-        raise InvalidInputError("spec mode must be theorem_b")
     spec.validate()
-    K = spec.effective_max_weight()
-    inner_cap = spec.max_degree + 2 * K
-    inner = factor_product(
-        spec.m_dim,
-        spec.rel_betti,
-        spec.n,
-        suspend_betti(normalize_betti(spec.x_betti), 2),
-        spec.char,
-        inner_cap,
-        K,
-    )
-    return desuspend_by_weight(inner, 2).truncated(spec.max_degree, K)
+    if spec.max_weight is None:
+        raise InvalidInputError("theorem_b mode needs an explicit max_weight cap")
+    D, K = spec.max_degree, spec.max_weight
+    y = suspend_betti(normalize_betti(spec.x_betti), 2)
+    generators = []
+    for d, k, c, kind in product_generators(
+        spec.m_dim, spec.rel_betti, spec.n, y, spec.char, D + 2 * K, K
+    ):
+        if d < 2 * k:
+            raise IntegrityError(
+                "desuspension by 2 per weight sends the generator at "
+                f"(d, k) = ({d}, {k}) below degree 0"
+            )
+        if d - 2 * k <= D:
+            generators.append((d - 2 * k, k, c, kind))
+    return require_caps(free_commutative(D, K, generators), D, K)
 
 
 def filtration_table(s: BiSeries) -> list[dict[int, int]]:
@@ -337,9 +331,7 @@ def ab_coherence_report(
     """Check theorem_a == theorem_b bigraded-exactly on seeded random specs."""
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
-        spec.mode = MODE_THEOREM_A
         a = theorem_a(spec)
-        spec.mode = MODE_THEOREM_B
         b = theorem_b(spec)
         if a != b:
             mism = sorted(

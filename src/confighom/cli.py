@@ -21,13 +21,10 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
 from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .assemble import (
-    MODE_THEOREM_A,
-    MODE_THEOREM_B,
     ProblemSpec,
     ab_coherence_report,
     describe_spec,
@@ -233,7 +230,6 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
         char=char,
         max_degree=max_degree,
         max_weight=max_weight,
-        mode=MODE_THEOREM_B if mode in ("theorem_b", "dk_table") else MODE_THEOREM_A,
     )
 
     echo = dict(describe_spec(spec), mode=mode, seed=seed)
@@ -241,7 +237,7 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
         rows = _generator_rows(spec)
         return EXIT_OK, _render(fmt, echo, _generator_lines(rows, fmt), generators=rows)
 
-    series = theorem_a(spec) if spec.mode == MODE_THEOREM_A else theorem_b(spec)
+    series = theorem_a(spec) if mode == "theorem_a" else theorem_b(spec)
     view = _dk_lines if mode == "dk_table" else _grid_lines
     return EXIT_OK, _render(fmt, echo, view(series, fmt), series=series)
 
@@ -297,10 +293,9 @@ def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dic
 
 
 def _generator_rows(spec: ProblemSpec) -> list[dict]:
-    # the census listing only needs connected labels, not simply connected
-    # ones, so validate under the permissive mode before the >= 1 gate
+    # the census listing needs connected labels, not simply connected ones
+    spec.validate()
     K = spec.effective_max_weight()
-    replace(spec, max_weight=K, mode=MODE_THEOREM_B).validate()
     if any(d < 1 for d in normalize_betti(spec.x_betti)):
         raise InvalidInputError(
             "the generator census needs a connected label space "

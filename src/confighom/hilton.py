@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti
 from .assemble import factor_product, product_generators
-from .series import free_commutative
+from .series import free_commutative, require_caps
 from .witt import _solve_cell
 
 
@@ -190,7 +190,8 @@ def hilton_milnor_check(
         )
 
     lhs_totals = lhs.degree_totals()
-    rhs_totals = free_commutative(D, K, rhs_generators).degree_totals()
+    rhs = require_caps(free_commutative(D, K, rhs_generators), D, K)
+    rhs_totals = rhs.degree_totals()
     first = None
     for d, (lv, rv) in enumerate(zip(lhs_totals, rhs_totals)):
         if lv != rv:

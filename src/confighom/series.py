@@ -30,11 +30,13 @@ residual must be a nonnegative multiple of k; one that is not raises
 IntegrityError naming the cell (d, k).  :func:`power_factor` multiplies
 by a single generator's factor and is kept as the independent reference.
 
-:func:`inverse_one_minus`, :func:`multiply` and :func:`power_factor` have
-no engine caller: ``witt`` builds its sparse word rows itself, and every
-table is one :func:`free_commutative` call.  They stay as the tests'
-dense references, ``oracle`` uses :func:`multiply`, and
-``bench/spans.py`` wraps all three by name.
+:func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
+:func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
+sparse word rows itself, every table is one :func:`free_commutative`
+call, and ``theorem_b`` desuspends the generators rather than the table
+(so a generator may sit in degree 0 at weight >= 1).  They stay as the
+tests' references, ``oracle`` uses :func:`multiply`, and
+``bench/spans.py`` wraps all four by name.
 """
 
 from __future__ import annotations
@@ -190,12 +192,13 @@ class BiSeries:
         )
 
 
-def _require_same_caps(a: BiSeries, b: BiSeries) -> tuple[int, int]:
-    if a.caps() != b.caps():
+def require_caps(s: BiSeries, max_degree: int, max_weight: int) -> BiSeries:
+    """``s``, once checked to have the caps that were asked for."""
+    if s.caps() != (max_degree, max_weight):
         raise ConfigurationError(
-            f"cap mismatch: {a.caps()} vs {b.caps()}; operands must share caps"
+            f"cap mismatch: got {s.caps()}, asked for {(max_degree, max_weight)}"
         )
-    return a.caps()
+    return s
 
 
 def _stats(s: BiSeries) -> tuple[int, int]:
@@ -226,7 +229,7 @@ def multiply(a: BiSeries, b: BiSeries) -> BiSeries:
 
     This is the dimension count of a tensor product of bigraded modules.
     """
-    D, K = _require_same_caps(a, b)
+    D, K = require_caps(b, *a.caps()).caps()
     max_a, nnz_a = _stats(a)
     max_b, nnz_b = _stats(b)
     if nnz_a == 0 or nnz_b == 0:
@@ -302,22 +305,22 @@ def weight_log_derivative(
     Each generator (degree d, weight w, count c, kind) adds c*w*s_r at
     (r*d, r*w) for every r >= 1 inside the caps: s_r = 1 for a polynomial
     generator, whose factor is (1 - t^d u^w)^(-c), and s_r = (-1)^(r+1)
-    for an exterior one, whose factor is (1 + t^d u^w)^c.
+    for an exterior one, whose factor is (1 + t^d u^w)^c.  Degree 0 is
+    allowed: with w >= 1 the weight cap bounds r, so nothing diverges.
     """
     b: dict[tuple[int, int], int] = {}
     for degree, weight, count, kind in generators:
         if kind not in (POLYNOMIAL, EXTERIOR):
             raise InvalidInputError(f"unknown generator kind {kind!r}")
-        if degree == 0 and kind == POLYNOMIAL:
-            raise DivergentSeriesError(
-                "polynomial generator in degree 0 gives a divergent truncation"
-            )
-        if degree < 1:
-            raise InvalidInputError("generator degree must be >= 1")
+        if degree < 0:
+            raise InvalidInputError("generator degree must be >= 0")
         if weight < 1 or count < 0:
             raise InvalidInputError("generator weight must be >= 1 and count >= 0")
         step = count * weight
-        for r in range(1, min(max_degree // degree, max_weight // weight) + 1):
+        rmax = max_weight // weight
+        if degree:
+            rmax = min(rmax, max_degree // degree)
+        for r in range(1, rmax + 1):
             key = (r * degree, r * weight)
             b[key] = b.get(key, 0) + (step if kind == POLYNOMIAL or r % 2 else -step)
     return {key: v for key, v in b.items() if v}
@@ -327,7 +330,7 @@ def free_commutative(
     max_degree: int, max_weight: int, generators: Iterable[tuple[int, int, int, str]]
 ) -> BiSeries:
     """Series of the free graded-commutative algebra on ``generators``,
-    given as (degree, weight, count, kind) with weight >= 1.
+    given as (degree, weight, count, kind) with degree >= 0, weight >= 1.
 
     Equal to one :func:`power_factor` per generator applied to the unit,
     but solved in one pass over the weights from u dA/du = A * B with

@@ -179,7 +179,6 @@ def _braid_spec() -> ProblemSpec:
         char=F2,
         max_degree=3,
         max_weight=3,
-        mode="theorem_b",
     )
 
 
@@ -196,11 +195,9 @@ def test_criterion_11_weight_one_slice_identity():
         expected = weight_one_slice_expected(
             spec.rel_betti, spec.x_betti, spec.max_degree
         )
-        spec.mode = "theorem_a"
         if theorem_a(spec).weight_slice(1) != expected:
             ok = False
             detail = f"theorem_a {spec}"
-        spec.mode = "theorem_b"
         if theorem_b(spec).weight_slice(1) != expected:
             ok = False
             detail = f"theorem_b {spec}"

@@ -1,6 +1,7 @@
-"""Assembly of the full configuration-space series: mode preconditions,
+"""Assembly of the full configuration-space series: theorem hypotheses,
 worked examples, filtration rows, presets and the structural invariants."""
 
+import json
 import math
 
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confighom.assemble as assemble
+import confighom.cli as cli
 import confighom.loops as loops
+import confighom.series as series
 from confighom import (
     BiSeries,
     FieldChar,
+    IntegrityError,
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
+    desuspend_by_weight,
     factor_product,
     factor_series,
     filtration_table,
     multiply,
     preset,
+    suspend_betti,
     theorem_a,
     theorem_b,
     weight_one_slice_expected,
@@ -40,7 +46,6 @@ def make_spec(**kw):
         char=F2,
         max_degree=10,
         max_weight=None,
-        mode="theorem_a",
     )
     base.update(kw)
     return ProblemSpec(**base)
@@ -56,7 +61,7 @@ def test_theorem_a_rejects_low_label_classes():
 
 def test_theorem_b_requires_weight_cap():
     with pytest.raises(InvalidInputError):
-        theorem_b(make_spec(mode="theorem_b", x_betti={0: 1}))
+        theorem_b(make_spec(x_betti={0: 1}))
 
 
 def test_rel_betti_must_fit_dimension():
@@ -67,13 +72,6 @@ def test_rel_betti_must_fit_dimension():
 def test_euclidean_factor_required():
     with pytest.raises(InvalidInputError):
         theorem_a(make_spec(n=0))
-
-
-def test_mode_mismatch_rejected():
-    with pytest.raises(InvalidInputError):
-        theorem_b(make_spec(mode="theorem_a"))
-    with pytest.raises(InvalidInputError):
-        theorem_a(make_spec(mode="theorem_b", max_weight=3))
 
 
 # -- theorem_a --------------------------------------------------------------
@@ -125,16 +123,12 @@ def test_weight_k_needs_degree_2k():
 def test_theorem_b_agrees_with_theorem_a_for_simply_connected_labels():
     for char in (Q, F2, F3):
         a = theorem_a(make_spec(char=char, max_degree=12, max_weight=6))
-        b = theorem_b(
-            make_spec(char=char, max_degree=12, max_weight=6, mode="theorem_b")
-        )
+        b = theorem_b(make_spec(char=char, max_degree=12, max_weight=6))
         assert a == b, char.name
 
 
 def test_braid_group_rows_mod2():
-    spec = make_spec(
-        x_betti={0: 1}, mode="theorem_b", max_degree=3, max_weight=3
-    )
+    spec = make_spec(x_betti={0: 1}, max_degree=3, max_weight=3)
     rows = filtration_table(theorem_b(spec))
     assert rows == [{0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}]
 
@@ -175,7 +169,6 @@ def test_property_s0_rows_have_the_gal_euler_characteristic(manifold, field, n):
         n=n,
         x_betti={0: 1},
         char=char,
-        mode="theorem_b",
         max_degree=60,
         max_weight=6,
     )
@@ -194,7 +187,6 @@ def test_weight_one_slice_is_relative_smash():
         m_dim=2,
         rel_betti={0: 1, 1: 2, 2: 1},
         x_betti={0: 1, 2: 1},
-        mode="theorem_b",
         max_degree=8,
         max_weight=4,
     )
@@ -204,8 +196,87 @@ def test_weight_one_slice_is_relative_smash():
     )
 
 
+# (preset, parameters) of manifold pairs, including relative ones
+MANIFOLD_PAIRS = ABSOLUTE_MANIFOLDS + [("disk_pair", {"m": 2}), ("sphere", {"m": 0})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MANIFOLD_PAIRS),
+    st.one_of(
+        st.dictionaries(st.integers(0, 3), st.integers(1, 2), min_size=1, max_size=3),
+        st.sampled_from(({0: 1}, {0: 2}, {0: 1, 1: 1}, {0: 3, 2: 1})),
+    ),
+    st.sampled_from(("Q", "F2", "Fp:3", "Fp:5")),
+    st.integers(1, 3),
+    st.integers(0, 10),
+    st.integers(0, 5),
+)
+def test_property_theorem_b_equals_the_desuspended_table(manifold, x, field, n, D, K):
+    # the reference desuspends and truncates the whole table at the
+    # enlarged cap; theorem_b desuspends only its generators
+    char = FieldChar.from_name(field)
+    m_dim, rel = preset(manifold[0], char=char, **manifold[1])
+    wide = factor_product(m_dim, rel, n, suspend_betti(x, 2), char, D + 2 * K, K)
+    spec = make_spec(
+        m_dim=m_dim, rel_betti=rel, n=n, x_betti=x, char=char,
+        max_degree=D, max_weight=K,
+    )
+    assert theorem_b(spec) == desuspend_by_weight(wide, 2).truncated(D, K)
+
+
+def test_generator_below_degree_zero_is_an_integrity_failure(
+    monkeypatch, tmp_path, capsys
+):
+    real = assemble.product_generators
+
+    def stray(*args):
+        return real(*args) + [(1, 1, 1, "polynomial")]
+
+    monkeypatch.setattr(assemble, "product_generators", stray)
+    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(1, 1\)"):
+        theorem_b(make_spec(x_betti={0: 1}, max_degree=4, max_weight=2))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "mode": "theorem_b", "field": "F2", "manifold": {"preset": "cube", "m": 1},
+        "n": 1, "label_space": {"preset": "sphere", "d": 0},
+        "max_degree": 4, "max_weight": 2,
+    }))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+    assert "(d, k) = (1, 1) below degree 0" in capsys.readouterr().err
+
+
+def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
+    solves, table_ops = [], []
+    real_solve = assemble.free_commutative
+    real_desuspend, real_truncated = series.desuspend_by_weight, BiSeries.truncated
+
+    def solve(*args):
+        solves.append(args[:2])
+        return real_solve(*args)
+
+    def desuspend(*args):
+        table_ops.append("desuspend_by_weight")
+        return real_desuspend(*args)
+
+    def truncated(*args):
+        table_ops.append("truncated")
+        return real_truncated(*args)
+
+    monkeypatch.setattr(assemble, "free_commutative", solve)
+    for module in (series, assemble):
+        monkeypatch.setattr(module, "desuspend_by_weight", desuspend, raising=False)
+    monkeypatch.setattr(BiSeries, "truncated", truncated)
+    spec = make_spec(
+        m_dim=2, rel_betti={0: 1, 1: 2, 2: 1}, x_betti={0: 1, 1: 1}, char=F3,
+        max_degree=9, max_weight=4,
+    )
+    table = theorem_b(spec)
+    assert (solves, table_ops, table.caps()) == ([(9, 4)], [], (9, 4))
+
+
 def test_disconnected_labels_fill_degree_zero_at_all_weights():
-    spec = make_spec(x_betti={0: 2}, mode="theorem_b", max_degree=2, max_weight=5)
+    spec = make_spec(x_betti={0: 2}, max_degree=2, max_weight=5)
     series = theorem_b(spec)
     assert all(series.get(0, k) > 0 for k in range(6))
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import confighom.assemble as assemble
+import confighom.hilton as hilton
 from confighom.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -324,21 +325,37 @@ def _main_on(config, tmp_path):
 
 
 def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
+    def drifting(real, degree_step, weight_step):
+        def solve(max_degree, max_weight, generators):
+            return real(max_degree + degree_step, max_weight + weight_step, generators)
+
+        return solve
+
     real = assemble.free_commutative
-
-    def drifting(max_degree, max_weight, generators):
-        return real(max_degree, max_weight - 1, generators)
-
-    monkeypatch.setattr(assemble, "free_commutative", drifting)
+    monkeypatch.setattr(assemble, "free_commutative", drifting(real, 0, -1))
     config = base_config(
         manifold={"preset": "surface", "genus": 0},
         mode="theorem_b",
         max_degree=6,
         max_weight=3,
     )
-    assert _main_on(config, tmp_path) == EXIT_INTEGRITY
+    hilton_config = {"mode": "check:hilton_milnor", "max_degree": 8}
+    for run_config, caps in (
+        (dict(config, mode="theorem_a"), "got (6, 2), asked for (6, 3)"),
+        (config, "got (6, 2), asked for (6, 3)"),
+        # the wedge side of the Hilton-Milnor check
+        (hilton_config, "got (8, 7), asked for (8, 8)"),
+    ):
+        assert _main_on(run_config, tmp_path) == EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert err.startswith(f"integrity error: cap mismatch: {caps}")
+    # the basic-product side a degree short: comparing the totals would
+    # otherwise stop at the end of the shorter list
+    monkeypatch.setattr(assemble, "free_commutative", real)
+    monkeypatch.setattr(hilton, "free_commutative", drifting(real, -1, 0))
+    assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert capsys.readouterr().err.startswith(
-        "integrity error: cannot enlarge caps of a truncated series"
+        "integrity error: cap mismatch: got (7, 8), asked for (8, 8)"
     )
     # a configuration error before the run is still a parse error
     assert _main_on(dict(config, modee="theorem_a"), tmp_path) == EXIT_PARSE

@@ -5,6 +5,7 @@ independently of the packed-integer path in the package.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -196,6 +197,29 @@ def test_property_free_commutative_equals_power_factor_chain(gens, D, K, data):
     assert free_commutative(D, K, gens) == power_chain(D, K, gens)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    generator_lists,
+    st.lists(
+        st.tuples(
+            st.just(0),
+            st.integers(1, 4),
+            st.integers(0, 4),
+            st.sampled_from(("polynomial", "exterior")),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 12),
+    st.integers(0, 9),
+)
+def test_property_degree_zero_generators_multiply_in(gens, zeros, D, K):
+    # a free algebra on two sets of generators is the product of the two
+    assert free_commutative(D, K, gens + zeros) == multiply(
+        free_commutative(D, K, gens), free_commutative(D, K, zeros)
+    )
+
+
 def test_free_commutative_small_examples():
     assert free_commutative(6, 3, [(2, 1, 1, "polynomial")]).to_dict() == {
         (0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1}
@@ -209,10 +233,16 @@ def test_free_commutative_small_examples():
 
 
 def test_free_commutative_rejects_bad_generators():
-    with pytest.raises(DivergentSeriesError):
-        free_commutative(4, 4, [(0, 1, 1, "polynomial")])
-    with pytest.raises(InvalidInputError):
-        free_commutative(4, 4, [(0, 1, 1, "exterior")])
+    # a degree-0 generator of weight w >= 1 is bounded by the weight cap:
+    # c polynomial ones give C(c+r-1, r) at (0, r*w), c exterior ones C(c, r)
+    D, K, w, c = 3, 7, 2, 3
+    cells = [(0, r * w) for r in range(K // w + 1)]
+    assert free_commutative(D, K, [(0, w, c, "polynomial")]).to_dict() == {
+        cell: math.comb(c + r - 1, r) for r, cell in enumerate(cells)}
+    assert free_commutative(D, K, [(0, w, c, "exterior")]).to_dict() == {
+        cell: math.comb(c, r) for r, cell in enumerate(cells) if r <= c}
+    with pytest.raises(InvalidInputError, match="degree"):
+        free_commutative(4, 4, [(-1, 1, 1, "polynomial")])
     with pytest.raises(InvalidInputError, match="weight"):
         free_commutative(4, 4, [(2, 0, 1, "polynomial")])
     with pytest.raises(InvalidInputError):
