@@ -6,7 +6,10 @@ rendering or of the factor plan must leave every digest as it is.  The
 degree-0 label cases (``.s0_cube``, ``.two_points``, ``.s0_q``), whose
 double suspension desuspends onto degree-0 generators, were recorded from
 the engine that still solved theorem_b at degree cap max_degree +
-2 max_weight and desuspended the whole table.
+2 max_weight and desuspended the whole table.  The large-cap csv cases
+(``LARGE_CAPS``), whose weight rows start far above degree 0 or whose log
+derivative has many terms shifted past the degree cap, were recorded from
+the free-algebra kernel that still solved every row over all degrees.
 """
 
 import hashlib
@@ -76,6 +79,27 @@ CONFIGS.update(
     for mode in ("dk_table", "theorem_b")
 )
 
+# caps above the benchmark's, where most weight rows start high and many
+# terms of the log derivative shift past the degree cap; csv only, since
+# the other formats render the same cells
+LARGE_CAPS = {
+    "theorem_a.surface_d200": {
+        "mode": "theorem_a", "field": "F2", "manifold": {"preset": "surface", "genus": 1},
+        "n": 1, "label_space": {"preset": "wedge", "spheres": [2, 3]},
+        "max_degree": 200, "seed": 0,
+    },
+    "theorem_a.torus8_d180": {
+        "mode": "theorem_a", "field": "Q", "manifold": {"preset": "torus", "m": 8},
+        "n": 1, "label_space": {"preset": "sphere", "d": 2},
+        "max_degree": 180, "seed": 0,
+    },
+    "theorem_b.s0_cube_d200": {
+        "mode": "theorem_b", "field": "F2", "manifold": {"preset": "cube", "m": 1},
+        "n": 1, "label_space": {"preset": "sphere", "d": 0},
+        "max_degree": 200, "max_weight": 200, "seed": 0,
+    },
+}
+
 DIGESTS = {
     "check:ab/table": (0, "400788ea352d5fe5966899829c7b8ce18341cd0e3e9a9508ff495f3f2a14302d"),
     "check:ab/csv": (0, "2953d2d91e625f5773e2914841b414af1e6f241d77e3ef48a22b9b7401e1cb17"),
@@ -113,6 +137,9 @@ DIGESTS = {
     "theorem_b.two_points/table": (0, "81c2e59c761b7e40a314c78ced667007e3ae9479ea2bfe4ac03e242fd7914f3b"),
     "theorem_b.two_points/csv": (0, "e01c59b22eb997e608bb5f449df7b61be684c7e0d7bb08d41d2a849c7b4a6c94"),
     "theorem_b.two_points/json": (0, "ed130aaaa9f05b86d131b07c924b0ef6baccc3e4e9924b1b851a325230138848"),
+    "theorem_a.surface_d200/csv": (0, "b2d290e2a336bcc2a0919d240fa6498690bc298b6e9b7ff0ce5256127b3a3f3d"),
+    "theorem_a.torus8_d180/csv": (0, "93249ce9b0ab7052a60a697e8e225fd6886d4a027de04ab7d8131dc2d5ecc033"),
+    "theorem_b.s0_cube_d200/csv": (0, "4bb4ca2533d4dc96060d6a125674ee4120f851e845ed29bc13a6d1e3ceb5d078"),
     "failing check:ab/table": (1, "09b5e7e324b10dccefdec139909fa3012daee7fda0dc208b99dd199e748becbb"),
     "failing check:ab/csv": (1, "681af9265112f1a5dbe79009e415435d5ca56cd84c3d22a179a8f33091fc32f1"),
     "failing check:ab/json": (1, "36840aff6cacf9fd5ba5680a6e2cf1dceedf6446f4260cdc853bfdc2efd54423"),
@@ -131,6 +158,11 @@ def _digest(config):
 @pytest.mark.parametrize("mode", sorted(CONFIGS))
 def test_output_bytes_match_the_golden_corpus(mode, fmt):
     assert _digest(dict(CONFIGS[mode], format=fmt)) == DIGESTS[f"{mode}/{fmt}"]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CAPS))
+def test_large_cap_output_bytes_match_the_golden_corpus(name):
+    assert _digest(dict(LARGE_CAPS[name], format="csv")) == DIGESTS[f"{name}/csv"]
 
 
 def _failing_ab(**_kwargs):
