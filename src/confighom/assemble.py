@@ -176,7 +176,8 @@ def theorem_b(spec: ProblemSpec) -> BiSeries:
         if d < 2 * k:
             raise IntegrityError(
                 "desuspension by 2 per weight sends the generator at "
-                f"(d, k) = ({d}, {k}) below degree 0"
+                f"(d, k) = ({d}, {k}) below degree 0",
+                cell=(d, k),
             )
         if d - 2 * k <= D:
             generators.append((d - 2 * k, k, c, kind))

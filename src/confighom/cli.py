@@ -342,15 +342,24 @@ def _render(
     is a generator, so no view is built for json.
     """
     if fmt == "json":
-        doc: dict[str, Any] = {
+        fields: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
             "spec": echo,
-            "series": [] if series is None else [list(cell) for cell in series.items()],
             "checks": checks or [],
         }
         if generators is not None:
-            doc["generators"] = generators
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            fields["generators"] = generators
+        # json.dumps(fields, sort_keys=True, indent=2), with the series
+        # cells laid out directly: the stdlib's indenting encoder is pure
+        # Python.  A nested dump is re-indented by its newlines, which JSON
+        # strings never hold raw.
+        members = {
+            key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            for key, value in fields.items()
+        }
+        members["series"] = _json_cells(series)
+        body = ",\n".join(f'  "{key}": {members[key]}' for key in sorted(members))
+        return "{\n" + body + "\n}\n"
     if fmt == "table":
         parts = " ".join(
             f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
@@ -360,22 +369,34 @@ def _render(
     return "\n".join(lines) + "\n"
 
 
+def _json_cells(series: BiSeries | None) -> str:
+    """The nonzero cells as a list of [d, k, v] triples, in the layout of
+    json.dumps(..., indent=2) one level down."""
+    cells = [] if series is None else [
+        f"[\n      {d},\n      {k},\n      {v}\n    ]" for d, k, v in series.items()
+    ]
+    if not cells:
+        return "[]"
+    return "[\n    " + ",\n    ".join(cells) + "\n  ]"
+
+
 def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
-    D, K = series.caps()
-    rows = [[series.get(d, k) for k in range(K + 1)] for d in range(D + 1)]
+    K = series.max_weight
+    rows = series.degree_rows()
     if fmt == "csv":
         yield "degree," + ",".join(f"w{k}" for k in range(K + 1)) + ",total"
         for d, row in enumerate(rows):
             yield f"{d}," + ",".join(map(str, row)) + f",{sum(row)}"
         return
-    width = max([len(str(v)) for row in rows for v in row] + [4])
+    # counts are nonnegative, so the largest one is the widest
+    width = max(4, len(str(max(map(max, rows)))))
     head = (
         "degree | " + " ".join(f"w{k}".rjust(width) for k in range(K + 1)) + " | total"
     )
     yield head
     yield "-" * len(head)
     for d, row in enumerate(rows):
-        cells = " ".join(str(v).rjust(width) for v in row)
+        cells = " ".join([str(v).rjust(width) for v in row])
         yield f"{d:6d} | {cells} | {sum(row)}"
 
 

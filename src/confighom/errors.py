@@ -29,4 +29,12 @@ class IntegrityError(CalculatorError):
     engine relies on (nonnegative solved counts, exact divisibility in the
     Witt recurrence, desuspension staying in nonnegative degrees) broke,
     i.e. a bug in the grammar or the caller.
+
+    ``cell`` is the (degree, weight) the check failed at, where it has one:
+    the free-algebra residual that broke, or the generator that theorem_b
+    would shift below degree 0.
     """
+
+    def __init__(self, message: str, *, cell: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.cell = cell

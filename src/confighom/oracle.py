@@ -10,11 +10,12 @@ same admissibility grammar the engine documents.  Counting both ways and
 comparing is the point: the two implementations share only the grammar,
 not code.
 
-The closed-form catalog is computed with one-variable coin/subset dynamic
-programming, again independent of the series kernel.  Catalog entries are
-degreewise; only ``james`` and ``stunted_weight2`` carry a meaningful
-weight grading (those are classically known), all other entries park their
-dimensions at weight 0.
+The closed-form catalog is computed with coin/subset dynamic programming,
+again independent of the series kernel.  Most catalog entries are
+degreewise and park their dimensions at weight 0; ``james``,
+``stunted_weight2`` and ``braid`` carry a meaningful weight grading (those
+are classically known), and ``braid`` runs its coin DP over both
+gradings.
 """
 
 from __future__ import annotations
@@ -202,6 +203,29 @@ def _ext_counts(parts: list[int], max_degree: int) -> list[int]:
     return dp
 
 
+def _bigraded_counts(
+    poly: list[tuple[int, int]],
+    ext: list[tuple[int, int]],
+    max_degree: int,
+    max_weight: int,
+) -> list[list[int]]:
+    """Monomial counts [degree][weight] of a polynomial algebra on ``poly``
+    tensor an exterior algebra on ``ext``, parts given as (degree, weight)
+    with weight >= 1."""
+    dp = [[0] * (max_weight + 1) for _ in range(max_degree + 1)]
+    dp[0][0] = 1
+    # ascending cells reuse a part any number of times, descending ones once
+    for deg, wt in poly:
+        for d in range(deg, max_degree + 1):
+            for k in range(wt, max_weight + 1):
+                dp[d][k] += dp[d - deg][k - wt]
+    for deg, wt in ext:
+        for d in range(max_degree, deg - 1, -1):
+            for k in range(max_weight, wt - 1, -1):
+                dp[d][k] += dp[d - deg][k - wt]
+    return dp
+
+
 def _conv(a: list[int], b: list[int]) -> list[int]:
     out = [0] * len(a)
     for i, va in enumerate(a):
@@ -229,7 +253,16 @@ def classical_series(
 
     names: james(d); omega2_s3_mod2; omega2_s3_modp(p);
     rational_loops_sphere(j, m) for j in {1, 2} and m >= 2;
-    stunted_weight2(d, j); even_sphere_split(k, field).
+    stunted_weight2(d, j); even_sphere_split(k, field); braid(field).
+
+    ``braid`` is the homology of all braid groups at once, H_*(B_k(R^2))
+    at weight k, which is H_*(C(R^2; S^0)):
+
+    * F2: F2[x_i] with x_i in degree 2^i - 1, weight 2^i (Fuks 1970);
+    * odd p: F_p[x_0] tensor the exterior algebra on lambda (degree 1,
+      weight 2) and the xi_i (degree 2p^i - 1, weight 2p^i, i >= 1) tensor
+      F_p[beta xi_i] (degree 2p^i - 2) (F. Cohen, LNM 533, 1976);
+    * Q: Q[x_0] tensor the exterior algebra on lambda (Arnold 1969).
     """
     params = dict(params or {})
     D, K = max_degree, max_weight
@@ -317,6 +350,26 @@ def classical_series(
         james = classical_series("james", {"d": 2 * k - 2}, D, K)
         rest = factor_series({4 * k - 3: 1}, 2, char, D, K)
         return multiply(james, rest)
+
+    if name == "braid":
+        field = params.pop("field")
+        _done(params, name)
+        char = field if isinstance(field, FieldChar) else FieldChar.from_name(str(field))
+        poly, ext = [(0, 1)], []
+        if char.is_two:
+            w = 2
+            while w <= K:
+                poly.append((w - 1, w))
+                w *= 2
+        else:
+            ext.append((1, 2))
+            w = 2 * char.p
+            while not char.is_zero and w <= K:
+                ext.append((w - 1, w))
+                poly.append((w - 2, w))
+                w *= char.p
+        counts = _bigraded_counts(poly, ext, D, K)
+        return BiSeries(D, K, counts, is_algebra=True)
 
     raise InvalidInputError(f"unknown classical series {name!r}")
 

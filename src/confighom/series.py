@@ -25,10 +25,12 @@ coefficients, u dA/du = A * B gives the weight recurrence
     k A_k = sum_{i=1..k} B_i A_{k-i}
 
 for the weight-k row A_k, a polynomial in t.  Rows are packed big
-integers, so each step is a short sum of shifted scalar multiples.  Every
-residual must be a nonnegative multiple of k; one that is not raises
-IntegrityError naming the cell (d, k).  :func:`power_factor` multiplies
-by a single generator's factor and is kept as the independent reference.
+integers stored from their lowest nonzero degree, so each step is a short
+sum of shifted scalar multiples, each over only the degrees it reaches
+below the cap.  Every residual must be a nonnegative multiple of k; one
+that is not raises IntegrityError naming the cell (d, k) in the message
+and as its ``cell``.  :func:`power_factor` multiplies by a single
+generator's factor and is kept as the independent reference.
 
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
@@ -42,6 +44,7 @@ tests' references, ``oracle`` uses :func:`multiply`, and
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -146,6 +149,10 @@ class BiSeries:
             for k, v in enumerate(row):
                 if v:
                     yield d, k, v
+
+    def degree_rows(self) -> list[list[int]]:
+        """A copy of the table as rows indexed [degree][weight]."""
+        return [row[:] for row in self._c]
 
     def to_dict(self) -> dict[tuple[int, int], int]:
         return {(d, k): v for d, k, v in self.items()}
@@ -337,15 +344,20 @@ def free_commutative(
     B = :func:`weight_log_derivative`: the weight-k row A_k, a polynomial
     in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
 
-    Each row is one packed big integer with a fixed-width slot per degree.
-    B is sparse, so a row step sums the shifted scalar multiples
-    B(e, i) * (A_{k-i} << e slots).  B can be negative, so the slots are
-    read back signed: half a slot is added to every slot up to the degree
-    cap and subtracted after reading.  The slot width keeps
-    bits(sum |B|) + bits(max A) + 2 bits, and all rows are repacked at
-    double width when that no longer fits.  A residual that is negative or
-    not a multiple of k cannot come from a genuine algebra and raises
-    IntegrityError naming the cell.
+    Each row is one packed big integer with a fixed-width slot per degree,
+    stored from its lowest nonzero degree low_k up to the degree cap (a
+    zero row has low_k = D + 1).  B is sparse, so a row step sums the
+    shifted scalar multiples B(e, i) * A_{k-i}, each masked to the
+    D + 1 - (e + low_{k-i}) slots that stay within the cap.  B_i is sorted
+    by e, so the terms of weight i stop at the first e + low_{k-i} > D.
+    The sum is built from base_k = min_i (least e in B_i + low_{k-i}), and
+    its slot d holds the residual at degree base_k + d.  B can be
+    negative, so the slots are read back signed: half a slot is added to
+    every slot up to the degree cap and subtracted after reading.  The
+    slot width keeps bits(sum |B|) + bits(max A) + 2 bits, and all rows
+    are repacked at double width when that no longer fits.  A residual
+    that is negative or not a multiple of k cannot come from a genuine
+    algebra and raises IntegrityError naming the cell.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -354,59 +366,73 @@ def free_commutative(
     by_weight: list[list[tuple[int, int]]] = [[] for _ in range(K + 1)]
     for (e, i), v in sorted(b.items()):
         by_weight[i].append((e, v))
+    # least shift at each weight; D + 1 where there is none
+    first_shift = [terms[0][0] if terms else D + 1 for terms in by_weight]
     b_bits = sum(abs(v) for v in b.values()).bit_length()
 
     c = _blank(D, K)
     c[0][0] = 1
     cell = 0  # slot width in bytes
     rows = [1]  # packed A_0 = 1
+    low = [0]  # lowest nonzero degree of each row, D + 1 for a zero row
     peak = 1
     for k in range(1, K + 1):
         if b_bits + peak.bit_length() + 2 > 8 * cell:
             cell = max(cell, 1)
             while b_bits + peak.bit_length() + 2 > 8 * cell:
                 cell *= 2
-            rows = [_pack_row(c, w, cell) for w in range(k)]
+            rows = [_pack_row(c, w, cell, low[w]) for w in range(k)]
             slot = 8 * cell
             span = (D + 1) * slot
             half = 1 << (slot - 1)
             halves = half * (((1 << span) - 1) // ((1 << slot) - 1))
-            # keep[e]: the slots of a row that stay below the cap after
-            # a shift by e degrees
-            keep = {e: (1 << (span - e * slot)) - 1 for e, _ in b}
+            # keep[a]: the slots of a row that stay below the cap once its
+            # low degree is shifted to degree a
+            keep = [(1 << (span - a * slot)) - 1 for a in range(D + 1)]
+        # rows and low hold weights 0..k-1, so reversed they pair with i = 1..k
+        base = min(map(operator.add, first_shift[1 : k + 1], reversed(low)))
         total = 0
-        for i in range(1, k + 1):
-            prev = rows[k - i]
-            if prev:
-                for e, v in by_weight[i]:
-                    total += v * ((prev & keep[e]) << (e * slot))
-        raw = (total + halves).to_bytes(span // 8, "little")
+        pairs = zip(by_weight[1 : k + 1], reversed(rows), reversed(low))
+        for terms, prev, lo in pairs:
+            for e, v in terms:
+                at = e + lo
+                if at > D:
+                    break
+                total += (v * (prev & keep[at])) << ((at - base) * slot)
+        if not total:
+            rows.append(0)
+            low.append(D + 1)
+            continue
+        raw = (total + (halves >> (base * slot))).to_bytes(
+            (D + 1 - base) * cell, "little"
+        )
         # the residual is zero, so passes the gate, outside slots first..last
-        if total:
-            first = ((total & -total).bit_length() - 1) // slot
-            last = min(D, (abs(total).bit_length() - 1) // slot + 1)
-        else:
-            first, last = 0, -1
+        first = ((total & -total).bit_length() - 1) // slot
+        last = min(D - base, (abs(total).bit_length() - 1) // slot + 1)
         for d in range(first, last + 1):
             residual = int.from_bytes(raw[d * cell : (d + 1) * cell], "little") - half
             value, rem = divmod(residual, k)
             if residual < 0 or rem:
                 raise IntegrityError(
-                    f"free-algebra recurrence broke at (d, k) = ({d}, {k}): "
-                    f"residual {residual} is not a nonnegative multiple of {k}"
+                    f"free-algebra recurrence broke at (d, k) = ({base + d}, {k}): "
+                    f"residual {residual} is not a nonnegative multiple of {k}",
+                    cell=(base + d, k),
                 )
             if value:
-                c[d][k] = value
+                c[base + d][k] = value
                 if value > peak:
                     peak = value
-        rows.append(total // k)
+        # slot first holds the lowest nonzero residual, so low_k = base + first
+        rows.append((total // k) >> (first * slot))
+        low.append(base + first)
     return BiSeries(D, K, c, is_algebra=True)
 
 
-def _pack_row(c: list[list[int]], weight: int, cell: int) -> int:
-    """The weight row of table ``c`` as one int, ``cell`` bytes per degree."""
+def _pack_row(c: list[list[int]], weight: int, cell: int, low: int) -> int:
+    """The weight row of table ``c`` from degree ``low`` up to the cap, as
+    one int with ``cell`` bytes per degree."""
     return int.from_bytes(
-        b"".join(row[weight].to_bytes(cell, "little") for row in c), "little"
+        b"".join(row[weight].to_bytes(cell, "little") for row in c[low:]), "little"
     )
 
 

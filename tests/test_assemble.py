@@ -19,6 +19,7 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
+    classical_series,
     desuspend_by_weight,
     factor_product,
     factor_series,
@@ -133,6 +134,26 @@ def test_braid_group_rows_mod2():
     assert rows == [{0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}]
 
 
+@pytest.mark.parametrize("field", ["F2", "Fp:3", "Q"])
+def test_braid_rows_equal_the_catalog_through_sixty_strands(field):
+    # (I x R^1; S^0): row k is H_*(B_k(R^2)); every row starts at degree 0
+    expected = classical_series("braid", {"field": field}, 60, 60)
+    spec = make_spec(
+        x_betti={0: 1}, char=FieldChar.from_name(field), max_degree=60, max_weight=60
+    )
+    assert theorem_b(spec) == expected
+    status, text = cli.run({
+        "mode": "dk_table", "field": field, "manifold": {"preset": "cube", "m": 1},
+        "n": 1, "label_space": {"preset": "sphere", "d": 0},
+        "max_degree": 60, "max_weight": 60, "format": "csv",
+    })
+    cells = {}
+    for line in text.splitlines()[1:]:
+        k, d, v = map(int, line.split(","))
+        cells[(d, k)] = v
+    assert status == 0 and cells == expected.to_dict()
+
+
 def binomial(a: int, k: int) -> int:
     """The generalized binomial coefficient a choose k, for any integer a."""
     return math.prod(a - i for i in range(k)) // math.factorial(k)
@@ -244,6 +265,9 @@ def test_generator_below_degree_zero_is_an_integrity_failure(
     }))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
     assert "(d, k) = (1, 1) below degree 0" in capsys.readouterr().err
+    with pytest.raises(IntegrityError) as failure:
+        theorem_b(make_spec(x_betti={0: 1}, max_degree=4, max_weight=2))
+    assert failure.value.cell == (1, 1)
 
 
 def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):

@@ -12,6 +12,7 @@ from confighom import (
     diff_report,
     enumerate_generators,
     factor_series,
+    filtration_table,
     generator_census,
     multiply,
 )
@@ -128,6 +129,20 @@ def test_even_sphere_split_catalog_matches_engine_product():
     )
     got = classical_series("even_sphere_split", {"k": 2, "field": "F2"}, 12, 12)
     assert got == direct
+
+
+def test_braid_catalog_rows():
+    rows = {
+        field: filtration_table(classical_series("braid", {"field": field}, 6, 6))
+        for field in ("F2", "Fp:3", "Q")
+    }
+    # B_0 and B_1 are points, B_2 is a circle; mod 2, x_0^4, x_0^2 x_1, x_1^2
+    # and x_2 give the four classes of B_4
+    assert rows["F2"][:5] == [
+        {0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1, 3: 1}]
+    # mod 3, beta xi_1 and xi_1 first appear at six strands
+    assert rows["Fp:3"][5:] == [{0: 1, 1: 1}, {0: 1, 1: 1, 4: 1, 5: 1}]
+    assert rows["Q"] == [{0: 1}, {0: 1}] + [{0: 1, 1: 1}] * 5
 
 
 def test_unknown_catalog_name():

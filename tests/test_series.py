@@ -220,6 +220,30 @@ def test_property_degree_zero_generators_multiply_in(gens, zeros, D, K):
     )
 
 
+@st.composite
+def theorem_a_generators(draw):
+    """Generators in degree >= 2 * weight, as for a simply connected label,
+    all of weight a multiple of ``step``, so the rows in between vanish."""
+    step = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        weight = step * draw(st.integers(1, 3))
+        gens.append((
+            draw(st.integers(2 * weight, 2 * weight + 14)),
+            weight,
+            draw(st.one_of(st.integers(0, 4), st.integers(0, 10**9))),
+            draw(st.sampled_from(("polynomial", "exterior"))),
+        ))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(theorem_a_generators(), st.integers(0, 30), st.integers(0, 12))
+def test_property_rows_from_their_low_degree_equal_power_factor_chain(gens, D, K):
+    # weight-k rows vanish below degree 2k; generators may lie above the cap
+    assert free_commutative(D, K, gens) == power_chain(D, K, gens)
+
+
 def test_free_commutative_small_examples():
     assert free_commutative(6, 3, [(2, 1, 1, "polynomial")]).to_dict() == {
         (0, 0): 1, (2, 1): 1, (4, 2): 1, (6, 3): 1}
@@ -271,9 +295,9 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
     widths = []
     real = series._pack_row
 
-    def spy(c, weight, cell):
+    def spy(c, weight, cell, low):
         widths.append(cell)
-        return real(c, weight, cell)
+        return real(c, weight, cell, low)
 
     monkeypatch.setattr(series, "_pack_row", spy)
     monkeypatch.setattr(loops, "_factor_cache", {})
@@ -285,12 +309,14 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
         assert len(set(widths)) >= 2
 
 
-def bump_weight_two(real):
-    """weight_log_derivative with B raised by 1 at (max_degree, 2)."""
+def bump_weight_two(real, degree=None):
+    """weight_log_derivative with B raised by 1 at (degree, 2), by default
+    at (max_degree, 2)."""
 
     def bumped(max_degree, max_weight, generators):
         b = real(max_degree, max_weight, generators)
-        b[(max_degree, 2)] = b.get((max_degree, 2), 0) + 1
+        key = (max_degree if degree is None else degree, 2)
+        b[key] = b.get(key, 0) + 1
         return b
 
     return bumped
@@ -300,8 +326,9 @@ def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
     monkeypatch.setattr(
         series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative)
     )
-    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(8, 2\)"):
+    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(8, 2\)") as failure:
         free_commutative(8, 4, [(2, 1, 1, "polynomial"), (3, 1, 2, "exterior")])
+    assert failure.value.cell == (8, 2)
 
     monkeypatch.setattr(loops, "_factor_cache", {})
     config = {
@@ -315,6 +342,17 @@ def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+
+
+def test_gate_names_the_absolute_degree_of_an_offset_row(monkeypatch):
+    # the weight-2 row starts at degree 4 (x^2), so the bumped residual sits
+    # in slot 2 of its row and must be reported at degree 6
+    monkeypatch.setattr(
+        series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative, 6)
+    )
+    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(6, 2\)") as failure:
+        free_commutative(8, 4, [(2, 1, 1, "polynomial"), (3, 1, 2, "exterior")])
+    assert failure.value.cell == (6, 2)
 
 
 def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, capsys):
