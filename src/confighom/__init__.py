@@ -48,13 +48,6 @@ from .assemble import (
     weight_one_slice_expected,
 )
 from .hilton import BasicWord, HiltonReport, basic_words, hilton_milnor_check
-from .oracle import (
-    GeneratorDescriptor,
-    census_from_descriptors,
-    classical_series,
-    diff_report,
-    enumerate_generators,
-)
 
 __all__ = [
     "AtomTable",
@@ -68,7 +61,6 @@ __all__ = [
     "EXTERIOR",
     "FieldChar",
     "GeneratorCensus",
-    "GeneratorDescriptor",
     "GradedBetti",
     "HiltonReport",
     "IntegrityError",
@@ -78,11 +70,7 @@ __all__ = [
     "ab_coherence_report",
     "atom_census",
     "basic_words",
-    "census_from_descriptors",
-    "classical_series",
     "desuspend_by_weight",
-    "diff_report",
-    "enumerate_generators",
     "factor_product",
     "factor_series",
     "filtration_table",

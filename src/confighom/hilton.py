@@ -11,9 +11,11 @@ a Thom-class identification that is unconditional mod 2.
 
 The identity is a homotopy equivalence of spaces, not of filtered objects,
 so only degreewise totals are compared; the weight gradings of the two
-sides genuinely differ.  The right-hand side is one free algebra on the
-generators of every word's factors, each counted ``word.count`` times (see
-``assemble``), solved by one ``free_commutative`` call.
+sides genuinely differ.  A word's factors depend only on its length and
+its smash, so the words fall into classes keyed by (length, smash Betti):
+each class's factors are built once and counted by the sum of its words'
+``word.count``.  The right-hand side is one free algebra on the generators
+of every class (see ``assemble``), solved by one ``free_commutative`` call.
 """
 
 from __future__ import annotations
@@ -163,22 +165,16 @@ def hilton_milnor_check(
     ):
         max_len += 1
 
-    rhs_generators = []
+    classes: dict[tuple[int, tuple], int] = {}
     used = 0
     summary = []
     for word in basic_words(len(x_list), max_len):
-        shift = (word.length - 1) * m_dim
         smash = _smash_betti(x_list, word.multiplicities)
-        low = shift + min_rel + min(smash)
+        low = (word.length - 1) * m_dim + min_rel + min(smash)
         if low > D:
             continue
-        shifted_rel = {q + shift: b for q, b in rel.items()}
-        rhs_generators += [
-            (d, k, c * word.count, kind)
-            for d, k, c, kind in product_generators(
-                word.length * m_dim, shifted_rel, 1, smash, char, D, K
-            )
-        ]
+        key = (word.length, tuple(sorted(smash.items())))
+        classes[key] = classes.get(key, 0) + word.count
         used += 1
         summary.append(
             {
@@ -188,6 +184,17 @@ def hilton_milnor_check(
                 "lowest_degree": low,
             }
         )
+
+    rhs_generators = []
+    for (length, smash), count in classes.items():
+        shift = (length - 1) * m_dim
+        shifted_rel = {q + shift: b for q, b in rel.items()}
+        rhs_generators += [
+            (d, k, c * count, kind)
+            for d, k, c, kind in product_generators(
+                length * m_dim, shifted_rel, 1, dict(smash), char, D, K
+            )
+        ]
 
     lhs_totals = lhs.degree_totals()
     rhs = require_caps(free_commutative(D, K, rhs_generators), D, K)

@@ -145,8 +145,11 @@ def suspend_betti(x: GradedBetti, q: int) -> GradedBetti:
     return {d + q: c for d, c in x.items()}
 
 
-# memos of atom_census and factor_generators, each cleared when full
-_FACTOR_CACHE_LIMIT = 512
+# the one memo of the census layer: shifted Witt tables, cleared when full.
+# Every factor of a plan sees the same shifted letters, and so, often, do
+# Hilton-Milnor word classes of different lengths and the interval and
+# circle cases of one check.  Factors themselves are not memoized.
+_WITT_CACHE_LIMIT = 512
 _witt_cache: dict[tuple, DegreeWeightTable] = {}
 
 
@@ -166,7 +169,7 @@ def _shifted_atoms(
     if table is None or table.max_degree < max_degree:
         gens = DegreeWeightTable.from_generators(letters, max_degree, max_weight)
         table = lie_atom_counts(gens, signed=signed)
-        if len(_witt_cache) >= _FACTOR_CACHE_LIMIT:
+        if len(_witt_cache) >= _WITT_CACHE_LIMIT:
             _witt_cache.clear()
         _witt_cache[key] = table
     return table
@@ -256,9 +259,6 @@ def generator_census(
     return DegreeWeightTable(max_degree, max_weight, census)
 
 
-_factor_cache: dict[tuple, tuple[tuple[int, int, int, str], ...]] = {}
-
-
 def factor_generators(
     y: GradedBetti,
     j: int,
@@ -269,22 +269,15 @@ def factor_generators(
     """Generators ``(degree, weight, count, kind)`` of H_*(Omega^j Sigma^j Y)
     as a free graded-commutative algebra, j >= 1: the generator census of
     the atoms, each entry tagged polynomial in characteristic 2 or in even
-    degree, exterior otherwise.  Cached by (y, j, characteristic, caps)."""
-    y = normalize_betti(y, min_degree=1)
-    key = (tuple(sorted(y.items())), j, char.p, max_degree, max_weight)
-    cached = _factor_cache.get(key)
-    if cached is not None:
-        return cached
+    degree, exterior otherwise.  A pure function: only the shifted Witt
+    table under it is shared (:func:`_shifted_atoms`); a caller that needs
+    one factor many times, like a Hilton-Milnor word class, asks once."""
     atoms = atom_census(y, j, char, max_degree, max_weight)
     census = generator_census(atoms, j, char, max_degree, max_weight)
-    result = tuple(
+    return tuple(
         (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
         for d, k, c in census.items()
     )
-    if len(_factor_cache) >= _FACTOR_CACHE_LIMIT:
-        _factor_cache.clear()
-    _factor_cache[key] = result
-    return result
 
 
 def factor_series(

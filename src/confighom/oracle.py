@@ -185,24 +185,6 @@ def census_from_descriptors(
 # -- closed-form catalog ---------------------------------------------------
 
 
-def _poly_counts(parts: list[int], max_degree: int) -> list[int]:
-    dp = [0] * (max_degree + 1)
-    dp[0] = 1
-    for part in parts:
-        for d in range(part, max_degree + 1):
-            dp[d] += dp[d - part]
-    return dp
-
-
-def _ext_counts(parts: list[int], max_degree: int) -> list[int]:
-    dp = [0] * (max_degree + 1)
-    dp[0] = 1
-    for part in parts:
-        for d in range(max_degree, part - 1, -1):
-            dp[d] += dp[d - part]
-    return dp
-
-
 def _bigraded_counts(
     poly: list[tuple[int, int]],
     ext: list[tuple[int, int]],
@@ -210,8 +192,9 @@ def _bigraded_counts(
     max_weight: int,
 ) -> list[list[int]]:
     """Monomial counts [degree][weight] of a polynomial algebra on ``poly``
-    tensor an exterior algebra on ``ext``, parts given as (degree, weight)
-    with weight >= 1."""
+    tensor an exterior algebra on ``ext``, parts given as (degree, weight),
+    never both 0.  Parts of weight 0 give a degreewise count, read from
+    column 0 by :func:`_degreewise`."""
     dp = [[0] * (max_weight + 1) for _ in range(max_degree + 1)]
     dp[0][0] = 1
     # ascending cells reuse a part any number of times, descending ones once
@@ -226,21 +209,16 @@ def _bigraded_counts(
     return dp
 
 
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * len(a)
-    for i, va in enumerate(a):
-        if va:
-            for k in range(len(a) - i):
-                vb = b[k]
-                if vb:
-                    out[i + k] += va * vb
-    return out
-
-
-def _degreewise(values: list[int], max_degree: int, max_weight: int) -> BiSeries:
-    return BiSeries.from_entries(
-        max_degree, max_weight, {(d, 0): v for d, v in enumerate(values) if v}
+def _degreewise(
+    poly: list[int], ext: list[int], max_degree: int, max_weight: int
+) -> BiSeries:
+    """The degreewise monomial counts of a polynomial algebra on ``poly``
+    tensor an exterior algebra on ``ext`` (part degrees >= 1), at weight 0."""
+    counts = _bigraded_counts(
+        [(d, 0) for d in poly], [(d, 0) for d in ext], max_degree, 0
     )
+    entries = {(d, 0): row[0] for d, row in enumerate(counts) if row[0]}
+    return BiSeries.from_entries(max_degree, max_weight, entries)
 
 
 def classical_series(
@@ -284,7 +262,7 @@ def classical_series(
         while part <= D:
             parts.append(part)
             part = 2 * part + 1
-        return _degreewise(_poly_counts(parts, D), D, K)
+        return _degreewise(parts, [], D, K)
 
     if name == "omega2_s3_modp":
         p = int(params.pop("p"))
@@ -299,8 +277,7 @@ def classical_series(
             if q > 1:
                 poly.append(2 * q - 2)
             q *= p
-        values = _conv(_ext_counts(ext, D), _poly_counts(poly, D))
-        return _degreewise(values, D, K)
+        return _degreewise(poly, ext, D, K)
 
     if name == "rational_loops_sphere":
         j = int(params.pop("j"))
@@ -310,23 +287,15 @@ def classical_series(
             raise InvalidInputError("rational_loops_sphere needs j in {1,2}, m >= 2")
         if j == 1:
             if m % 2:
-                values = _poly_counts([m - 1], D)
-            else:
-                values = _conv(_ext_counts([m - 1], D), _poly_counts([2 * m - 2], D))
-        else:
-            if m % 2:
-                values = _ext_counts([m - 2], D) if m > 2 else _ext_counts([1], D)
-                if m == 2:
-                    raise InvalidInputError("rational_loops_sphere(2, 2) undefined")
-            else:
-                if m == 2:
-                    raise InvalidInputError(
-                        "double loops on the 2-sphere have no finite closed form here"
-                    )
-                values = _conv(
-                    _poly_counts([m - 2], D), _ext_counts([2 * m - 3], D)
-                )
-        return _degreewise(values, D, K)
+                return _degreewise([m - 1], [], D, K)
+            return _degreewise([2 * m - 2], [m - 1], D, K)
+        if m % 2:
+            return _degreewise([], [m - 2], D, K)
+        if m == 2:
+            raise InvalidInputError(
+                "double loops on the 2-sphere have no finite closed form here"
+            )
+        return _degreewise([m - 2], [2 * m - 3], D, K)
 
     if name == "stunted_weight2":
         d = int(params.pop("d"))

@@ -11,9 +11,6 @@ from confighom import (
     ProblemSpec,
     ab_coherence_report,
     atom_census,
-    census_from_descriptors,
-    classical_series,
-    enumerate_generators,
     factor_series,
     filtration_table,
     generator_census,
@@ -22,6 +19,11 @@ from confighom import (
     theorem_a,
     theorem_b,
     weight_one_slice_expected,
+)
+from confighom.oracle import (
+    census_from_descriptors,
+    classical_series,
+    enumerate_generators,
 )
 
 Q = FieldChar.rational()

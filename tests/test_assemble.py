@@ -19,7 +19,6 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
-    classical_series,
     desuspend_by_weight,
     factor_product,
     factor_series,
@@ -32,6 +31,7 @@ from confighom import (
     weight_one_slice_expected,
 )
 from confighom.assemble import factor_plan
+from confighom.oracle import classical_series
 
 Q = FieldChar.rational()
 F2 = FieldChar.mod2()
@@ -343,9 +343,10 @@ def test_property_factor_product_equals_the_multiply_chain(data):
     assert factor_product(m_dim, rel, n, x, char, D, K) == chain
 
 
-def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_census(monkeypatch):
-    solves, censuses = [], []
+def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_witt_solve(monkeypatch):
+    solves, censuses, witt_solves = [], [], []
     real_solve, real_census = assemble.free_commutative, loops.atom_census
+    real_witt = loops.lie_atom_counts
 
     def solve(*args):
         solves.append(args[:2])
@@ -355,15 +356,22 @@ def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_census(monkeypatch):
         censuses.append(j)
         return real_census(y, j, *args)
 
+    def witt(gens, signed):
+        witt_solves.append(gens.max_degree)
+        return real_witt(gens, signed)
+
     monkeypatch.setattr(assemble, "free_commutative", solve)
     monkeypatch.setattr(loops, "atom_census", census)
-    monkeypatch.setattr(loops, "_factor_cache", {})
+    monkeypatch.setattr(loops, "lie_atom_counts", witt)
+    monkeypatch.setattr(loops, "_witt_cache", {})
     # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1
     args = (2, {0: 1, 1: 2, 2: 1}, 1, {2: 1, 3: 1}, F3, 16, 8)
     first = factor_product(*args)
     assert (solves, sorted(censuses)) == ([(16, 8)], [1, 2, 3])
+    assert len(witt_solves) == 1
+    # the repeat builds its census again, but on the memoized Witt table
     assert factor_product(*args) == first
-    assert (len(solves), len(censuses)) == (2, 3)
+    assert (len(solves), len(censuses), len(witt_solves)) == (2, 6, 1)
 
 
 # -- presets ---------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line behaviour: rendering, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -425,3 +428,20 @@ def test_non_string_manifold_preset_is_rejected(name, tmp_path, capsys):
 def test_betti_degree_given_twice_is_rejected(config, tmp_path, capsys):
     assert _main_on(config, tmp_path) == EXIT_INPUT
     assert "given twice" in capsys.readouterr().err
+
+
+def test_starting_the_cli_does_not_import_the_oracle():
+    # the brute-force oracle is for tests and checks by hand; no mode of
+    # cli.run calls it, so a start must not pay for loading it
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import confighom.cli, sys; sys.exit('confighom.oracle' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confighom.assemble as assemble
 import confighom.hilton as hilton
@@ -10,8 +12,11 @@ from confighom import (
     FieldChar,
     InvalidInputError,
     basic_words,
+    free_commutative,
     hilton_milnor_check,
 )
+
+F2 = FieldChar.mod2()
 
 
 def test_counts_on_two_letters():
@@ -129,3 +134,55 @@ def test_each_side_is_one_free_algebra(monkeypatch):
     report = hilton_milnor_check(1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
     assert report.passed and report.words_used > 1
     assert sorted(calls) == ["confighom.assemble", "confighom.hilton"]
+
+
+def test_each_word_class_is_solved_once(monkeypatch):
+    # on the circle with S^2 v S^2 labels, the words of length l all smash
+    # to S^2l: one class, and one product_generators call, per length
+    m_dim, rel, labels, D = 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], 12
+    calls = []
+    real = hilton.product_generators
+
+    def spy(*call):
+        calls.append(call[0])
+        return real(*call)
+
+    monkeypatch.setattr(hilton, "product_generators", spy)
+    report = hilton_milnor_check(m_dim, rel, labels, D)
+    lengths = [word["length"] for word in report.word_summary]
+    assert report.passed and len(lengths) > len(set(lengths))
+    assert sorted(calls) == sorted(set(lengths))
+
+    # the right-hand side built word by word, as the identity states it
+    generators = []
+    for word in report.word_summary:
+        l = word["length"]
+        shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
+        generators += [
+            (d, k, c * word["count"], kind)
+            for d, k, c, kind in real(l * m_dim, shifted_rel, 1, {2 * l: 1}, F2, D, D)
+        ]
+    assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
+
+
+@st.composite
+def wedge_problems(draw):
+    m_dim = draw(st.integers(0, 2))
+    rel = draw(st.dictionaries(st.integers(0, m_dim), st.integers(1, 2), min_size=1))
+    label = st.dictionaries(
+        st.integers(1, 4), st.integers(1, 2), min_size=1, max_size=2
+    )
+    labels = draw(st.lists(label, min_size=1, max_size=3))
+    return m_dim, rel, labels, draw(st.integers(6, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wedge_problems(), st.sampled_from(("F2", "Q")))
+def test_property_hilton_milnor_holds_on_random_wedges(problem, field):
+    # repeated summands and multi-class labels make several words share a
+    # (length, smash) class, and words of different lengths share a smash
+    m_dim, rel, labels, D = problem
+    report = hilton_milnor_check(
+        m_dim, rel, labels, D, char=FieldChar.from_name(field), orientable=field == "Q"
+    )
+    assert report.passed, report.first_mismatch

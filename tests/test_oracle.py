@@ -7,14 +7,16 @@ from confighom import (
     FieldChar,
     InvalidInputError,
     atom_census,
-    census_from_descriptors,
-    classical_series,
-    diff_report,
-    enumerate_generators,
     factor_series,
     filtration_table,
     generator_census,
     multiply,
+)
+from confighom.oracle import (
+    census_from_descriptors,
+    classical_series,
+    diff_report,
+    enumerate_generators,
 )
 
 Q = FieldChar.rational()

@@ -30,7 +30,6 @@ from confighom import (
     free_commutative,
     generator_census,
     inverse_one_minus,
-    loops,
     multiply,
     power_factor,
     series,
@@ -300,7 +299,6 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
         return real(c, weight, cell, low)
 
     monkeypatch.setattr(series, "_pack_row", spy)
-    monkeypatch.setattr(loops, "_factor_cache", {})
     char = FieldChar(p)
     got = factor_series(y, j, char, D, K)
     assert got == power_chain(D, K, census_generators(y, j, char, D, K))
@@ -330,7 +328,6 @@ def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
         free_commutative(8, 4, [(2, 1, 1, "polynomial"), (3, 1, 2, "exterior")])
     assert failure.value.cell == (8, 2)
 
-    monkeypatch.setattr(loops, "_factor_cache", {})
     config = {
         "field": "F2",
         "manifold": {"preset": "cube", "m": 1},

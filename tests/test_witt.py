@@ -204,7 +204,6 @@ def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
         with pytest.raises(IntegrityError, match="Witt recurrence"):
             lie_atom_counts(DegreeWeightTable.from_generators({2: 1}, 12, 6), signed)
 
-    monkeypatch.setattr(loops, "_factor_cache", {})
     monkeypatch.setattr(loops, "_witt_cache", {})
     config = {
         "field": "F2",
@@ -327,7 +326,6 @@ def test_one_witt_table_serves_every_factor_of_a_plan(monkeypatch):
         return real(gens, signed)
 
     monkeypatch.setattr(loops, "lie_atom_counts", spy)
-    monkeypatch.setattr(loops, "_factor_cache", {})
     monkeypatch.setattr(loops, "_witt_cache", {})
     m_dim, rel = preset("torus", m=6)
     spec = ProblemSpec(m_dim, rel, 1, {2: 1}, FieldChar.odd(3), 30)
