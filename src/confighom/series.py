@@ -24,13 +24,19 @@ coefficients, u dA/du = A * B gives the weight recurrence
 
     k A_k = sum_{i=1..k} B_i A_{k-i}
 
-for the weight-k row A_k, a polynomial in t.  Rows are packed big
-integers stored from their lowest nonzero degree, so each step is a short
-sum of shifted scalar multiples, each over only the degrees it reaches
-below the cap.  Every residual must be a nonnegative multiple of k; one
-that is not raises IntegrityError naming the cell (d, k) in the message
-and as its ``cell``.  :func:`power_factor` multiplies by a single
-generator's factor and is kept as the independent reference.
+for the weight-k row A_k, a polynomial in t.  B is a Lambert series,
+B = sum beta(d, w) x/(1 - x) with x = t^d u^w, and the kernel takes its
+coefficients beta (:func:`weight_log_derivative`) as input.  Rows are
+packed big integers stored from their lowest nonzero degree.  A
+bidegree whose multiples reach the weight cap no later than the degree
+cap (slope d/w at most the caps' D/K), such as a degree-0 or Dyer-Lashof
+generator, enters each row step as one running sum over its multiples
+(a chain); every other bidegree enters as one shifted scalar multiple
+per multiple, each over only the degrees it reaches below the cap.
+Every residual must be a nonnegative multiple of k; one that is not
+raises IntegrityError naming the cell (d, k) in the message and as its
+``cell``.  :func:`power_factor` multiplies by a single generator's factor
+and is kept as the independent reference.
 
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
@@ -306,16 +312,18 @@ def power_factor(
 def weight_log_derivative(
     max_degree: int, max_weight: int, generators: Iterable[tuple[int, int, int, str]]
 ) -> dict[tuple[int, int], int]:
-    """Nonzero coefficients B(e, i) of B = u d/du log A inside the caps,
-    where A is the free commutative algebra on ``generators``.
+    """Nonzero Lambert coefficients beta(d, w) of B = u d/du log A inside
+    the caps, where A is the free commutative algebra on ``generators``:
+    B = sum beta(d, w) x/(1 - x) with x = t^d u^w.
 
-    Each generator (degree d, weight w, count c, kind) adds c*w*s_r at
-    (r*d, r*w) for every r >= 1 inside the caps: s_r = 1 for a polynomial
-    generator, whose factor is (1 - t^d u^w)^(-c), and s_r = (-1)^(r+1)
-    for an exterior one, whose factor is (1 + t^d u^w)^c.  Degree 0 is
-    allowed: with w >= 1 the weight cap bounds r, so nothing diverges.
+    A polynomial generator (degree d, weight w, count c), whose factor is
+    (1 - x)^(-c), adds c*w at (d, w).  An exterior one, whose factor is
+    (1 + x)^c, also subtracts 2*c*w at (2d, 2w) when that lies inside the
+    caps, since x/(1 + x) = x/(1 - x) - 2 x^2/(1 - x^2).  A generator
+    outside the caps adds nothing.  Degree 0 is allowed: with w >= 1 the
+    weight cap bounds the multiples, so nothing diverges.
     """
-    b: dict[tuple[int, int], int] = {}
+    beta: dict[tuple[int, int], int] = {}
     for degree, weight, count, kind in generators:
         if kind not in (POLYNOMIAL, EXTERIOR):
             raise InvalidInputError(f"unknown generator kind {kind!r}")
@@ -323,14 +331,15 @@ def weight_log_derivative(
             raise InvalidInputError("generator degree must be >= 0")
         if weight < 1 or count < 0:
             raise InvalidInputError("generator weight must be >= 1 and count >= 0")
+        if degree > max_degree or weight > max_weight:
+            continue
         step = count * weight
-        rmax = max_weight // weight
-        if degree:
-            rmax = min(rmax, max_degree // degree)
-        for r in range(1, rmax + 1):
-            key = (r * degree, r * weight)
-            b[key] = b.get(key, 0) + (step if kind == POLYNOMIAL or r % 2 else -step)
-    return {key: v for key, v in b.items() if v}
+        key = (degree, weight)
+        beta[key] = beta.get(key, 0) + step
+        if kind == EXTERIOR and 2 * degree <= max_degree and 2 * weight <= max_weight:
+            key = (2 * degree, 2 * weight)
+            beta[key] = beta.get(key, 0) - 2 * step
+    return {key: v for key, v in beta.items() if v}
 
 
 def free_commutative(
@@ -340,35 +349,70 @@ def free_commutative(
     given as (degree, weight, count, kind) with degree >= 0, weight >= 1.
 
     Equal to one :func:`power_factor` per generator applied to the unit,
-    but solved in one pass over the weights from u dA/du = A * B with
-    B = :func:`weight_log_derivative`: the weight-k row A_k, a polynomial
-    in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
+    but solved in one pass over the weights from u dA/du = A * B, with B
+    in the Lambert form of :func:`weight_log_derivative`: the weight-k row
+    A_k, a polynomial in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
 
     Each row is one packed big integer with a fixed-width slot per degree,
     stored from its lowest nonzero degree low_k up to the degree cap (a
-    zero row has low_k = D + 1).  B is sparse, so a row step sums the
-    shifted scalar multiples B(e, i) * A_{k-i}, each masked to the
-    D + 1 - (e + low_{k-i}) slots that stay within the cap.  B_i is sorted
-    by e, so the terms of weight i stop at the first e + low_{k-i} > D.
-    The sum is built from base_k = min_i (least e in B_i + low_{k-i}), and
+    zero row has low_k = D + 1).  A bidegree (d, w) of B enters a row step
+    in one of two ways, picked by its slope:
+
+    * a *chain* when its second multiple lies inside the caps and
+      d*K <= w*D, so its multiples reach the weight cap no later than the
+      degree cap.  Its multiples sum to beta t^d R_{k-w}, where the
+      running sum R_j = A_j + t^d R_{j-w} is kept only up to degree D - d:
+      one term per row instead of one per multiple.  R_j is built at row
+      j + w from R_{j-w}; where that one is dead (its shift lies above
+      the cut) R_j is A_j itself.  For one w the low degree of
+      t^d R_{k-w} never falls as d grows, so the chains of a weight,
+      sorted by d, stop at the first one whose term lies above the cap.
+    * otherwise *direct*: each multiple (r*d, r*w) inside the caps is a
+      term B(e, i) of B_i, and a row step sums the shifted scalar
+      multiples B(e, i) * A_{k-i}, each masked to the D + 1 -
+      (e + low_{k-i}) slots that stay within the cap.  B_i is sorted by
+      e, so the terms of weight i stop at the first e + low_{k-i} > D.
+
+    Chains pay when a generator has many multiples below the caps, as
+    degree-0 and Dyer-Lashof generators do; a steep one has few, and
+    keeping its running sum would cost more than its terms.
+
+    The sum is built from base_k, the least degree any term reaches, and
     its slot d holds the residual at degree base_k + d.  B can be
     negative, so the slots are read back signed: half a slot is added to
     every slot up to the degree cap and subtracted after reading.  The
-    slot width keeps bits(sum |B|) + bits(max A) + 2 bits, and all rows
-    are repacked at double width when that no longer fits.  A residual
-    that is negative or not a multiple of k cannot come from a genuine
-    algebra and raises IntegrityError naming the cell.
+    slot width keeps bits(S) + bits(max A) + 2 bits, where S sums |B(e, i)|
+    over the direct terms and |beta| * (K // w) over the chains (a running
+    sum has at most K // w rows), and all rows are repacked at double
+    width, and every running sum rebuilt from them, when that no longer
+    fits.  A residual that is negative or not a multiple of k cannot come
+    from a genuine algebra and raises IntegrityError naming the cell.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
     D, K = max_degree, max_weight
-    b = weight_log_derivative(D, K, generators)
-    by_weight: list[list[tuple[int, int]]] = [[] for _ in range(K + 1)]
-    for (e, i), v in sorted(b.items()):
-        by_weight[i].append((e, v))
+    chains: dict[int, list[tuple[int, int, list]]] = {}
+    direct: list[dict[int, int]] = [{} for _ in range(K + 1)]
+    b_sum = 0
+    for (d, w), v in weight_log_derivative(D, K, generators).items():
+        # a chain reaches the weight cap first (d*K <= w*D), and 2w <= K
+        # then puts its second multiple inside both caps
+        if 2 * w <= K and d * K <= w * D:
+            chains.setdefault(w, []).append((d, v, [None] * w))
+            b_sum += abs(v) * (K // w)
+            continue
+        rmax = K // w if d == 0 else min(K // w, D // d)
+        for r in range(1, rmax + 1):
+            terms = direct[r * w]
+            terms[r * d] = terms.get(r * d, 0) + v
+    by_weight = [sorted((e, v) for e, v in terms.items() if v) for terms in direct]
+    b_sum += sum(abs(v) for terms in by_weight for _e, v in terms)
     # least shift at each weight; D + 1 where there is none
     first_shift = [terms[0][0] if terms else D + 1 for terms in by_weight]
-    b_bits = sum(abs(v) for v in b.values()).bit_length()
+    chain_weights = sorted(chains)
+    for w in chain_weights:
+        chains[w].sort(key=operator.itemgetter(0))  # by degree
+    b_bits = b_sum.bit_length()
 
     c = _blank(D, K)
     c[0][0] = 1
@@ -389,9 +433,26 @@ def free_commutative(
             # keep[a]: the slots of a row that stay below the cap once its
             # low degree is shifted to degree a
             keep = [(1 << (span - a * slot)) - 1 for a in range(D + 1)]
+            # the running sums up to R_{k-w-1}, from the repacked rows
+            for w in chain_weights:
+                for _d, _v, ring in chains[w]:
+                    ring[:] = [None] * w
+                for j in range(k - w):
+                    _extend_chains(chains[w], w, j, rows, low, D, slot, keep)
         # rows and low hold weights 0..k-1, so reversed they pair with i = 1..k
         base = min(map(operator.add, first_shift[1 : k + 1], reversed(low)))
         total = 0
+        if chain_weights:
+            live = []
+            for w in chain_weights:
+                if w > k:
+                    break
+                live += _extend_chains(chains[w], w, k - w, rows, low, D, slot, keep)
+            for _v, _r, at in live:
+                if at < base:
+                    base = at
+            for v, running, at in live:
+                total += (v * running) << ((at - base) * slot)
         pairs = zip(by_weight[1 : k + 1], reversed(rows), reversed(low))
         for terms, prev, lo in pairs:
             for e, v in terms:
@@ -426,6 +487,46 @@ def free_commutative(
         rows.append((total // k) >> (first * slot))
         low.append(base + first)
     return BiSeries(D, K, c, is_algebra=True)
+
+
+def _extend_chains(
+    chains: list[tuple[int, int, list]],
+    w: int,
+    j: int,
+    rows: list[int],
+    low: list[int],
+    D: int,
+    slot: int,
+    keep: list[int],
+) -> list[tuple[int, int, int]]:
+    """Extend the running sums of the weight-``w`` chains, sorted by
+    degree, to R_j = A_j + t^d R_{j-w} and return the live terms
+    (beta, R_j masked to degree D - d, degree d + low of R_j).
+
+    Each chain keeps R_j as (j, packed sum, low degree) in slot j % w of
+    its ring; a slot holding another j means R_j is dead.  The first
+    chain whose term lies above the cap ends the weight: every later one
+    is dead too, and its slot is left stale.
+    """
+    live = []
+    s = j % w
+    for d, v, ring in chains:
+        running, lo = rows[j], low[j]
+        prev = ring[s]
+        if prev is not None and prev[0] == j - w:
+            at = prev[2] + d  # low degree of t^d R_{j-w}
+            if at + d <= D:  # it reaches below the cut at D - d
+                tail = prev[1] & keep[at + d]
+                if at < lo:
+                    running, lo = tail + (running << ((lo - at) * slot)), at
+                else:
+                    running += tail << ((at - lo) * slot)
+        at = d + lo
+        if at > D:
+            break
+        ring[s] = (j, running, lo)
+        live.append((v, running & keep[at], at))
+    return live
 
 
 def _pack_row(c: list[list[int]], weight: int, cell: int, low: int) -> int:

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confighom.assemble as assemble
@@ -303,6 +303,48 @@ def test_disconnected_labels_fill_degree_zero_at_all_weights():
     spec = make_spec(x_betti={0: 2}, max_degree=2, max_weight=5)
     series = theorem_b(spec)
     assert all(series.get(0, k) > 0 for k in range(6))
+
+
+# labels each theorem accepts: theorem_a needs reduced classes in degrees >= 2
+THEOREM_LABELS = {
+    "theorem_a": ({2: 1}, {2: 1, 3: 1}, {3: 2}, {2: 2, 4: 1}),
+    "theorem_b": ({0: 1}, {0: 2}, {0: 1, 1: 1}, {1: 1}, {2: 1}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("theorem_a", "theorem_b")),
+    st.sampled_from(MANIFOLD_PAIRS),
+    st.integers(0, 4),
+    st.sampled_from(("Q", "F2", "Fp:3")),
+    st.integers(1, 3),
+    st.integers(0, 24),
+    st.integers(0, 16),
+    st.integers(0, 24),
+    st.integers(0, 16),
+)
+# (2, 1), the bottom generator of the j = 2 factor, is one term per
+# multiple at caps (16, 12), where 2*12 > 1*16, and a running chain at (16, 6)
+@example("theorem_a", ("cube", {"m": 1}), 0, "F2", 1, 16, 12, 16, 6)
+def test_property_a_table_at_large_caps_truncates_to_the_table_at_small_caps(
+    mode, manifold, label, field, n, D, K, small_d, small_k
+):
+    # the kernel picks a generator's path by comparing its slope with the
+    # caps' D/K, so independent caps move generators between the two paths
+    theorem = {"theorem_a": theorem_a, "theorem_b": theorem_b}[mode]
+    labels = THEOREM_LABELS[mode]
+    char = FieldChar.from_name(field)
+    m_dim, rel = preset(manifold[0], char=char, **manifold[1])
+
+    def table(max_degree, max_weight):
+        return theorem(make_spec(
+            m_dim=m_dim, rel_betti=rel, n=n, x_betti=labels[label % len(labels)],
+            char=char, max_degree=max_degree, max_weight=max_weight,
+        ))
+
+    small_d, small_k = min(small_d, D), min(small_k, K)
+    assert table(D, K).truncated(small_d, small_k) == table(small_d, small_k)
 
 
 # -- filtration table ------------------------------------------------------

@@ -169,11 +169,74 @@ def test_power_factor_divergent_degree_zero():
 
 
 def power_chain(D: int, K: int, generators) -> BiSeries:
-    """The free algebra as one power_factor per generator, from the unit."""
+    """The free algebra as one power_factor per generator, from the unit.
+
+    power_factor refuses degree 0, so a degree-0 generator is multiplied in
+    as its factor: sum_r C(c+r-1, r) u^(rw), or sum_r C(c, r) u^(rw) if it
+    is exterior."""
     acc = BiSeries.one(D, K)
     for degree, weight, count, kind in generators:
-        acc = power_factor(acc, degree, weight, count, kind)
+        if degree:
+            acc = power_factor(acc, degree, weight, count, kind)
+            continue
+        if not count:
+            continue
+        factor = {
+            (0, r * weight): math.comb(count + r - 1, r)
+            if kind == "polynomial"
+            else math.comb(count, r)
+            for r in range(K // weight + 1)
+        }
+        acc = multiply(acc, BiSeries.from_entries(D, K, factor))
     return acc
+
+
+def per_multiple_log_derivative(D: int, K: int, generators) -> dict:
+    """B = u d/du log A with one term per multiple: each generator (d, w, c,
+    kind) adds c*w*s_r at (r*d, r*w) for every r >= 1 inside the caps, with
+    s_r = 1 for a polynomial generator and (-1)^(r+1) for an exterior one."""
+    b: dict = {}
+    for degree, weight, count, kind in generators:
+        r = 1
+        while r * degree <= D and r * weight <= K:
+            sign = 1 if kind == "polynomial" or r % 2 else -1
+            key = (r * degree, r * weight)
+            b[key] = b.get(key, 0) + sign * count * weight
+            r += 1
+    return {key: v for key, v in b.items() if v}
+
+
+def lambert_expansion(D: int, K: int, beta) -> dict:
+    """sum beta(d, w) x/(1 - x), x = t^d u^w, expanded inside the caps."""
+    b: dict = {}
+    for (degree, weight), v in beta.items():
+        r = 1
+        while r * degree <= D and r * weight <= K:
+            b[r * degree, r * weight] = b.get((r * degree, r * weight), 0) + v
+            r += 1
+    return {key: v for key, v in b.items() if v}
+
+
+def first_broken_cell(D: int, K: int, b) -> tuple[int, int] | None:
+    """The first (d, k), by weight and then degree, whose residual in
+    k A_k = sum B(e, i) t^e A_{k-i} is negative or not a multiple of k,
+    solved over dicts from the per-multiple ``b``; None if there is none."""
+    rows = [{0: 1}]
+    for k in range(1, K + 1):
+        residual: dict = {}
+        for (e, i), v in b.items():
+            if i <= k:
+                for d, a in rows[k - i].items():
+                    if d + e <= D:
+                        residual[d + e] = residual.get(d + e, 0) + v * a
+        for d in sorted(residual):
+            if residual[d] < 0 or residual[d] % k:
+                return (d, k)
+        rows.append({d: v // k for d, v in residual.items() if v})
+    return None
+
+
+KINDS = ("polynomial", "exterior")
 
 
 generator_lists = st.lists(
@@ -193,6 +256,77 @@ def test_property_free_commutative_equals_power_factor_chain(gens, D, K, data):
     # repeat a drawn generator so equal bidegrees (and kinds) meet in B
     if gens and data.draw(st.booleans()):
         gens = gens + [data.draw(st.sampled_from(gens))]
+    assert free_commutative(D, K, gens) == power_chain(D, K, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(1, 4),
+            st.one_of(st.integers(0, 4), st.integers(0, 10**12)),
+            st.sampled_from(KINDS),
+        ),
+        max_size=7,
+    ),
+    st.integers(0, 20),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_property_lambert_coefficients_expand_to_the_log_derivative(gens, D, K, data):
+    # a repeated bidegree, and a generator at (2d, 2w) of a drawn (d, w),
+    # where an exterior generator's correction lands
+    if gens and data.draw(st.booleans()):
+        gens = gens + [data.draw(st.sampled_from(gens))]
+    if gens and data.draw(st.booleans()):
+        d, w, _count, _kind = data.draw(st.sampled_from(gens))
+        gens = gens + [
+            (2 * d, 2 * w, data.draw(st.integers(1, 4)), data.draw(st.sampled_from(KINDS)))
+        ]
+    beta = series.weight_log_derivative(D, K, gens)
+    assert all(v and d <= D and w <= K for (d, w), v in beta.items())
+    assert lambert_expansion(D, K, beta) == per_multiple_log_derivative(D, K, gens)
+
+
+def test_lambert_coefficients_of_single_generators():
+    assert series.weight_log_derivative(4, 4, [(1, 1, 3, "polynomial")]) == {(1, 1): 3}
+    # x/(1 + x) = x/(1 - x) - 2 x^2/(1 - x^2)
+    assert series.weight_log_derivative(4, 4, [(1, 1, 3, "exterior")]) == {
+        (1, 1): 3, (2, 2): -6}
+    # the correction at (2d, 2w) lies outside the caps
+    assert series.weight_log_derivative(4, 3, [(1, 2, 3, "exterior")]) == {(1, 2): 6}
+    # an exterior and a polynomial generator at (1, 1) and (2, 2) cancel
+    assert series.weight_log_derivative(
+        4, 4, [(1, 1, 1, "exterior"), (2, 2, 1, "polynomial")]
+    ) == {(1, 1): 1}
+    assert series.weight_log_derivative(4, 4, [(5, 1, 1, "polynomial")]) == {}
+
+
+@st.composite
+def shallow_generators(draw):
+    """Caps up to 40 and generators of slope d/w <= D/K with 2w <= K,
+    degree 0 included: the bidegrees the kernel solves as running chains."""
+    D, K = draw(st.integers(0, 40)), draw(st.integers(2, 40))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        weight = draw(st.integers(1, K // 2))
+        gens.append((
+            draw(st.integers(0, weight * D // K)),
+            weight,
+            draw(st.one_of(st.integers(0, 4), st.integers(0, 10**12))),
+            draw(st.sampled_from(KINDS)),
+        ))
+    return D, K, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(shallow_generators(), generator_lists)
+def test_property_chains_equal_power_factor_chain(shallow, steep):
+    # counts up to 10^12 widen the slots while the chains are live, and
+    # the other generators mix terms of both paths into each row step
+    D, K, gens = shallow
+    gens = gens + steep
     assert free_commutative(D, K, gens) == power_chain(D, K, gens)
 
 
@@ -286,7 +420,13 @@ def census_generators(y, j, char, D, K):
 
 @pytest.mark.parametrize(
     "y, j, p, D, K",
-    [({2: 1}, 3, 3, 120, 40), ({2: 1}, 3, 2, 120, 40), ({1: 1, 2: 1}, 2, 3, 90, 40)],
+    [
+        ({2: 1}, 3, 3, 120, 40),
+        ({2: 1}, 3, 2, 120, 40),
+        ({1: 1, 2: 1}, 2, 3, 90, 40),
+        # at D = K the generator (1, 1) is a running chain while the slots grow
+        ({1: 1}, 2, 2, 80, 80),
+    ],
 )
 def test_loop_factor_equals_power_factor_chain_across_slot_growth(
     monkeypatch, y, j, p, D, K
@@ -308,12 +448,25 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
 
 
 def bump_weight_two(real, degree=None):
-    """weight_log_derivative with B raised by 1 at (degree, 2), by default
-    at (max_degree, 2)."""
+    """weight_log_derivative with the Lambert coefficient beta raised by 1
+    at (degree, 2), by default at (max_degree, 2).  Where the tests bump it,
+    only the first multiple of that bidegree lies inside the caps, so B
+    itself is raised by 1 at that one cell."""
 
     def bumped(max_degree, max_weight, generators):
         b = real(max_degree, max_weight, generators)
         key = (max_degree if degree is None else degree, 2)
+        b[key] = b.get(key, 0) + 1
+        return b
+
+    return bumped
+
+
+def bump_beta(real, key):
+    """weight_log_derivative with beta raised by 1 at ``key``."""
+
+    def bumped(max_degree, max_weight, generators):
+        b = real(max_degree, max_weight, generators)
         b[key] = b.get(key, 0) + 1
         return b
 
@@ -371,6 +524,47 @@ def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, caps
     path.write_text(json.dumps(config))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
     assert "free-algebra recurrence broke at (d, k) = (10, 2)" in capsys.readouterr().err
+
+
+# generators of theorem_b's S^0-label table over F2 for M = I, n = 1 (Fuks):
+# x_i at (2^i - 1, 2^i), shifted down by 2 per weight
+BRAID_F2 = [(2**i - 1, 2**i, 1, "polynomial") for i in range(4)]
+
+
+def test_corrupted_chain_raises_at_the_first_broken_residual(monkeypatch, tmp_path):
+    # at D = K the generator (1, 2) runs as one chain, and beta = 3 there
+    # would be 3/2 generators (beta raised by 1 at weight 1 would be one more
+    # generator, a genuine algebra)
+    D = K = 12
+    bumped = bump_beta(series.weight_log_derivative, (1, 2))
+    expected = first_broken_cell(D, K, lambert_expansion(D, K, bumped(D, K, BRAID_F2)))
+    assert expected is not None
+    monkeypatch.setattr(series, "weight_log_derivative", bumped)
+    chains = []
+    real_extend = series._extend_chains
+
+    def spy(weight_chains, w, *rest):
+        chains.extend((d, w) for d, _v, _ring in weight_chains)
+        return real_extend(weight_chains, w, *rest)
+
+    monkeypatch.setattr(series, "_extend_chains", spy)
+    with pytest.raises(IntegrityError, match="free-algebra recurrence broke") as failure:
+        free_commutative(D, K, BRAID_F2)
+    assert failure.value.cell == expected
+    assert (1, 2) in chains
+
+    config = {
+        "field": "F2",
+        "manifold": {"preset": "cube", "m": 1},
+        "n": 1,
+        "label_space": {"preset": "sphere", "d": 0},
+        "mode": "theorem_b",
+        "max_degree": D,
+        "max_weight": K,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
 
 
 def test_free_algebra_gate_holds_without_asserts(tmp_path):
