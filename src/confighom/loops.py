@@ -48,28 +48,50 @@ AtomTable = DegreeWeightTable
 GeneratorCensus = DegreeWeightTable
 
 
+# fields of characteristic below this limit are accepted, so that
+# Miller-Rabin over the first twelve primes decides primality exactly
+FIELD_LIMIT = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the bases 2..37, exact for n < 2**64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
 @dataclass(frozen=True)
 class FieldChar:
-    """Characteristic of the coefficient field: 0, 2, or an odd prime."""
+    """Characteristic of the coefficient field: 0, 2, or an odd prime
+    below :data:`FIELD_LIMIT`."""
 
     p: int
 
     def __post_init__(self):
         if self.p == 0 or self.p == 2:
             return
+        if self.p >= FIELD_LIMIT:
+            raise InvalidInputError(
+                f"characteristic {self.p} is not below the limit 2**64"
+            )
         if self.p < 3 or not _is_prime(self.p):
             raise InvalidInputError(f"{self.p} is not 0, 2 or an odd prime")
 
@@ -167,8 +189,7 @@ def _shifted_atoms(
     key = (tuple(sorted(letters.items())), signed, max_weight)
     table = _witt_cache.get(key)
     if table is None or table.max_degree < max_degree:
-        gens = DegreeWeightTable.from_generators(letters, max_degree, max_weight)
-        table = lie_atom_counts(gens, signed=signed)
+        table = lie_atom_counts(letters, signed, max_degree, max_weight)
         if len(_witt_cache) >= _WITT_CACHE_LIMIT:
             _witt_cache.clear()
         _witt_cache[key] = table
@@ -241,12 +262,18 @@ def generator_census(
         nxt: dict[tuple[int, int, int], int] = {}
         for (d, k, bmax), c in frontier.items():
             for b in range(1, bmax + 1):
+                # the lowest move of index b only rises with b, so the
+                # first b that lands past the degree cap ends the indices
                 if p == 2:
+                    if 2 * d + b > max_degree:
+                        break
                     moves = [(2 * d + b, 2 * k, b)]
                 else:
+                    base = p * d + b * (p - 1)
+                    if base - 1 > max_degree:
+                        break
                     if (b - d) % 2:
                         continue
-                    base = p * d + b * (p - 1)
                     moves = [(base, p * k, b), (base - 1, p * k, b - 1)]
                 for nd, nk, nb in moves:
                     if nd > max_degree or nk > max_weight:
@@ -287,25 +314,17 @@ def factor_series(
     max_degree: int,
     max_weight: int,
 ) -> BiSeries:
-    """Poincare series of the free E_j-algebra on reduced Betti data ``y``.
-
-    * j = 0: the module 1 + sum y_d t^d u (every reduced class at weight 1).
-    * j >= 1: free graded-commutative algebra on :func:`factor_generators`
-      (for j = 1 the tensor algebra, by PBW), solved by
-      :func:`~confighom.series.free_commutative` from k A_k = sum_i
-      B_i A_{k-i} with B = u d/du log A, which raises IntegrityError naming
-      the cell (d, k) whose residual is negative or not a multiple of k.
+    """Poincare series of the free E_j-algebra on reduced Betti data ``y``,
+    j >= 1: the free graded-commutative algebra on :func:`factor_generators`
+    (for j = 1 the tensor algebra, by PBW), solved by
+    :func:`~confighom.series.free_commutative` from k A_k = sum_i
+    B_i A_{k-i} with B = u d/du log A, which raises IntegrityError naming
+    the cell (d, k) whose residual is negative or not a multiple of k.
     """
-    if j < 0:
-        raise InvalidInputError("loop count j must be >= 0")
-    if j >= 1:
-        return free_commutative(
-            max_degree,
-            max_weight,
-            factor_generators(y, j, char, max_degree, max_weight),
-        )
-    entries = {(0, 0): 1}
-    for d, c in normalize_betti(y).items():
-        if d <= max_degree and 1 <= max_weight:
-            entries[(d, 1)] = entries.get((d, 1), 0) + c
-    return BiSeries.from_entries(max_degree, max_weight, entries)
+    if j < 1:
+        raise InvalidInputError("loop count j must be >= 1")
+    return free_commutative(
+        max_degree,
+        max_weight,
+        factor_generators(y, j, char, max_degree, max_weight),
+    )

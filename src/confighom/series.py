@@ -27,7 +27,8 @@ coefficients, u dA/du = A * B gives the weight recurrence
 for the weight-k row A_k, a polynomial in t.  B is a Lambert series,
 B = sum beta(d, w) x/(1 - x) with x = t^d u^w, and the kernel takes its
 coefficients beta (:func:`weight_log_derivative`) as input.  Rows are
-packed big integers stored from their lowest nonzero degree.  A
+packed big integers stored from their lowest nonzero degree, re-slotted
+in place when their slots must grow.  A
 bidegree whose multiples reach the weight cap no later than the degree
 cap (slope d/w at most the caps' D/K), such as a degree-0 or Dyer-Lashof
 generator, enters each row step as one running sum over its multiples
@@ -190,10 +191,6 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             return NotImplemented
         return self.caps() == other.caps() and self._c == other._c
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -383,10 +380,11 @@ def free_commutative(
     every slot up to the degree cap and subtracted after reading.  The
     slot width keeps bits(S) + bits(max A) + 2 bits, where S sums |B(e, i)|
     over the direct terms and |beta| * (K // w) over the chains (a running
-    sum has at most K // w rows), and all rows are repacked at double
-    width, and every running sum rebuilt from them, when that no longer
-    fits.  A residual that is negative or not a multiple of k cannot come
-    from a genuine algebra and raises IntegrityError naming the cell.
+    sum has at most K // w rows).  When that no longer fits, the slot
+    doubles until it does, and every packed row and running sum is
+    re-slotted in place at the new width.  A residual that is negative or
+    not a multiple of k cannot come from a genuine algebra and raises
+    IntegrityError naming the cell.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -422,10 +420,18 @@ def free_commutative(
     peak = 1
     for k in range(1, K + 1):
         if b_bits + peak.bit_length() + 2 > 8 * cell:
-            cell = max(cell, 1)
-            while b_bits + peak.bit_length() + 2 > 8 * cell:
-                cell *= 2
-            rows = [_pack_row(c, w, cell, low[w]) for w in range(k)]
+            wider = max(cell, 1)
+            while b_bits + peak.bit_length() + 2 > 8 * wider:
+                wider *= 2
+            if cell:  # at the first sizing A_0 = 1 reads the same at any width
+                rows = [_widen(row, cell, wider) for row in rows]
+                for w in chain_weights:
+                    for _d, _v, ring in chains[w]:
+                        for s, entry in enumerate(ring):
+                            if entry is not None:
+                                j, running, lo = entry
+                                ring[s] = (j, _widen(running, cell, wider), lo)
+            cell = wider
             slot = 8 * cell
             span = (D + 1) * slot
             half = 1 << (slot - 1)
@@ -433,12 +439,6 @@ def free_commutative(
             # keep[a]: the slots of a row that stay below the cap once its
             # low degree is shifted to degree a
             keep = [(1 << (span - a * slot)) - 1 for a in range(D + 1)]
-            # the running sums up to R_{k-w-1}, from the repacked rows
-            for w in chain_weights:
-                for _d, _v, ring in chains[w]:
-                    ring[:] = [None] * w
-                for j in range(k - w):
-                    _extend_chains(chains[w], w, j, rows, low, D, slot, keep)
         # rows and low hold weights 0..k-1, so reversed they pair with i = 1..k
         base = min(map(operator.add, first_shift[1 : k + 1], reversed(low)))
         total = 0
@@ -529,12 +529,13 @@ def _extend_chains(
     return live
 
 
-def _pack_row(c: list[list[int]], weight: int, cell: int, low: int) -> int:
-    """The weight row of table ``c`` from degree ``low`` up to the cap, as
-    one int with ``cell`` bytes per degree."""
-    return int.from_bytes(
-        b"".join(row[weight].to_bytes(cell, "little") for row in c[low:]), "little"
-    )
+def _widen(packed: int, cell: int, wider: int) -> int:
+    """``packed``, a row of ``cell``-byte slots, re-slotted at ``wider``
+    bytes per slot.  Exact because every slot is nonnegative."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * cell)) * cell, "little")
+    pad = bytes(wider - cell)
+    slots = (raw[i : i + cell] + pad for i in range(0, len(raw), cell))
+    return int.from_bytes(b"".join(slots), "little")
 
 
 def inverse_one_minus(f: BiSeries) -> BiSeries:

@@ -1,9 +1,10 @@
 """Basis counts for free graded Lie algebras, bigraded by degree and
 bracket length.
 
-Given generator counts g_d (all at length 1), the counts L(d, l) of basic
-products are defined by the Poincare-Birkhoff-Witt identity against the
-word series T = 1/(1 - f) of the tensor algebra, f = sum_d g_d t^d u:
+Given the letters as a degree -> count map g_d (every letter at length 1,
+in degree >= 1), the counts L(d, l) of basic products inside the caps are
+defined by the Poincare-Birkhoff-Witt identity against the word series
+T = 1/(1 - f) of the tensor algebra, f = sum_d g_d t^d u:
 
 * signed (super) convention::
 
@@ -24,7 +25,7 @@ with s = (-1)^(r+1) for an exterior factor (signed, d/r odd) and s = 1
 otherwise.  Each cell needs only cells of smaller length, so one pass in
 increasing length solves the table.  ``hilton`` runs the same recurrence
 over letter multiplicity vectors.  Parity refers to the degree grading of
-the table handed in; callers working with a degree-shifted bracket pass
+the letters handed in; callers working with a degree-shifted bracket pass
 shifted degrees.
 
 The table is sparse: a sphere or a wedge of a few spheres has words in
@@ -69,25 +70,6 @@ class DegreeWeightTable:
     def items(self) -> Iterator[tuple[int, int, int]]:
         for (d, l), c in sorted(self.entries.items()):
             yield d, l, c
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    @classmethod
-    def from_generators(
-        cls, degrees: Mapping[int, int], max_degree: int, max_weight: int
-    ) -> "DegreeWeightTable":
-        """Length-1 table from a degree -> count map (the generating set);
-        generators beyond either cap are dropped."""
-        return cls(
-            max_degree,
-            max_weight,
-            {
-                (d, 1): c
-                for d, c in degrees.items()
-                if c and d <= max_degree and max_weight >= 1
-            },
-        )
 
 
 def _solve_cell(
@@ -140,36 +122,25 @@ def word_rows(
 
 
 def lie_atom_counts(
-    gens: DegreeWeightTable,
-    signed: bool,
-    max_degree: int | None = None,
-    max_weight: int | None = None,
+    letters: Mapping[int, int], signed: bool, max_degree: int, max_weight: int
 ) -> DegreeWeightTable:
-    """Solve the defining product identity for the basic-product counts.
+    """Solve the defining product identity for the basic-product counts of
+    the free Lie algebra on ``letters``, a degree -> count map with every
+    degree >= 1, inside the caps ``max_degree`` and ``max_weight``.
 
-    ``gens`` must live at length 1 with degrees >= 1.  Exactness needs the
-    input caps at least as large as the requested output caps.  A word
-    count that breaks exact divisibility in the Witt recurrence raises
-    IntegrityError, since that cannot occur for a genuine generating set.
+    Letters beyond the degree cap add nothing.  A word count that breaks
+    exact divisibility in the Witt recurrence raises IntegrityError, since
+    that cannot occur for a genuine generating set.
 
     Only cells that can be nonzero are solved: at length l, the degrees
     of :func:`word_rows` row l and every r*d' (r >= 2 dividing l) with
     L(d', l/r) != 0.  Any other cell has no words and no divisor term, so
     its residual and its count are 0.
     """
-    D = gens.max_degree if max_degree is None else max_degree
-    K = gens.max_weight if max_weight is None else max_weight
-    if D > gens.max_degree or K > gens.max_weight:
-        raise ConfigurationError("output caps exceed the input table caps")
-    degrees: dict[int, int] = {}
-    for d, l, c in gens.items():
-        if l != 1:
-            raise InvalidInputError("generating set must sit at length 1")
-        if d < 1:
-            raise InvalidInputError("generator degrees must be >= 1")
-        degrees[d] = c
-
-    rows = word_rows(degrees, D, K)
+    D, K = max_degree, max_weight
+    if any(d < 1 for d in letters):
+        raise InvalidInputError("generator degrees must be >= 1")
+    rows = word_rows(letters, D, K)
     # solved[l]: degree -> L(degree, l), nonzero counts only
     solved: list[dict[int, int]] = [{}]
     for length in range(1, len(rows)):

@@ -398,9 +398,9 @@ def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_witt_solve(monkeypatch
         censuses.append(j)
         return real_census(y, j, *args)
 
-    def witt(gens, signed):
-        witt_solves.append(gens.max_degree)
-        return real_witt(gens, signed)
+    def witt(letters, signed, max_degree, max_weight):
+        witt_solves.append(max_degree)
+        return real_witt(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(assemble, "free_commutative", solve)
     monkeypatch.setattr(loops, "atom_census", census)

@@ -445,3 +445,43 @@ def test_starting_the_cli_does_not_import_the_oracle():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
+
+
+def _cli_subprocess(config, tmp_path, timeout):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "confighom", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_the_largest_field_below_two_to_the_64_runs(tmp_path):
+    config = base_config(field="Fp:18446744073709551557")
+    done = _cli_subprocess(config, tmp_path, timeout=10)
+    assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_a_field_past_two_to_the_64_is_refused_fast(tmp_path):
+    config = base_config(field="Fp:1000000000000000000000007")
+    done = _cli_subprocess(config, tmp_path, timeout=10)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error:") and "2**64" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"manifold": {"preset": "point"}, "n": 10**8},
+        {"manifold": {"dim": 10**8, "rel_betti": {"0": 1}}, "mode": "generators"},
+    ],
+)
+def test_a_huge_loop_count_finishes(tmp_path, overrides):
+    # every operation index past the degree cap is skipped, not tried
+    config = base_config(max_degree=10, **overrides)
+    done = _cli_subprocess(config, tmp_path, timeout=10)
+    assert done.returncode == EXIT_OK, done.stderr

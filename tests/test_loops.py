@@ -1,7 +1,12 @@
 """Loop-space factor series: grammar examples per characteristic and the
 structural invariants (weight slices, stability, double suspension)."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,58 @@ def test_field_char_parsing():
         FieldChar.odd(2)
     with pytest.raises(InvalidInputError):
         FieldChar(6)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    sieve = [trial_division_is_prime(n) for n in range(200_000)]
+    assert [loops._is_prime(n) for n in range(200_000)] == sieve
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not loops._is_prime(n)
+    with pytest.raises(InvalidInputError):
+        FieldChar.from_name(f"Fp:{n}")
+
+
+def test_field_characteristic_stops_below_two_to_the_64():
+    largest = 18446744073709551557  # the largest prime below 2**64
+    assert FieldChar.from_name(f"Fp:{largest}").p == largest
+    for p in (2**64 + 13, 10**24 + 7):  # both prime
+        with pytest.raises(InvalidInputError, match="2\\*\\*64"):
+            FieldChar.from_name(f"Fp:{p}")
+
+
+def test_census_past_every_index_is_the_same_table():
+    # once j - 1 exceeds D no bracket or operation index binds inside the
+    # caps, so n = 10**8 must give the n = 12 and n = 13 tables, and fast
+    script = """
+import json
+from confighom import FieldChar, ProblemSpec, theorem_a
+out = {}
+for p in (2, 3, 0):
+    out[p] = [
+        sorted(theorem_a(ProblemSpec(0, {0: 1}, n, {2: 1, 3: 1}, FieldChar(p), 10)).items())
+        for n in (10**8, 12, 13)
+    ]
+print(json.dumps(out))
+"""
+    src = os.path.dirname(os.path.dirname(loops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    for p, (huge, twelve, thirteen) in json.loads(done.stdout).items():
+        assert huge == twelve == thirteen, p
+        assert huge
 
 
 def test_suspend_betti():
@@ -97,7 +154,7 @@ def test_census_parity_rule_blocks_even_atom_at_odd_p():
 
 
 def test_zero_weight_cap_leaves_the_unit_row():
-    for j in (0, 1, 2):
+    for j in (1, 2):
         fs = factor_series({2: 1}, j, F2, 6, 0)
         assert fs.to_dict() == {(0, 0): 1}
 
@@ -136,9 +193,12 @@ def test_double_loops_on_s4_rational():
     }
 
 
-def test_j_zero_stores_classes_at_weight_one():
-    fs = factor_series({0: 1, 2: 2}, 0, F2, 5, 3)
-    assert fs.to_dict() == {(0, 0): 1, (0, 1): 1, (2, 1): 2}
+def test_j_zero_is_refused():
+    # factor_plan refuses j < 1, so no product has a j = 0 factor, and
+    # factor_series refuses one as atom_census does
+    for y in ({0: 1, 2: 2}, {2: 1}):
+        with pytest.raises(InvalidInputError, match="j must be >= 1"):
+            factor_series(y, 0, F2, 5, 3)
 
 
 def test_connectivity_precondition():
@@ -149,9 +209,9 @@ def test_connectivity_precondition():
 
 
 def test_weight_one_slice_is_the_input():
-    for j in (0, 1, 2, 3):
+    y = {1: 1, 3: 2}
+    for j in (1, 2, 3):
         for char in (Q, F2, F3):
-            y = {1: 1, 3: 2} if j else {2: 1, 3: 1}
             fs = factor_series(y, j, char, 12, 6)
             expect = [0] * 13
             for d, c in y.items():
@@ -190,9 +250,9 @@ def test_shifted_witt_table_serves_smaller_caps_and_grows(monkeypatch):
     calls = []
     real = loops.lie_atom_counts
 
-    def spy(gens, signed):
-        calls.append(gens.max_degree)
-        return real(gens, signed)
+    def spy(letters, signed, max_degree, max_weight):
+        calls.append(max_degree)
+        return real(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(loops, "lie_atom_counts", spy)
     monkeypatch.setattr(loops, "_witt_cache", {})

@@ -432,19 +432,57 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
     monkeypatch, y, j, p, D, K
 ):
     widths = []
-    real = series._pack_row
+    real = series._widen
 
-    def spy(c, weight, cell, low):
-        widths.append(cell)
-        return real(c, weight, cell, low)
+    def spy(packed, cell, wider):
+        widths.append((cell, wider))
+        return real(packed, cell, wider)
 
-    monkeypatch.setattr(series, "_pack_row", spy)
+    monkeypatch.setattr(series, "_widen", spy)
     char = FieldChar(p)
     got = factor_series(y, j, char, D, K)
     assert got == power_chain(D, K, census_generators(y, j, char, D, K))
     if p == 2 or j == 2:
-        # the slots outgrew their first width and every row was repacked
-        assert len(set(widths)) >= 2
+        # the slots outgrew their first width and every row was re-slotted
+        assert widths and all(cell < wider for cell, wider in widths)
+
+
+def test_chains_extend_once_per_row_across_slot_growth(monkeypatch):
+    # the (1, 1) generator is a chain of weight 1 while the slots grow, so
+    # a widening in place extends it once per row and a replay would not
+    calls = []
+    real = series._extend_chains
+
+    def spy(chains, w, *args):
+        calls.append(w)
+        return real(chains, w, *args)
+
+    monkeypatch.setattr(series, "_extend_chains", spy)
+    widened = []
+    real_widen = series._widen
+
+    def widen_spy(packed, cell, wider):
+        widened.append(wider)
+        return real_widen(packed, cell, wider)
+
+    monkeypatch.setattr(series, "_widen", widen_spy)
+    D = K = 80
+    factor_series({1: 1}, 2, FieldChar(2), D, K)
+    assert widened
+    assert calls == [1] * K
+
+
+def pack_slots(values, cell):
+    return int.from_bytes(b"".join(v.to_bytes(cell, "little") for v in values), "little")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 3), st.data())
+def test_property_widening_equals_packing_at_the_new_width(cell, doublings, data):
+    values = data.draw(st.lists(st.integers(0, (1 << (8 * cell)) - 1), max_size=12))
+    wider = cell << doublings
+    got = series._widen(pack_slots(values, cell), cell, wider)
+    assert got == pack_slots(values, wider)
 
 
 def bump_weight_two(real, degree=None):

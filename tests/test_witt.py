@@ -61,21 +61,18 @@ def brute_lyndon_count_by_length(n_letters: int, max_len: int) -> list[int]:
 
 
 def test_single_even_generator_signed():
-    gens = DegreeWeightTable.from_generators({2: 1}, 12, 6)
-    assert dict(lie_atom_counts(gens, True).entries) == {(2, 1): 1}
+    assert dict(lie_atom_counts({2: 1}, True, 12, 6).entries) == {(2, 1): 1}
 
 
 def test_single_odd_generator_signed_has_square():
     # (1+t^3)/(1-t^6) = 1/(1-t^3): one letter plus its self-bracket
-    gens = DegreeWeightTable.from_generators({3: 1}, 18, 6)
-    L = lie_atom_counts(gens, True)
+    L = lie_atom_counts({3: 1}, True, 18, 6)
     assert dict(L.entries) == {(3, 1): 1, (6, 2): 1}
     assert reconstruct(L, True) == tensor_series({3: 1}, 18, 6)
 
 
 def test_two_degree_one_generators_unsigned_are_necklace_numbers():
-    gens = DegreeWeightTable.from_generators({1: 2}, 6, 6)
-    L = lie_atom_counts(gens, False)
+    L = lie_atom_counts({1: 2}, False, 6, 6)
     got = [L.get(l, l) for l in range(1, 6)]
     assert got == [2, 1, 2, 3, 6]
     assert got == brute_lyndon_count_by_length(2, 5)
@@ -83,14 +80,13 @@ def test_two_degree_one_generators_unsigned_are_necklace_numbers():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 7])
 def test_unsigned_single_generator_is_one_atom(degree):
-    gens = DegreeWeightTable.from_generators({degree: 1}, 4 * degree, 8)
-    assert dict(lie_atom_counts(gens, False).entries) == {(degree, 1): 1}
+    L = lie_atom_counts({degree: 1}, False, 4 * degree, 8)
+    assert dict(L.entries) == {(degree, 1): 1}
 
 
 def test_support_bound():
-    gens = DegreeWeightTable.from_generators({2: 1, 3: 2}, 18, 6)
     for signed in (True, False):
-        L = lie_atom_counts(gens, signed)
+        L = lie_atom_counts({2: 1, 3: 2}, signed, 18, 6)
         assert all(d >= 2 * l for d, l, _ in L.items())
 
 
@@ -102,17 +98,14 @@ def test_reconstruction_on_random_generator_sets():
             d = rng.randint(1, 4)
             degrees[d] = degrees.get(d, 0) + rng.randint(1, 2)
         D, K = 14, 7
-        gens = DegreeWeightTable.from_generators(degrees, D, K)
         for signed in (True, False):
-            L = lie_atom_counts(gens, signed)
+            L = lie_atom_counts(degrees, signed, D, K)
             assert reconstruct(L, signed) == tensor_series(degrees, D, K)
 
 
 def test_smaller_output_caps_agree_with_larger_run():
-    gens_big = DegreeWeightTable.from_generators({1: 1, 2: 1}, 16, 8)
-    gens_small = DegreeWeightTable.from_generators({1: 1, 2: 1}, 16, 8)
-    big = lie_atom_counts(gens_big, True)
-    small = lie_atom_counts(gens_small, True, max_degree=10, max_weight=5)
+    big = lie_atom_counts({1: 1, 2: 1}, True, 16, 8)
+    small = lie_atom_counts({1: 1, 2: 1}, True, 10, 5)
     for d, l, c in small.items():
         assert big.get(d, l) == c
     for d, l, c in big.items():
@@ -121,11 +114,10 @@ def test_smaller_output_caps_agree_with_larger_run():
 
 
 def test_input_validation():
-    bad = DegreeWeightTable(6, 6, {(2, 2): 1})
-    with pytest.raises(InvalidInputError):
-        lie_atom_counts(bad, True)
-    with pytest.raises(InvalidInputError):
-        lie_atom_counts(DegreeWeightTable(6, 6, {(0, 1): 1}), True)
+    with pytest.raises(InvalidInputError, match="degrees must be >= 1"):
+        lie_atom_counts({0: 1}, True, 6, 6)
+    with pytest.raises(InvalidInputError, match="degrees must be >= 1"):
+        lie_atom_counts({2: 1, -1: 1}, False, 6, 6)
 
 
 def test_negative_table_count_rejected():
@@ -137,10 +129,9 @@ def test_words_identity_signed_vs_unsigned_agree_through_tensor_series():
     # both conventions must reproduce the same word counts they were solved from
     degrees = {1: 1, 3: 1}
     D, K = 12, 6
-    gens = DegreeWeightTable.from_generators(degrees, D, K)
     target = tensor_series(degrees, D, K)
     for signed in (True, False):
-        L = lie_atom_counts(gens, signed)
+        L = lie_atom_counts(degrees, signed, D, K)
         assert reconstruct(L, signed) == target
 
 
@@ -154,7 +145,7 @@ generator_maps = st.dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(generator_maps, st.integers(0, 14), st.integers(0, 7), st.booleans())
 def test_property_counts_reconstruct_tensor_series(degrees, D, K, signed):
-    L = lie_atom_counts(DegreeWeightTable.from_generators(degrees, D, K), signed)
+    L = lie_atom_counts(degrees, signed, D, K)
     assert reconstruct(L, signed) == tensor_series(degrees, D, K)
 
 
@@ -164,9 +155,8 @@ def test_property_smaller_caps_equal_truncated_larger_run(degrees, signed, data)
     D, K = 14, 7
     d_cap = data.draw(st.integers(0, D))
     k_cap = data.draw(st.integers(0, K))
-    gens = DegreeWeightTable.from_generators(degrees, D, K)
-    big = lie_atom_counts(gens, signed)
-    small = lie_atom_counts(gens, signed, max_degree=d_cap, max_weight=k_cap)
+    big = lie_atom_counts(degrees, signed, D, K)
+    small = lie_atom_counts(degrees, signed, d_cap, k_cap)
     assert small.entries == {
         (d, l): c for d, l, c in big.items() if d <= d_cap and l <= k_cap
     }
@@ -202,7 +192,7 @@ def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
     monkeypatch.setattr(witt, "word_rows", bumped)
     for signed in (True, False):
         with pytest.raises(IntegrityError, match="Witt recurrence"):
-            lie_atom_counts(DegreeWeightTable.from_generators({2: 1}, 12, 6), signed)
+            lie_atom_counts({2: 1}, signed, 12, 6)
 
     monkeypatch.setattr(loops, "_witt_cache", {})
     config = {
@@ -230,10 +220,9 @@ def test_a_word_row_that_lost_a_cell_raises(monkeypatch, degree):
         return rows
 
     monkeypatch.setattr(witt, "word_rows", dropped)
-    gens = DegreeWeightTable.from_generators({degree: 1}, 4 * degree, 4)
     for signed in (True, False):
         with pytest.raises(IntegrityError, match=rf"\({2 * degree}, 2\)"):
-            lie_atom_counts(gens, signed)
+            lie_atom_counts({degree: 1}, signed, 4 * degree, 4)
 
 
 def test_integrity_gate_holds_without_asserts():
@@ -250,8 +239,7 @@ def bumped(degrees, max_degree, max_weight):
 
 witt.word_rows = bumped
 try:
-    gens = witt.DegreeWeightTable.from_generators({2: 1, 3: 1}, 8, 4)
-    witt.lie_atom_counts(gens, True)
+    witt.lie_atom_counts({2: 1, 3: 1}, True, 8, 4)
 except IntegrityError:
     print("raised")
 """
@@ -297,7 +285,7 @@ def dense_atom_counts(degrees: dict, D: int, K: int, signed: bool) -> dict:
     ],
 )
 def test_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed):
-    got = lie_atom_counts(DegreeWeightTable.from_generators(degrees, D, K), signed)
+    got = lie_atom_counts(degrees, signed, D, K)
     assert got.entries == dense_atom_counts(degrees, D, K, signed)
 
 
@@ -312,18 +300,20 @@ def test_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed):
 def test_property_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed, data):
     d_cap = data.draw(st.integers(0, D))
     k_cap = data.draw(st.integers(0, K))
-    gens = DegreeWeightTable.from_generators(degrees, D, K)
-    got = lie_atom_counts(gens, signed, max_degree=d_cap, max_weight=k_cap)
-    assert got.entries == dense_atom_counts(degrees, d_cap, k_cap, signed)
+    got = lie_atom_counts(degrees, signed, d_cap, k_cap)
+    dense = dense_atom_counts(degrees, D, K, signed)
+    assert got.entries == {
+        (d, l): c for (d, l), c in dense.items() if d <= d_cap and l <= k_cap
+    }
 
 
 def test_one_witt_table_serves_every_factor_of_a_plan(monkeypatch):
     calls = []
     real = loops.lie_atom_counts
 
-    def spy(gens, signed):
-        calls.append(gens.max_degree)
-        return real(gens, signed)
+    def spy(letters, signed, max_degree, max_weight):
+        calls.append(max_degree)
+        return real(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(loops, "lie_atom_counts", spy)
     monkeypatch.setattr(loops, "_witt_cache", {})
