@@ -34,9 +34,12 @@ cap (slope d/w at most the caps' D/K), such as a degree-0 or Dyer-Lashof
 generator, enters each row step as one running sum over its multiples
 (a chain); every other bidegree enters as one shifted scalar multiple
 per multiple, each over only the degrees it reaches below the cap.
-Every residual must be a nonnegative multiple of k; one that is not
-raises IntegrityError naming the cell (d, k) in the message and as its
-``cell``.  :func:`power_factor` multiplies by a single generator's factor
+Every residual must be a nonnegative multiple of k.  Each row is gated
+by one big-int test, a division by k whose quotient must leave the top
+bits of every slot clear, and its values are unpacked from the quotient
+at once; only a row that fails is read cell by cell, to raise
+IntegrityError naming the first broken cell (d, k) in the message and as
+its ``cell``.  :func:`power_factor` multiplies by a single generator's factor
 and is kept as the independent reference.
 
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -374,17 +378,33 @@ def free_commutative(
     degree-0 and Dyer-Lashof generators do; a steep one has few, and
     keeping its running sum would cost more than its terms.
 
-    The sum is built from base_k, the least degree any term reaches, and
-    its slot d holds the residual at degree base_k + d.  B can be
-    negative, so the slots are read back signed: half a slot is added to
-    every slot up to the degree cap and subtracted after reading.  The
-    slot width keeps bits(S) + bits(max A) + 2 bits, where S sums |B(e, i)|
-    over the direct terms and |beta| * (K // w) over the chains (a running
-    sum has at most K // w rows).  When that no longer fits, the slot
+    The sum is built from base_k, the least degree any term reaches, so
+    total = sum_d r_d 2^(s d) over slots of s bits, with r_d the residual
+    at degree base_k + d.  The slot width keeps bits(S) + bits(max A) + 2
+    bits, where S sums |B(e, i)| over the direct terms and |beta| * (K // w)
+    over the chains (a running sum has at most K // w rows), so every
+    |r_d| < 2^(s-2), whatever B is.  When that no longer fits, the slot
     doubles until it does, and every packed row and running sum is
-    re-slotted in place at the new width.  A residual that is negative or
-    not a multiple of k cannot come from a genuine algebra and raises
-    IntegrityError naming the cell.
+    re-slotted in place at the new width.
+
+    A residual that is negative or not a multiple of k cannot come from a
+    genuine algebra.  The whole row is gated by one test: with
+    q, rem = divmod(total, k) and b = bits(k), the row is accepted iff
+    rem == 0, q >= 0 and no slot of q has any of its top b + 1 bits set.
+    That accepts exactly the rows whose residuals are all nonnegative
+    multiples of k.  If they are, each q_d = r_d / k < 2^(s-2) / 2^(b-1)
+    = 2^(s-1-b), so q is their quotients, slot by slot.  Conversely, if
+    the test passes, each q_d < 2^(s-1-b) gives k q_d < 2^(s-1), so
+    k q = total has the digits k q_d in [0, 2^(s-1)) without carries.
+    The digits r_d lie in (-2^(s-2), 2^(s-2)), and digits in
+    [-2^(s-1), 2^(s-1)) write an integer in base 2^s in one way only, so
+    r_d = k q_d: no digit can carry into the next or hide a borrow from
+    a negative residual.  An accepted row's values are then the slots of
+    q, unpacked in C.  Only a row that fails is read back cell by cell,
+    signed (half a slot added to every slot and subtracted after
+    reading), to find the first residual that breaks the gate; it raises
+    IntegrityError naming that cell.  The table is kept by weight and
+    transposed once at the end.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -412,8 +432,8 @@ def free_commutative(
         chains[w].sort(key=operator.itemgetter(0))  # by degree
     b_bits = b_sum.bit_length()
 
-    c = _blank(D, K)
-    c[0][0] = 1
+    # the rows A_k, indexed [weight][degree]; zero rows share one list
+    table = [[1] + [0] * D] + [[0] * (D + 1)] * K
     cell = 0  # slot width in bytes
     rows = [1]  # packed A_0 = 1
     low = [0]  # lowest nonzero degree of each row, D + 1 for a zero row
@@ -433,12 +453,10 @@ def free_commutative(
                                 ring[s] = (j, _widen(running, cell, wider), lo)
             cell = wider
             slot = 8 * cell
-            span = (D + 1) * slot
-            half = 1 << (slot - 1)
-            halves = half * (((1 << span) - 1) // ((1 << slot) - 1))
             # keep[a]: the slots of a row that stay below the cap once its
             # low degree is shifted to degree a
-            keep = [(1 << (span - a * slot)) - 1 for a in range(D + 1)]
+            keep = [(1 << ((D + 1 - a) * slot)) - 1 for a in range(D + 1)]
+            guards = _guards(cell, D + 1, K)
         # rows and low hold weights 0..k-1, so reversed they pair with i = 1..k
         base = min(map(operator.add, first_shift[1 : k + 1], reversed(low)))
         total = 0
@@ -464,29 +482,63 @@ def free_commutative(
             rows.append(0)
             low.append(D + 1)
             continue
-        raw = (total + (halves >> (base * slot))).to_bytes(
-            (D + 1 - base) * cell, "little"
-        )
-        # the residual is zero, so passes the gate, outside slots first..last
-        first = ((total & -total).bit_length() - 1) // slot
-        last = min(D - base, (abs(total).bit_length() - 1) // slot + 1)
-        for d in range(first, last + 1):
-            residual = int.from_bytes(raw[d * cell : (d + 1) * cell], "little") - half
-            value, rem = divmod(residual, k)
-            if residual < 0 or rem:
-                raise IntegrityError(
-                    f"free-algebra recurrence broke at (d, k) = ({base + d}, {k}): "
-                    f"residual {residual} is not a nonnegative multiple of {k}",
-                    cell=(base + d, k),
-                )
-            if value:
-                c[base + d][k] = value
-                if value > peak:
-                    peak = value
-        # slot first holds the lowest nonzero residual, so low_k = base + first
-        rows.append((total // k) >> (first * slot))
+        q = _quotient(total, k, guards)
+        if q is None:
+            raise _broken_cell(total, base, k, cell, D + 1 - base)
+        table[k] = _unpack(q << (base * slot), cell, D + 1)
+        peak = max(peak, max(table[k]))
+        # slot first holds the lowest nonzero value, so low_k = base + first
+        first = ((q & -q).bit_length() - 1) // slot
+        rows.append(q >> (first * slot))
         low.append(base + first)
-    return BiSeries(D, K, c, is_algebra=True)
+    rows = chains = None  # free the packed rows before the transpose
+    return BiSeries(D, K, list(map(list, zip(*table))), is_algebra=True)
+
+
+def _guards(cell: int, slots: int, K: int) -> list[int]:
+    """Entry b, for b from 0 to bits(K): the top b + 1 bits of each of
+    ``slots`` ``cell``-byte slots (the whole slot when it is narrower),
+    the guard of a row k with bits(k) = b.  Entry 0 is half of every slot."""
+    s = 8 * cell
+    tops = [(1 << s) - (1 << max(s - b - 1, 0)) for b in range(K.bit_length() + 1)]
+    return [int.from_bytes(top.to_bytes(cell, "little") * slots, "little") for top in tops]
+
+
+def _quotient(total: int, k: int, guards: list[int]) -> int | None:
+    """``total`` / k, slot by slot, if every residual of the row sum
+    ``total`` is a nonnegative multiple of ``k``, else None: the one test
+    per row of :func:`free_commutative`, with ``guards`` from
+    :func:`_guards`."""
+    q, rem = divmod(total, k)
+    return None if rem or q < 0 or q & guards[k.bit_length()] else q
+
+
+def _broken_cell(total: int, base: int, k: int, cell: int, n: int) -> IntegrityError:
+    """The IntegrityError naming the first of the ``n`` cells of the row
+    sum ``total`` whose residual is not a nonnegative multiple of ``k``;
+    a row that failed :func:`_quotient` always has one.  The residuals
+    are signed, so the slots are read with half a slot added to each,
+    less half after reading."""
+    half = 1 << (8 * cell - 1)
+    for d, v in enumerate(_unpack(total + _guards(cell, n, 0)[0], cell, n)):
+        if v < half or (v - half) % k:
+            return IntegrityError(
+                f"free-algebra recurrence broke at (d, k) = ({base + d}, {k}): "
+                f"residual {v - half} is not a nonnegative multiple of {k}",
+                cell=(base + d, k),
+            )
+
+
+def _unpack(packed: int, cell: int, n: int) -> list[int]:
+    """The ``n`` nonnegative ``cell``-byte slots of ``packed``, lowest
+    first.  Slots of 1, 2, 4 and 8 bytes are read in C as the native
+    unsigned words B, H, I and Q, 16-byte slots join two Q words, and
+    wider slots (or any slot on a big-endian host) are read one by one."""
+    raw = packed.to_bytes(n * cell, "little")
+    if cell > 16 or sys.byteorder == "big":
+        return [int.from_bytes(raw[i : i + cell], "little") for i in range(0, len(raw), cell)]
+    words = memoryview(raw).cast("BHIQ"[min(cell, 8).bit_length() - 1]).tolist()
+    return words if cell < 16 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
 
 
 def _extend_chains(
@@ -532,10 +584,8 @@ def _extend_chains(
 def _widen(packed: int, cell: int, wider: int) -> int:
     """``packed``, a row of ``cell``-byte slots, re-slotted at ``wider``
     bytes per slot.  Exact because every slot is nonnegative."""
-    raw = packed.to_bytes(-(-packed.bit_length() // (8 * cell)) * cell, "little")
-    pad = bytes(wider - cell)
-    slots = (raw[i : i + cell] + pad for i in range(0, len(raw), cell))
-    return int.from_bytes(b"".join(slots), "little")
+    slots = _unpack(packed, cell, -(-packed.bit_length() // (8 * cell)))
+    return int.from_bytes(b"".join(v.to_bytes(wider, "little") for v in slots), "little")
 
 
 def inverse_one_minus(f: BiSeries) -> BiSeries:

@@ -217,10 +217,11 @@ def lambert_expansion(D: int, K: int, beta) -> dict:
     return {key: v for key, v in b.items() if v}
 
 
-def first_broken_cell(D: int, K: int, b) -> tuple[int, int] | None:
-    """The first (d, k), by weight and then degree, whose residual in
-    k A_k = sum B(e, i) t^e A_{k-i} is negative or not a multiple of k,
-    solved over dicts from the per-multiple ``b``; None if there is none."""
+def dict_recurrence(D: int, K: int, b) -> tuple[tuple[int, int] | None, list]:
+    """k A_k = sum B(e, i) t^e A_{k-i} solved over dicts from the
+    per-multiple ``b``: the first (d, k), by weight and then degree, whose
+    residual is negative or not a multiple of k (None if there is none),
+    and the rows A_k before it as degree -> value dicts."""
     rows = [{0: 1}]
     for k in range(1, K + 1):
         residual: dict = {}
@@ -231,9 +232,14 @@ def first_broken_cell(D: int, K: int, b) -> tuple[int, int] | None:
                         residual[d + e] = residual.get(d + e, 0) + v * a
         for d in sorted(residual):
             if residual[d] < 0 or residual[d] % k:
-                return (d, k)
+                return (d, k), rows
         rows.append({d: v // k for d, v in residual.items() if v})
-    return None
+    return None, rows
+
+
+def first_broken_cell(D: int, K: int, b) -> tuple[int, int] | None:
+    """The first broken cell of :func:`dict_recurrence`."""
+    return dict_recurrence(D, K, b)[0]
 
 
 KINDS = ("polynomial", "exterior")
@@ -485,6 +491,98 @@ def test_property_widening_equals_packing_at_the_new_width(cell, doublings, data
     assert got == pack_slots(values, wider)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 2000), st.data())
+def test_property_unpacking_equals_reading_each_slot(cell, k, data):
+    # the largest digit the guard admits at this k, among random slots;
+    # one-slot rows included
+    largest = (1 << max(8 * cell - 1 - k.bit_length(), 0)) - 1
+    values = data.draw(
+        st.lists(
+            st.one_of(st.just(largest), st.integers(0, (1 << (8 * cell)) - 1)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    packed = pack_slots(values, cell)
+    raw = packed.to_bytes(len(values) * cell, "little")
+    slots = [int.from_bytes(raw[i : i + cell], "little") for i in range(0, len(raw), cell)]
+    assert series._unpack(packed, cell, len(values)) == slots == values
+
+
+@pytest.mark.parametrize("cell", [1, 2, 4, 8, 16, 32, 64])
+def test_guard_admits_every_genuine_quotient_and_no_borrow(cell):
+    # every residual is below 2^(slot - 2) in size, so a genuine quotient
+    # is at most (2^(slot - 2) - 1) // k; an admitted digit q must keep
+    # k q below half a slot, so that k q can neither carry nor hide the
+    # borrow of a negative residual
+    slot = 8 * cell
+    full = (1 << slot) - 1
+    for k in list(range(1, 300)) + [2**b + e for b in range(9, 70) for e in (-1, 0, 1)]:
+        guard = series._guards(cell, 3, k)[k.bit_length()]
+        admitted = full & ~guard
+        assert guard == (full - admitted) * (1 + (1 << slot) + (1 << 2 * slot))
+        assert admitted & (admitted + 1) == 0  # the low bits of the slot
+        assert (((1 << (slot - 2)) - 1) // k) <= admitted
+        assert k * admitted < 1 << (slot - 1)
+
+
+def test_one_test_accepts_exactly_the_rows_of_nonnegative_multiples():
+    # every row of two 1-byte slots whose residuals keep the slot rule,
+    # |r| < 2^6: the one test accepts exactly the rows whose residuals are
+    # all nonnegative multiples of k, with their quotients in its slots
+    # (at k = 7, r = (-60, 1) gives 196 = 7 * 28, which a guard one bit
+    # narrower would accept)
+    for k in range(1, 17):
+        guards = series._guards(1, 2, k)
+        for r0 in range(-63, 64):
+            for r1 in range(-63, 64):
+                genuine = r0 >= 0 and r1 >= 0 and r0 % k == 0 and r1 % k == 0
+                quotient = r0 // k + (r1 // k << 8) if genuine else None
+                assert series._quotient(r0 + (r1 << 8), k, guards) == quotient
+
+
+def test_every_genuine_row_passes_the_one_test(monkeypatch):
+    # the cell-by-cell scan runs only after a row failed the one test, so
+    # on genuine tables it must never run, whatever the slot width
+    def scan(*args):
+        raise AssertionError("a genuine row failed the one-test gate")
+
+    monkeypatch.setattr(series, "_broken_cell", scan)
+    widths = set()
+    real_guards = series._guards
+
+    def guards_spy(cell, slots, K):
+        widths.add(cell)
+        return real_guards(cell, slots, K)
+
+    monkeypatch.setattr(series, "_guards", guards_spy)
+    shapes = [
+        # deep_loops: theorem_b rows of many-loop S^0 labels
+        ("theorem_b", "F2", {"preset": "cube", "m": 1}, 2, 0, 130),
+        ("theorem_b", "Fp:3", {"preset": "cube", "m": 1}, 2, 0, 90),
+        # torus_product: binomial Betti numbers of a torus, wide coefficients
+        ("theorem_a", "Q", {"preset": "torus", "m": 8}, 1, 2, 100),
+        ("theorem_a", "F2", {"preset": "cube", "m": 1}, 1, 2, 8),
+    ]
+    for mode, field, manifold, n, d, D in shapes:
+        config = {
+            "mode": mode,
+            "field": field,
+            "manifold": manifold,
+            "n": n,
+            "label_space": {"preset": "sphere", "d": d},
+            "max_degree": D,
+            "format": "csv",
+        }
+        if mode == "theorem_b":
+            config["max_weight"] = D
+        assert cli.run(config)[0] == 0
+    huge = [(1, 1, 10**30, "polynomial"), (2, 1, 10**30 + 1, "exterior"), (3, 2, 7, "polynomial")]
+    assert free_commutative(24, 12, huge) == power_chain(24, 12, huge)
+    assert {1, 2, 4, 8, 16, 32} <= widths
+
+
 def bump_weight_two(real, degree=None):
     """weight_log_derivative with the Lambert coefficient beta raised by 1
     at (degree, 2), by default at (max_degree, 2).  Where the tests bump it,
@@ -500,12 +598,12 @@ def bump_weight_two(real, degree=None):
     return bumped
 
 
-def bump_beta(real, key):
-    """weight_log_derivative with beta raised by 1 at ``key``."""
+def bump_beta(real, key, amount=1):
+    """weight_log_derivative with beta raised by ``amount`` at ``key``."""
 
     def bumped(max_degree, max_weight, generators):
         b = real(max_degree, max_weight, generators)
-        b[key] = b.get(key, 0) + 1
+        b[key] = b.get(key, 0) + amount
         return b
 
     return bumped
@@ -562,6 +660,44 @@ def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, caps
     path.write_text(json.dumps(config))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
     assert "free-algebra recurrence broke at (d, k) = (10, 2)" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(1, 4),
+            st.one_of(st.integers(0, 4), st.integers(0, 10**30)),
+            st.sampled_from(KINDS),
+        ),
+        max_size=6,
+    ),
+    st.integers(0, 16),
+    st.integers(1, 10),
+    st.data(),
+)
+def test_property_the_row_gate_breaks_exactly_at_the_first_broken_cell(gens, D, K, data):
+    # beta raised by a signed amount at a chain or direct bidegree of the
+    # algebra, or at any bidegree inside the caps; counts up to 10^30 make
+    # slots of 16 and 32 bytes
+    beta = series.weight_log_derivative(D, K, gens)
+    anywhere = (data.draw(st.integers(0, D)), data.draw(st.integers(1, K)))
+    key = data.draw(st.sampled_from(sorted(beta) + [anywhere]))
+    amount = data.draw(
+        st.one_of(st.integers(-4, 4), st.integers(-(10**30), 10**30)).filter(bool)
+    )
+    bumped = bump_beta(series.weight_log_derivative, key, amount)
+    broken, rows = dict_recurrence(D, K, lambert_expansion(D, K, bumped(D, K, gens)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "weight_log_derivative", bumped)
+        if broken is None:
+            cells = {(d, k): v for k, row in enumerate(rows) for d, v in row.items()}
+            assert free_commutative(D, K, gens) == BiSeries.from_entries(D, K, cells)
+            return
+        with pytest.raises(IntegrityError, match="free-algebra recurrence broke") as failure:
+            free_commutative(D, K, gens)
+    assert failure.value.cell == broken
 
 
 # generators of theorem_b's S^0-label table over F2 for M = I, n = 1 (Fuks):
