@@ -217,15 +217,8 @@ def require_caps(s: BiSeries, max_degree: int, max_weight: int) -> BiSeries:
 
 def _stats(s: BiSeries) -> tuple[int, int]:
     """(max coefficient, number of nonzero cells)."""
-    mx = 0
-    nnz = 0
-    for row in s._c:
-        for v in row:
-            if v:
-                nnz += 1
-                if v > mx:
-                    mx = v
-    return mx, nnz
+    values = [v for row in s._c for v in row if v]
+    return max(values, default=0), len(values)
 
 
 def _pack(s: BiSeries, row_slots: int, cell: int) -> int:
@@ -446,11 +439,8 @@ def free_commutative(
             if cell:  # at the first sizing A_0 = 1 reads the same at any width
                 rows = [_widen(row, cell, wider) for row in rows]
                 for w in chain_weights:
-                    for _d, _v, ring in chains[w]:
-                        for s, entry in enumerate(ring):
-                            if entry is not None:
-                                j, running, lo = entry
-                                ring[s] = (j, _widen(running, cell, wider), lo)
+                    for _d, _v, ring in chains[w]:  # None marks an empty ring slot
+                        ring[:] = [e and (e[0], _widen(e[1], cell, wider), e[2]) for e in ring]
             cell = wider
             slot = 8 * cell
             # keep[a]: the slots of a row that stay below the cap once its
@@ -466,9 +456,7 @@ def free_commutative(
                 if w > k:
                     break
                 live += _extend_chains(chains[w], w, k - w, rows, low, D, slot, keep)
-            for _v, _r, at in live:
-                if at < base:
-                    base = at
+            base = min([base] + [at for _v, _r, at in live])
             for v, running, at in live:
                 total += (v * running) << ((at - base) * slot)
         pairs = zip(by_weight[1 : k + 1], reversed(rows), reversed(low))
