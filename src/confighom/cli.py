@@ -29,7 +29,6 @@ from .assemble import (
     ab_coherence_report,
     describe_spec,
     factor_plan,
-    filtration_table,
     preset,
     preset_parameters,
     theorem_a,
@@ -372,12 +371,17 @@ def _render(
 def _json_cells(series: BiSeries | None) -> str:
     """The nonzero cells as a list of [d, k, v] triples, in the layout of
     json.dumps(..., indent=2) one level down."""
-    cells = [] if series is None else [
-        f"[\n      {d},\n      {k},\n      {v}\n    ]" for d, k, v in series.items()
-    ]
-    if not cells:
+    if series is None:
         return "[]"
-    return "[\n    " + ",\n    ".join(cells) + "\n  ]"
+    weights = [f"{k},\n      " for k in range(series.max_weight + 1)]
+    cells = [
+        f"{head}{weights[k]}{v}\n    ]"
+        for d, row in enumerate(series.degree_rows())
+        for head in [f"[\n      {d},\n      "]  # one prefix per degree
+        for k, v in enumerate(row)
+        if v
+    ]
+    return "[\n    " + ",\n    ".join(cells) + "\n  ]" if cells else "[]"
 
 
 def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
@@ -401,14 +405,15 @@ def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
 
 
 def _dk_lines(series: BiSeries, fmt: str) -> Iterator[str]:
-    if fmt == "csv":
+    csv = fmt == "csv"
+    if csv:
         yield "weight,degree,dim"
-    for k, row in enumerate(filtration_table(series)):
-        if fmt == "csv":
-            yield from (f"{k},{d},{row[d]}" for d in sorted(row))
+    for k, column in enumerate(zip(*series.degree_rows())):
+        cells = [f"{k},{d},{v}" if csv else f"{d}:{v}" for d, v in enumerate(column) if v]
+        if csv:
+            yield from cells
         else:
-            cells = " ".join(f"{d}:{row[d]}" for d in sorted(row)) or "-"
-            yield f"weight {k:3d} | {cells}"
+            yield f"weight {k:3d} | " + (" ".join(cells) or "-")
 
 
 def _generator_lines(rows: list[dict], fmt: str) -> Iterator[str]:

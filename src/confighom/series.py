@@ -28,19 +28,19 @@ for the weight-k row A_k, a polynomial in t.  B is a Lambert series,
 B = sum beta(d, w) x/(1 - x) with x = t^d u^w, and the kernel takes its
 coefficients beta (:func:`weight_log_derivative`) as input.  Rows are
 packed big integers stored from their lowest nonzero degree, re-slotted
-in place when their slots must grow.  A
-bidegree whose multiples reach the weight cap no later than the degree
-cap (slope d/w at most the caps' D/K), such as a degree-0 or Dyer-Lashof
-generator, enters each row step as one running sum over its multiples
-(a chain); every other bidegree enters as one shifted scalar multiple
-per multiple, each over only the degrees it reaches below the cap.
-Every residual must be a nonnegative multiple of k.  Each row is gated
-by one big-int test, a division by k whose quotient must leave the top
-bits of every slot clear, and its values are unpacked from the quotient
-at once; only a row that fails is read cell by cell, to raise
-IntegrityError naming the first broken cell (d, k) in the message and as
-its ``cell``.  :func:`power_factor` multiplies by a single generator's factor
-and is kept as the independent reference.
+in place when their slots must grow.  A bidegree with at least
+``CHAIN_MULTIPLES`` multiples inside the caps, such as a degree-0,
+Dyer-Lashof or weight-1 torus generator, enters each row step as one
+running sum over its multiples (a chain); every other bidegree enters as
+one shifted scalar multiple per multiple, each over only the degrees it
+reaches below the cap, and a row step visits only the weights with such
+terms.  Every residual must be a nonnegative multiple of k.  Each row is
+gated by one big-int test, a division by k whose quotient must leave the
+top bits of every slot clear, and unpacked from the quotient at once; a
+row that fails is read cell by cell, to raise IntegrityError naming the
+first broken cell (d, k) in the message and as its ``cell``.
+:func:`power_factor`, one generator's factor, is the independent
+reference.
 
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
@@ -67,6 +67,9 @@ from .errors import (
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
+# a bidegree with at least this many multiples inside the caps is a chain;
+# of 6 to 12, 8 ran the bench workloads' free-algebra calls fastest
+CHAIN_MULTIPLES = 8
 
 
 def _blank(max_degree: int, max_weight: int) -> list[list[int]]:
@@ -99,14 +102,11 @@ class BiSeries:
             coeff = _blank(max_degree, max_weight)
         if len(coeff) != max_degree + 1:
             raise ConfigurationError("coefficient table has wrong degree extent")
-        for row in coeff:
-            if len(row) != max_weight + 1:
-                raise ConfigurationError("coefficient table has wrong weight extent")
-            for v in row:
-                if v < 0:
-                    raise IntegrityError(
-                        f"negative coefficient {v}; dimensions must be >= 0"
-                    )
+        if set(map(len, coeff)) != {max_weight + 1}:
+            raise ConfigurationError("coefficient table has wrong weight extent")
+        if min(map(min, coeff)) < 0:  # scanned in C; the row search runs on failure only
+            v = next(v for row in coeff for v in row if v < 0)
+            raise IntegrityError(f"negative coefficient {v}; dimensions must be >= 0")
         if is_algebra and coeff[0][0] != 1:
             raise ConfigurationError("algebra series must have constant term 1")
         self._c = coeff
@@ -349,35 +349,35 @@ def free_commutative(
 
     Each row is one packed big integer with a fixed-width slot per degree,
     stored from its lowest nonzero degree low_k up to the degree cap (a
-    zero row has low_k = D + 1).  A bidegree (d, w) of B enters a row step
-    in one of two ways, picked by its slope:
+    zero row has low_k = D + 1).  A bidegree (d, w) of B has
+    rmax = min(K // w, D // d) multiples inside both caps (K // w if
+    d = 0), and rmax alone picks how it enters a row step:
 
-    * a *chain* when its second multiple lies inside the caps and
-      d*K <= w*D, so its multiples reach the weight cap no later than the
-      degree cap.  Its multiples sum to beta t^d R_{k-w}, where the
-      running sum R_j = A_j + t^d R_{j-w} is kept only up to degree D - d:
-      one term per row instead of one per multiple.  R_j is built at row
-      j + w from R_{j-w}; where that one is dead (its shift lies above
-      the cut) R_j is A_j itself.  For one w the low degree of
+    * a *chain* when rmax >= CHAIN_MULTIPLES (so 2w <= K): its multiples
+      sum to beta t^d R_{k-w}, where the running sum
+      R_j = A_j + t^d R_{j-w} is kept only up to degree D - d: one term
+      per row instead of one per multiple, whatever the slope.  R_j is
+      built at row j + w from R_{j-w}; where that one is dead (its shift
+      lies above the cut) R_j is A_j itself.  For one w the low degree of
       t^d R_{k-w} never falls as d grows, so the chains of a weight,
       sorted by d, stop at the first one whose term lies above the cap.
     * otherwise *direct*: each multiple (r*d, r*w) inside the caps is a
       term B(e, i) of B_i, and a row step sums the shifted scalar
       multiples B(e, i) * A_{k-i}, each masked to the D + 1 -
-      (e + low_{k-i}) slots that stay within the cap.  B_i is sorted by
-      e, so the terms of weight i stop at the first e + low_{k-i} > D.
-
-    Chains pay when a generator has many multiples below the caps, as
-    degree-0 and Dyer-Lashof generators do; a steep one has few, and
-    keeping its running sum would cost more than its terms.
+      (e + low_{k-i}) slots that stay within the cap.  The step visits
+      only the weights i with terms, B_i sorted by e, and stops at the
+      first e + low_{k-i} > D.  Few multiples cost less than a chain.
 
     The sum is built from base_k, the least degree any term reaches, so
     total = sum_d r_d 2^(s d) over slots of s bits, with r_d the residual
     at degree base_k + d.  The slot width keeps bits(S) + bits(max A) + 2
-    bits, where S sums |B(e, i)| over the direct terms and |beta| * (K // w)
-    over the chains (a running sum has at most K // w rows), so every
-    |r_d| < 2^(s-2), whatever B is.  When that no longer fits, the slot
-    doubles until it does, and every packed row and running sum is
+    bits, where S sums |B(e, i)| over the direct terms and |beta| * rmax
+    over the chains, so every |r_d| < 2^(s-2), whatever B is.  A slot of
+    t^d R_{k-w} sums at most rmax rows: at degree x it is the sum over
+    r >= 1 of A_{k-rw}(x - rd), whose terms need r*w <= k <= K and
+    r*d <= x <= D, so r <= rmax (the cut at D - d only drops terms); so
+    does a slot of R_{k-w} itself.  When the width no longer fits, the
+    slot doubles until it does, and every packed row and running sum is
     re-slotted in place at the new width.
 
     A residual that is negative or not a multiple of k cannot come from a
@@ -403,26 +403,24 @@ def free_commutative(
         raise InvalidInputError("caps must be nonnegative")
     D, K = max_degree, max_weight
     chains: dict[int, list[tuple[int, int, list]]] = {}
-    direct: list[dict[int, int]] = [{} for _ in range(K + 1)]
+    direct: dict[int, dict[int, int]] = {}  # B_i as degree -> value, by weight i
     b_sum = 0
     for (d, w), v in weight_log_derivative(D, K, generators).items():
-        # a chain reaches the weight cap first (d*K <= w*D), and 2w <= K
-        # then puts its second multiple inside both caps
-        if 2 * w <= K and d * K <= w * D:
-            chains.setdefault(w, []).append((d, v, [None] * w))
-            b_sum += abs(v) * (K // w)
-            continue
         rmax = K // w if d == 0 else min(K // w, D // d)
+        if rmax >= CHAIN_MULTIPLES:
+            chains.setdefault(w, []).append((d, v, [None] * w))
+            b_sum += abs(v) * rmax
+            continue
         for r in range(1, rmax + 1):
-            terms = direct[r * w]
+            terms = direct.setdefault(r * w, {})
             terms[r * d] = terms.get(r * d, 0) + v
-    by_weight = [sorted((e, v) for e, v in terms.items() if v) for terms in direct]
-    b_sum += sum(abs(v) for terms in by_weight for _e, v in terms)
-    # least shift at each weight; D + 1 where there is none
-    first_shift = [terms[0][0] if terms else D + 1 for terms in by_weight]
-    chain_weights = sorted(chains)
-    for w in chain_weights:
-        chains[w].sort(key=operator.itemgetter(0))  # by degree
+    # (i, B_i sorted by degree, its least shift) for each weight with terms
+    steps = []
+    for i in sorted(direct):
+        b_sum += sum(map(abs, direct[i].values()))
+        if terms := sorted(filter(operator.itemgetter(1), direct[i].items())):
+            steps.append((i, terms, terms[0][0]))
+    chains = {w: sorted(chains[w], key=operator.itemgetter(0)) for w in sorted(chains)}
     b_bits = b_sum.bit_length()
 
     # the rows A_k, indexed [weight][degree]; zero rows share one list
@@ -431,6 +429,7 @@ def free_commutative(
     rows = [1]  # packed A_0 = 1
     low = [0]  # lowest nonzero degree of each row, D + 1 for a zero row
     peak = 1
+    reach = 0  # steps[:reach] are the weights i <= k
     for k in range(1, K + 1):
         if b_bits + peak.bit_length() + 2 > 8 * cell:
             wider = max(cell, 1)
@@ -438,8 +437,8 @@ def free_commutative(
                 wider *= 2
             if cell:  # at the first sizing A_0 = 1 reads the same at any width
                 rows = [_widen(row, cell, wider) for row in rows]
-                for w in chain_weights:
-                    for _d, _v, ring in chains[w]:  # None marks an empty ring slot
+                for weight_chains in chains.values():
+                    for _d, _v, ring in weight_chains:  # None marks an empty ring slot
                         ring[:] = [e and (e[0], _widen(e[1], cell, wider), e[2]) for e in ring]
             cell = wider
             slot = 8 * cell
@@ -447,20 +446,20 @@ def free_commutative(
             # low degree is shifted to degree a
             keep = [(1 << ((D + 1 - a) * slot)) - 1 for a in range(D + 1)]
             guards = _guards(cell, D + 1, K)
-        # rows and low hold weights 0..k-1, so reversed they pair with i = 1..k
-        base = min(map(operator.add, first_shift[1 : k + 1], reversed(low)))
+        while reach < len(steps) and steps[reach][0] <= k:
+            reach += 1
+        base = min([e + low[k - i] for i, _t, e in steps[:reach]], default=D + 1)
+        live = []
+        for w, weight_chains in chains.items():  # by weight, each by degree
+            if w > k:
+                break
+            live += _extend_chains(weight_chains, w, k - w, rows, low, D, slot, keep)
+        base = min([base] + [at for _v, _r, at in live])
         total = 0
-        if chain_weights:
-            live = []
-            for w in chain_weights:
-                if w > k:
-                    break
-                live += _extend_chains(chains[w], w, k - w, rows, low, D, slot, keep)
-            base = min([base] + [at for _v, _r, at in live])
-            for v, running, at in live:
-                total += (v * running) << ((at - base) * slot)
-        pairs = zip(by_weight[1 : k + 1], reversed(rows), reversed(low))
-        for terms, prev, lo in pairs:
+        for v, running, at in live:
+            total += (v * running) << ((at - base) * slot)
+        for i, terms, _e in steps[:reach]:
+            prev, lo = rows[k - i], low[k - i]
             for e, v in terms:
                 at = e + lo
                 if at > D:

@@ -454,14 +454,18 @@ def test_loop_factor_equals_power_factor_chain_across_slot_growth(
 
 
 def test_chains_extend_once_per_row_across_slot_growth(monkeypatch):
-    # the (1, 1) generator is a chain of weight 1 while the slots grow, so
-    # a widening in place extends it once per row and a replay would not
+    # at D = K = 80 the generators (1, 1), (3, 2) and (7, 4) have at least
+    # CHAIN_MULTIPLES multiples inside the caps, (15, 8) has 5, so the
+    # chain weights are 1, 2 and 4 while the slots grow.  A widening in
+    # place extends each chain weight w once per row from k = w, with
+    # R_{k-w}; a replay would extend it again
+    assert series.CHAIN_MULTIPLES == 8
     calls = []
     real = series._extend_chains
 
-    def spy(chains, w, *args):
-        calls.append(w)
-        return real(chains, w, *args)
+    def spy(chains, w, j, *args):
+        calls.append((w, j))
+        return real(chains, w, j, *args)
 
     monkeypatch.setattr(series, "_extend_chains", spy)
     widened = []
@@ -475,7 +479,78 @@ def test_chains_extend_once_per_row_across_slot_growth(monkeypatch):
     D = K = 80
     factor_series({1: 1}, 2, FieldChar(2), D, K)
     assert widened
-    assert calls == [1] * K
+    assert calls == [(w, k - w) for k in range(1, K + 1) for w in (1, 2, 4) if w <= k]
+
+
+def multiples_inside(D: int, K: int, d: int, w: int) -> int:
+    """rmax: the multiples of (d, w) inside both caps."""
+    return K // w if d == 0 else min(K // w, D // d)
+
+
+@st.composite
+def steep_chains(draw):
+    """Caps up to 48 and generators steeper than the caps, d/w > D/K,
+    with at least CHAIN_MULTIPLES multiples inside them, so they run as
+    chains, beside degree-0 ones; exterior ones add their correction at
+    (2d, 2w)."""
+    n = series.CHAIN_MULTIPLES
+    D, K = draw(st.integers(n, 48)), draw(st.integers(2 * n, 48))
+    count = st.one_of(st.integers(0, 4), st.integers(0, 10**12))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, D // n))
+        # d*K > w*D: steeper than the caps
+        w_max = min(K // n, (d * K - 1) // D)
+        if w_max >= 1:
+            gens.append((d, draw(st.integers(1, w_max)), draw(count), draw(st.sampled_from(KINDS))))
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append((0, draw(st.integers(1, K)), draw(count), draw(st.sampled_from(KINDS))))
+    return D, K, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(steep_chains(), generator_lists)
+def test_property_steep_chains_equal_the_dict_recurrence(steep, direct):
+    D, K, gens = steep
+    gens = gens + direct
+    broken, rows = dict_recurrence(D, K, per_multiple_log_derivative(D, K, gens))
+    assert broken is None
+    cells = {(d, k): v for k, row in enumerate(rows) for d, v in row.items()}
+    assert free_commutative(D, K, gens) == BiSeries.from_entries(D, K, cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 12),
+            st.integers(1, 8),
+            st.one_of(st.integers(0, 4), st.integers(0, 10**12)),
+            st.sampled_from(KINDS),
+        ),
+        max_size=8,
+    ),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.integers(2, 12),
+)
+def test_property_a_bidegree_is_a_chain_iff_it_has_enough_multiples(gens, D, K, n):
+    # at any threshold n >= 2 the chains are exactly the bidegrees of beta
+    # with rmax >= n, and the table does not depend on the split
+    chains = set()
+    real = series._extend_chains
+
+    def spy(weight_chains, w, *args):
+        chains.update((d, w) for d, _v, _ring in weight_chains)
+        return real(weight_chains, w, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "CHAIN_MULTIPLES", n)
+        patch.setattr(series, "_extend_chains", spy)
+        got = free_commutative(D, K, gens)
+    beta = series.weight_log_derivative(D, K, gens)
+    assert chains == {(d, w) for d, w in beta if multiples_inside(D, K, d, w) >= n}
+    assert got == power_chain(D, K, gens)
 
 
 def pack_slots(values, cell):
@@ -706,10 +781,11 @@ BRAID_F2 = [(2**i - 1, 2**i, 1, "polynomial") for i in range(4)]
 
 
 def test_corrupted_chain_raises_at_the_first_broken_residual(monkeypatch, tmp_path):
-    # at D = K the generator (1, 2) runs as one chain, and beta = 3 there
-    # would be 3/2 generators (beta raised by 1 at weight 1 would be one more
-    # generator, a genuine algebra)
-    D = K = 12
+    # at D = K = 16 the generator (1, 2) has 8 multiples inside the caps, so
+    # it runs as one chain, and beta = 3 there would be 3/2 generators (beta
+    # raised by 1 at weight 1 would be one more generator, a genuine algebra)
+    D = K = 16
+    assert multiples_inside(D, K, 1, 2) >= series.CHAIN_MULTIPLES
     bumped = bump_beta(series.weight_log_derivative, (1, 2))
     expected = first_broken_cell(D, K, lambert_expansion(D, K, bumped(D, K, BRAID_F2)))
     assert expected is not None
@@ -848,6 +924,11 @@ def test_desuspend_negative_degree_is_integrity_error():
 def test_negative_coefficients_rejected():
     with pytest.raises(IntegrityError):
         BiSeries(1, 1, [[1, 0], [-1, 0]])
+    # the message names the first negative cell, degree-major
+    with pytest.raises(IntegrityError, match=r"^negative coefficient -3; dimensions must be >= 0$"):
+        BiSeries(2, 1, [[1, 0], [0, -3], [-7, 0]])
+    with pytest.raises(ConfigurationError, match="wrong weight extent"):
+        BiSeries(2, 1, [[1, 0], [0], [0, 0]])
 
 
 def test_algebra_flag_requires_unit():
