@@ -376,7 +376,7 @@ def _json_cells(series: BiSeries | None) -> str:
     weights = [f"{k},\n      " for k in range(series.max_weight + 1)]
     cells = [
         f"{head}{weights[k]}{v}\n    ]"
-        for d, row in enumerate(series.degree_rows())
+        for d, row in enumerate(series.rows())
         for head in [f"[\n      {d},\n      "]  # one prefix per degree
         for k, v in enumerate(row)
         if v
@@ -386,7 +386,7 @@ def _json_cells(series: BiSeries | None) -> str:
 
 def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
     K = series.max_weight
-    rows = series.degree_rows()
+    rows = series.rows()
     if fmt == "csv":
         yield "degree," + ",".join(f"w{k}" for k in range(K + 1)) + ",total"
         for d, row in enumerate(rows):
@@ -408,7 +408,7 @@ def _dk_lines(series: BiSeries, fmt: str) -> Iterator[str]:
     csv = fmt == "csv"
     if csv:
         yield "weight,degree,dim"
-    for k, column in enumerate(zip(*series.degree_rows())):
+    for k, column in enumerate(zip(*series.rows())):
         cells = [f"{k},{d},{v}" if csv else f"{d}:{v}" for d, v in enumerate(column) if v]
         if csv:
             yield from cells

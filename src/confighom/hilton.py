@@ -169,10 +169,13 @@ def hilton_milnor_check(
     used = 0
     summary = []
     for word in basic_words(len(x_list), max_len):
-        smash = _smash_betti(x_list, word.multiplicities)
-        low = (word.length - 1) * m_dim + min_rel + min(smash)
+        # the smash's lowest degree sums its factors' lowest degrees
+        low = (word.length - 1) * m_dim + min_rel + sum(
+            a * b for a, b in zip(word.multiplicities, bottoms)
+        )
         if low > D:
             continue
+        smash = _smash_betti(x_list, word.multiplicities)
         key = (word.length, tuple(sorted(smash.items())))
         classes[key] = classes.get(key, 0) + word.count
         used += 1

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConfigurationError,
@@ -164,6 +164,11 @@ class BiSeries:
     def degree_rows(self) -> list[list[int]]:
         """A copy of the table as rows indexed [degree][weight]."""
         return [row[:] for row in self._c]
+
+    def rows(self) -> Sequence[Sequence[int]]:
+        """The stored rows indexed [degree][weight], not copied: read them
+        only, for a BiSeries is never mutated (:meth:`degree_rows` copies)."""
+        return self._c
 
     def to_dict(self) -> dict[tuple[int, int], int]:
         return {(d, k): v for d, k, v in self.items()}
@@ -346,6 +351,10 @@ def free_commutative(
     but solved in one pass over the weights from u dA/du = A * B, with B
     in the Lambert form of :func:`weight_log_derivative`: the weight-k row
     A_k, a polynomial in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
+    The kernel reads ``generators`` only through that dict, and not its
+    order, so generator lists with equal coefficients there (reordered,
+    with counts split across duplicates, or differing only outside the
+    caps) give the same table, or the same IntegrityError.
 
     Each row is one packed big integer with a fixed-width slot per degree,
     stored from its lowest nonzero degree low_k up to the degree cap (a
@@ -570,9 +579,14 @@ def _extend_chains(
 
 def _widen(packed: int, cell: int, wider: int) -> int:
     """``packed``, a row of ``cell``-byte slots, re-slotted at ``wider``
-    bytes per slot.  Exact because every slot is nonnegative."""
-    slots = _unpack(packed, cell, -(-packed.bit_length() // (8 * cell)))
-    return int.from_bytes(b"".join(v.to_bytes(wider, "little") for v in slots), "little")
+    >= ``cell`` bytes per slot.  Exact because every slot is nonnegative:
+    byte b of each slot is copied, as one strided slice for all slots, to
+    byte b of its wider slot, whose upper bytes stay zero."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * cell)) * cell, "little")
+    out = bytearray(len(raw) // cell * wider)
+    for b in range(cell):
+        out[b::wider] = raw[b::cell]
+    return int.from_bytes(out, "little")
 
 
 def inverse_one_minus(f: BiSeries) -> BiSeries:

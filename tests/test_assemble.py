@@ -454,6 +454,65 @@ def test_ab_coherence_small_run_passes_and_is_reproducible():
     assert rep1.to_json() == rep2.to_json()
 
 
+def both_tables_report(seed, trials, max_degree):
+    """The coherence report that solving both tables of every case gives."""
+    report = assemble.CheckReport("ab_coherence", True, trials)
+    for idx, spec in enumerate(assemble.random_problem_specs(seed, trials, max_degree)):
+        a, b = theorem_a(spec), theorem_b(spec)
+        if a != b:
+            cells = set(a.items()) ^ set(b.items())
+            mism = sorted((d, k, a.get(d, k), b.get(d, k)) for d, k, _ in cells)[:5]
+            report.failures.append(
+                {"case": idx, "spec": assemble.describe_spec(spec), "first_mismatches": mism}
+            )
+    report.passed = not report.failures
+    return report
+
+
+def test_check_ab_solves_one_free_algebra_per_case(monkeypatch):
+    solves = []
+    real = assemble.free_commutative
+
+    def solve(max_degree, max_weight, generators):
+        solves.append((max_degree, max_weight))
+        return real(max_degree, max_weight, generators)
+
+    monkeypatch.setattr(assemble, "free_commutative", solve)
+    config = {"mode": "check:ab", "seed": 0, "trials": 10, "max_degree": 36}
+    assert cli.run(config)[0] == cli.EXIT_OK
+    assert solves == [(36, 18)] * 10
+
+
+def _drop_first(generators):
+    return generators[1:]
+
+
+def _bump_first(generators):
+    (d, k, c, kind), *rest = generators
+    return [(d, k, c + 1, kind)] + rest
+
+
+@pytest.mark.parametrize("perturb", [_drop_first, _bump_first])
+def test_check_ab_fails_when_theorem_b_generators_change(monkeypatch, perturb):
+    real = assemble._theorem_b_generators
+
+    def perturbed(spec):
+        D, K, generators = real(spec)
+        return D, K, perturb([g for g in generators if g[2]])
+
+    monkeypatch.setattr(assemble, "_theorem_b_generators", perturbed)
+    seed, trials, D = 0, 4, 14
+    expected = both_tables_report(seed, trials, D).to_json()
+    assert expected["status"] == "fail"
+    assert len(expected["failures"]) == trials
+    assert ab_coherence_report(seed, trials, D).to_json() == expected
+    config = {"mode": "check:ab", "seed": seed, "trials": trials, "max_degree": D,
+              "format": "json"}
+    status, text = cli.run(config)
+    assert status == cli.EXIT_CHECK_FAILED
+    assert json.loads(text)["checks"] == [json.loads(json.dumps(expected))]
+
+
 def test_factor_product_rejects_class_beyond_loop_range():
     # q = 1 > m_dim + n - 1 = 0 would need a factor with j = 0 loops
     with pytest.raises(InvalidInputError):

@@ -416,6 +416,97 @@ def test_free_commutative_rejects_bad_generators():
         free_commutative(-1, 4, [])
 
 
+# -- the kernel reads its generators only through beta -----------------------
+
+
+def kernel_outcome(D: int, K: int, generators, corrupt):
+    """free_commutative's table, or the cell of the IntegrityError it
+    raises.  With ``corrupt`` = (key, amount) the Lambert coefficients are
+    raised by ``amount`` at ``key`` first, so that some rows break."""
+    with pytest.MonkeyPatch.context() as patch:
+        if corrupt:
+            patch.setattr(
+                series, "weight_log_derivative", bump_beta(series.weight_log_derivative, *corrupt)
+            )
+        try:
+            return free_commutative(D, K, generators)
+        except IntegrityError as failure:
+            return failure.cell
+
+
+kernel_inputs = st.tuples(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(1, 4),
+            st.one_of(st.integers(0, 4), st.integers(0, 10**12)),
+            st.sampled_from(KINDS),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 18),
+    st.integers(0, 9),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.tuples(st.integers(0, 18), st.integers(1, 9)),
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        ),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs, st.data())
+def test_property_a_permutation_of_the_generators_gives_the_same_outcome(inputs, data):
+    gens, D, K, corrupt = inputs
+    shuffled = data.draw(st.permutations(gens))
+    assert kernel_outcome(D, K, shuffled, corrupt) == kernel_outcome(D, K, gens, corrupt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs, st.data())
+def test_property_a_count_split_across_duplicates_gives_the_same_outcome(inputs, data):
+    gens, D, K, corrupt = inputs
+    i = data.draw(st.integers(0, len(gens) - 1))
+    d, w, c, kind = gens[i]
+    part = data.draw(st.integers(0, c))
+    split = gens[:i] + [(d, w, part, kind)] + gens[i + 1 :] + [(d, w, c - part, kind)]
+    assert kernel_outcome(D, K, split, corrupt) == kernel_outcome(D, K, gens, corrupt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs, st.data())
+def test_property_generators_with_equal_lambert_coefficients_give_the_same_outcome(
+    inputs, data
+):
+    gens, D, K, corrupt = inputs
+    # rewrites that keep beta: (1 - x)^(-c) = (1 + x)^c (1 - x^2)^(-c),
+    # generators of count 0 or outside the caps, and a new order
+    other = []
+    for d, w, c, kind in gens:
+        if kind == "polynomial" and data.draw(st.booleans()):
+            other += [(d, w, c, "exterior"), (2 * d, 2 * w, c, "polynomial")]
+        else:
+            other.append((d, w, c, kind))
+    other += data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 6), st.integers(1, 4), st.just(0), st.sampled_from(KINDS)),
+                st.tuples(st.integers(D + 1, D + 6), st.integers(1, 4), st.integers(1, 4),
+                          st.sampled_from(KINDS)),
+                st.tuples(st.integers(0, 6), st.integers(K + 1, K + 4), st.integers(1, 4),
+                          st.sampled_from(KINDS)),
+            ),
+            max_size=3,
+        )
+    )
+    other = data.draw(st.permutations(other))
+    assert series.weight_log_derivative(D, K, other) == series.weight_log_derivative(D, K, gens)
+    assert kernel_outcome(D, K, other, corrupt) == kernel_outcome(D, K, gens, corrupt)
+
+
 def census_generators(y, j, char, D, K):
     census = generator_census(atom_census(y, j, char, D, K), j, char, D, K)
     return [
@@ -557,11 +648,12 @@ def pack_slots(values, cell):
     return int.from_bytes(b"".join(v.to_bytes(cell, "little") for v in values), "little")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 3), st.data())
-def test_property_widening_equals_packing_at_the_new_width(cell, doublings, data):
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_property_widening_equals_packing_at_the_new_width(cell, data):
+    # any pair of widths up to 64 bytes, not only the doublings the kernel makes
     values = data.draw(st.lists(st.integers(0, (1 << (8 * cell)) - 1), max_size=12))
-    wider = cell << doublings
+    wider = data.draw(st.integers(cell, 64))
     got = series._widen(pack_slots(values, cell), cell, wider)
     assert got == pack_slots(values, wider)
 
