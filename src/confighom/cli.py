@@ -353,35 +353,48 @@ def _render(
         # Python.  A nested dump is re-indented by its newlines, which JSON
         # strings never hold raw.
         members = {
-            key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            key: [json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")]
             for key, value in fields.items()
         }
         members["series"] = _json_cells(series)
-        body = ",\n".join(f'  "{key}": {members[key]}' for key in sorted(members))
-        return "{\n" + body + "\n}\n"
+        # the text is joined once from its parts: each member follows a
+        # comma, but the first follows the opening brace
+        chunks = []
+        for key in sorted(members):
+            chunks.append(f',\n  "{key}": ')
+            chunks += members[key]
+        chunks[0] = "{" + chunks[0][1:]
+        chunks.append("\n}\n")
+        return "".join(chunks)
     if fmt == "table":
         parts = " ".join(
             f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
         )
         title = f"# confighom {__version__} schema_version={SCHEMA_VERSION}"
         lines = itertools.chain((title, f"# {parts}"), lines)
-    return "\n".join(lines) + "\n"
+    # the empty last line ends the text with a newline
+    return "\n".join(itertools.chain(lines, ("",)))
 
 
-def _json_cells(series: BiSeries | None) -> str:
+def _json_cells(series: BiSeries | None) -> list[str]:
     """The nonzero cells as a list of [d, k, v] triples, in the layout of
-    json.dumps(..., indent=2) one level down."""
+    json.dumps(..., indent=2) one level down, as parts to be joined."""
     if series is None:
-        return "[]"
+        return ["[]"]
     weights = [f"{k},\n      " for k in range(series.max_weight + 1)]
     cells = [
         f"{head}{weights[k]}{v}\n    ]"
         for d, row in enumerate(series.rows())
-        for head in [f"[\n      {d},\n      "]  # one prefix per degree
+        for head in [f",\n    [\n      {d},\n      "]  # one prefix per degree
         for k, v in enumerate(row)
         if v
     ]
-    return "[\n    " + ",\n    ".join(cells) + "\n  ]" if cells else "[]"
+    if not cells:
+        return ["[]"]
+    # each cell follows a comma, but the first follows the opening bracket
+    cells[0] = "[" + cells[0][1:]
+    cells.append("\n  ]")
+    return cells
 
 
 def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:

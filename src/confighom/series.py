@@ -27,18 +27,19 @@ coefficients, u dA/du = A * B gives the weight recurrence
 for the weight-k row A_k, a polynomial in t.  B is a Lambert series,
 B = sum beta(d, w) x/(1 - x) with x = t^d u^w, and the kernel takes its
 coefficients beta (:func:`weight_log_derivative`) as input.  Rows are
-packed big integers stored from their lowest nonzero degree, re-slotted
-in place when their slots must grow.  A bidegree with at least
+packed big integers, re-slotted in place when their slots must grow,
+with slot i holding degree D - i: t^e times a row, truncated at the
+degree cap D, is one right shift by e slots.  A bidegree with at least
 ``CHAIN_MULTIPLES`` multiples inside the caps, such as a degree-0,
 Dyer-Lashof or weight-1 torus generator, enters each row step as one
 running sum over its multiples (a chain); every other bidegree enters as
-one shifted scalar multiple per multiple, each over only the degrees it
-reaches below the cap, and a row step visits only the weights with such
-terms.  Every residual must be a nonnegative multiple of k.  Each row is
-gated by one big-int test, a division by k whose quotient must leave the
-top bits of every slot clear, and unpacked from the quotient at once; a
-row that fails is read cell by cell, to raise IntegrityError naming the
-first broken cell (d, k) in the message and as its ``cell``.
+one shifted scalar multiple per multiple, and a row step visits only the
+weights with such terms.  Every residual must be a nonnegative multiple
+of k.  Each row is gated by one big-int test, a division by k whose
+quotient must leave the top bits of every slot clear, and unpacked from
+the quotient at once; a row that fails is read cell by cell, to raise
+IntegrityError naming its lowest broken cell (d, k) in the message and
+as its ``cell``.
 :func:`power_factor`, one generator's factor, is the independent
 reference.
 
@@ -357,37 +358,41 @@ def free_commutative(
     caps) give the same table, or the same IntegrityError.
 
     Each row is one packed big integer with a fixed-width slot per degree,
-    stored from its lowest nonzero degree low_k up to the degree cap (a
-    zero row has low_k = D + 1).  A bidegree (d, w) of B has
-    rmax = min(K // w, D // d) multiples inside both caps (K // w if
-    d = 0), and rmax alone picks how it enters a row step:
+    packed from the degree cap down: slot i holds degree D - i.  So t^e
+    times a row, truncated at the cap, is the row shifted right by e
+    slots; the degrees it pushes past D fall off the bottom, and the
+    degrees below the row's lowest nonzero one, low_k (D + 1 for a zero
+    row), are high zero slots that the big integer does not store.  A
+    bidegree (d, w) of B has rmax = min(K // w, D // d) multiples inside
+    both caps (K // w if d = 0), and rmax alone picks how it enters a row
+    step:
 
     * a *chain* when rmax >= CHAIN_MULTIPLES (so 2w <= K): its multiples
-      sum to beta t^d R_{k-w}, where the running sum
-      R_j = A_j + t^d R_{j-w} is kept only up to degree D - d: one term
-      per row instead of one per multiple, whatever the slope.  R_j is
-      built at row j + w from R_{j-w}; where that one is dead (its shift
-      lies above the cut) R_j is A_j itself.  For one w the low degree of
-      t^d R_{k-w} never falls as d grows, so the chains of a weight,
-      sorted by d, stop at the first one whose term lies above the cap.
+      sum to beta t^d R_{k-w}, with the running sum
+      R_j = A_j + t^d R_{j-w}: one term per row instead of one per
+      multiple, whatever the slope.  The chain keeps
+      S_j = t^d R_j = (A_j + S_{j-w}) >> d slots, built at row j + w from
+      S_{j-w}, and its term is beta S_{k-w}.  For one w the lowest degree
+      of t^d R_j rises with d, so the chains of a weight, sorted by d,
+      stop at the first one whose S_j is 0.
     * otherwise *direct*: each multiple (r*d, r*w) inside the caps is a
-      term B(e, i) of B_i, and a row step sums the shifted scalar
-      multiples B(e, i) * A_{k-i}, each masked to the D + 1 -
-      (e + low_{k-i}) slots that stay within the cap.  The step visits
-      only the weights i with terms, B_i sorted by e, and stops at the
-      first e + low_{k-i} > D.  Few multiples cost less than a chain.
+      term B(e, i) of B_i, and a row step sums the scalar multiples
+      B(e, i) * (A_{k-i} >> e slots).  The step visits only the weights i
+      with terms, B_i sorted by e, and stops at the first
+      e + low_{k-i} > D.  Few multiples cost less than a chain.
 
-    The sum is built from base_k, the least degree any term reaches, so
-    total = sum_d r_d 2^(s d) over slots of s bits, with r_d the residual
-    at degree base_k + d.  The slot width keeps bits(S) + bits(max A) + 2
-    bits, where S sums |B(e, i)| over the direct terms and |beta| * rmax
-    over the chains, so every |r_d| < 2^(s-2), whatever B is.  A slot of
-    t^d R_{k-w} sums at most rmax rows: at degree x it is the sum over
-    r >= 1 of A_{k-rw}(x - rd), whose terms need r*w <= k <= K and
-    r*d <= x <= D, so r <= rmax (the cut at D - d only drops terms); so
-    does a slot of R_{k-w} itself.  When the width no longer fits, the
-    slot doubles until it does, and every packed row and running sum is
-    re-slotted in place at the new width.
+    So the row sum is total = sum_d r_d 2^(s(D-d)) over slots of s bits,
+    with r_d the residual at degree d.  The slot width keeps
+    bits(S) + bits(max A) + 2 bits, where S sums |B(e, i)| over the
+    direct terms and |beta| * rmax over the chains, so every
+    |r_d| < 2^(s-2), whatever B is.  A slot of S_{k-w} = t^d R_{k-w} sums
+    at most rmax rows: at degree x it is the sum over r >= 1 of
+    A_{k-rw}(x - rd), whose terms need r*w <= k <= K and r*d <= x <= D,
+    so r <= rmax.  A_j + S_{j-w}, before its shift, has at most rmax + 1
+    rows in a slot, so its slots stay below 2^(s-1) and none carries.
+    When the width no longer fits, the slot doubles until it does, and
+    every packed row and running sum is re-slotted in place at the new
+    width.
 
     A residual that is negative or not a multiple of k cannot come from a
     genuine algebra.  The whole row is gated by one test: with
@@ -402,11 +407,11 @@ def free_commutative(
     [-2^(s-1), 2^(s-1)) write an integer in base 2^s in one way only, so
     r_d = k q_d: no digit can carry into the next or hide a borrow from
     a negative residual.  An accepted row's values are then the slots of
-    q, unpacked in C.  Only a row that fails is read back cell by cell,
-    signed (half a slot added to every slot and subtracted after
-    reading), to find the first residual that breaks the gate; it raises
-    IntegrityError naming that cell.  The table is kept by weight and
-    transposed once at the end.
+    q, unpacked in C, top slot first.  Only a row that fails is read back
+    cell by cell, signed (half a slot added to every slot and subtracted
+    after reading), from the top slot down, to find the lowest degree
+    whose residual breaks the gate; it raises IntegrityError naming that
+    cell.  The table is kept by weight and transposed once at the end.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -423,19 +428,19 @@ def free_commutative(
         for r in range(1, rmax + 1):
             terms = direct.setdefault(r * w, {})
             terms[r * d] = terms.get(r * d, 0) + v
-    # (i, B_i sorted by degree, its least shift) for each weight with terms
+    # (i, B_i sorted by degree) for each weight with terms
     steps = []
     for i in sorted(direct):
         b_sum += sum(map(abs, direct[i].values()))
         if terms := sorted(filter(operator.itemgetter(1), direct[i].items())):
-            steps.append((i, terms, terms[0][0]))
+            steps.append((i, terms))
     chains = {w: sorted(chains[w], key=operator.itemgetter(0)) for w in sorted(chains)}
     b_bits = b_sum.bit_length()
 
     # the rows A_k, indexed [weight][degree]; zero rows share one list
     table = [[1] + [0] * D] + [[0] * (D + 1)] * K
     cell = 0  # slot width in bytes
-    rows = [1]  # packed A_0 = 1
+    rows: list[int] = []  # the packed rows, A_0 = 1 from the first sizing on
     low = [0]  # lowest nonzero degree of each row, D + 1 for a zero row
     peak = 1
     reach = 0  # steps[:reach] are the weights i <= k
@@ -444,49 +449,41 @@ def free_commutative(
             wider = max(cell, 1)
             while b_bits + peak.bit_length() + 2 > 8 * wider:
                 wider *= 2
-            if cell:  # at the first sizing A_0 = 1 reads the same at any width
+            if cell:
                 rows = [_widen(row, cell, wider) for row in rows]
                 for weight_chains in chains.values():
                     for _d, _v, ring in weight_chains:  # None marks an empty ring slot
-                        ring[:] = [e and (e[0], _widen(e[1], cell, wider), e[2]) for e in ring]
+                        ring[:] = [e and (e[0], _widen(e[1], cell, wider)) for e in ring]
+            else:  # A_0 = 1 is degree 0, the top slot
+                rows = [1 << (D * 8 * wider)]
             cell = wider
             slot = 8 * cell
-            # keep[a]: the slots of a row that stay below the cap once its
-            # low degree is shifted to degree a
-            keep = [(1 << ((D + 1 - a) * slot)) - 1 for a in range(D + 1)]
             guards = _guards(cell, D + 1, K)
         while reach < len(steps) and steps[reach][0] <= k:
             reach += 1
-        base = min([e + low[k - i] for i, _t, e in steps[:reach]], default=D + 1)
-        live = []
+        total = 0
         for w, weight_chains in chains.items():  # by weight, each by degree
             if w > k:
                 break
-            live += _extend_chains(weight_chains, w, k - w, rows, low, D, slot, keep)
-        base = min([base] + [at for _v, _r, at in live])
-        total = 0
-        for v, running, at in live:
-            total += (v * running) << ((at - base) * slot)
-        for i, terms, _e in steps[:reach]:
+            total += _extend_chains(weight_chains, w, k - w, rows, slot)
+        for i, terms in steps[:reach]:
             prev, lo = rows[k - i], low[k - i]
             for e, v in terms:
-                at = e + lo
-                if at > D:
+                if e + lo > D:
                     break
-                total += (v * (prev & keep[at])) << ((at - base) * slot)
+                total += v * (prev >> (e * slot))
         if not total:
             rows.append(0)
             low.append(D + 1)
             continue
         q = _quotient(total, k, guards)
         if q is None:
-            raise _broken_cell(total, base, k, cell, D + 1 - base)
-        table[k] = _unpack(q << (base * slot), cell, D + 1)
+            raise _broken_cell(total, k, cell, D)
+        table[k] = _unpack(q, cell, D + 1)[::-1]
         peak = max(peak, max(table[k]))
-        # slot first holds the lowest nonzero value, so low_k = base + first
-        first = ((q & -q).bit_length() - 1) // slot
-        rows.append(q >> (first * slot))
-        low.append(base + first)
+        rows.append(q)
+        # the top nonzero slot holds the lowest nonzero degree
+        low.append(D - (q.bit_length() - 1) // slot)
     rows = chains = None  # free the packed rows before the transpose
     return BiSeries(D, K, list(map(list, zip(*table))), is_algebra=True)
 
@@ -509,19 +506,20 @@ def _quotient(total: int, k: int, guards: list[int]) -> int | None:
     return None if rem or q < 0 or q & guards[k.bit_length()] else q
 
 
-def _broken_cell(total: int, base: int, k: int, cell: int, n: int) -> IntegrityError:
-    """The IntegrityError naming the first of the ``n`` cells of the row
-    sum ``total`` whose residual is not a nonnegative multiple of ``k``;
-    a row that failed :func:`_quotient` always has one.  The residuals
-    are signed, so the slots are read with half a slot added to each,
-    less half after reading."""
+def _broken_cell(total: int, k: int, cell: int, D: int) -> IntegrityError:
+    """The IntegrityError naming the lowest degree of the row sum
+    ``total``, with slot i at degree D - i, whose residual is not a
+    nonnegative multiple of ``k``; a row that failed :func:`_quotient`
+    always has one.  The residuals are signed, so the slots are read with
+    half a slot added to each, less half after reading, from the top."""
     half = 1 << (8 * cell - 1)
-    for d, v in enumerate(_unpack(total + _guards(cell, n, 0)[0], cell, n)):
+    signed = _unpack(total + _guards(cell, D + 1, 0)[0], cell, D + 1)
+    for d, v in enumerate(reversed(signed)):
         if v < half or (v - half) % k:
             return IntegrityError(
-                f"free-algebra recurrence broke at (d, k) = ({base + d}, {k}): "
+                f"free-algebra recurrence broke at (d, k) = ({d}, {k}): "
                 f"residual {v - half} is not a nonnegative multiple of {k}",
-                cell=(base + d, k),
+                cell=(d, k),
             )
 
 
@@ -538,43 +536,31 @@ def _unpack(packed: int, cell: int, n: int) -> list[int]:
 
 
 def _extend_chains(
-    chains: list[tuple[int, int, list]],
-    w: int,
-    j: int,
-    rows: list[int],
-    low: list[int],
-    D: int,
-    slot: int,
-    keep: list[int],
-) -> list[tuple[int, int, int]]:
+    chains: list[tuple[int, int, list]], w: int, j: int, rows: list[int], slot: int
+) -> int:
     """Extend the running sums of the weight-``w`` chains, sorted by
-    degree, to R_j = A_j + t^d R_{j-w} and return the live terms
-    (beta, R_j masked to degree D - d, degree d + low of R_j).
+    degree, to S_j = t^d R_j = (A_j + S_{j-w}) >> d slots and return the
+    sum of their terms beta S_j.
 
-    Each chain keeps R_j as (j, packed sum, low degree) in slot j % w of
-    its ring; a slot holding another j means R_j is dead.  The first
-    chain whose term lies above the cap ends the weight: every later one
-    is dead too, and its slot is left stale.
+    Each chain keeps S_j as (j, packed sum) in slot j % w of its ring,
+    where S_{j+w} is built from it; a slot holding another index means
+    that sum is 0.  The lowest degree of t^d R_j rises with d, so the
+    first chain whose S_j is 0 ends the weight: every later one is 0
+    too, and its slot is left stale.
     """
-    live = []
+    total = 0
     s = j % w
     for d, v, ring in chains:
-        running, lo = rows[j], low[j]
+        running = rows[j]
         prev = ring[s]
         if prev is not None and prev[0] == j - w:
-            at = prev[2] + d  # low degree of t^d R_{j-w}
-            if at + d <= D:  # it reaches below the cut at D - d
-                tail = prev[1] & keep[at + d]
-                if at < lo:
-                    running, lo = tail + (running << ((lo - at) * slot)), at
-                else:
-                    running += tail << ((at - lo) * slot)
-        at = d + lo
-        if at > D:
+            running += prev[1]
+        running >>= d * slot
+        if not running:
             break
-        ring[s] = (j, running, lo)
-        live.append((v, running & keep[at], at))
-    return live
+        ring[s] = (j, running)
+        total += v * running
+    return total
 
 
 def _widen(packed: int, cell: int, wider: int) -> int:

@@ -7,17 +7,22 @@ engine edit that breaks ``bench/run.py --trace 1`` fails here first.
 """
 
 import ast
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import confighom
-from confighom import FieldChar, atom_census, generator_census, hilton_milnor_check
+from confighom import FieldChar, atom_census, cli, generator_census, hilton_milnor_check
 from confighom.assemble import preset
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def traced_names() -> dict:
@@ -78,3 +83,25 @@ def test_traced_results_carry_the_fields_the_tracer_reads():
     m_dim, rel = preset("surface", genus=1)
     report = hilton_milnor_check(m_dim, rel, [{2: 1}, {3: 1}], 6, char=char)
     assert report.words_used > 0
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its path: ``bench`` is no package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed_zero_of_each_workload_matches_the_reference_digests(workload):
+    # bench/run.py checks every operation's output bytes against these
+    # digests; replaying seed 0 here shows a byte change without a run
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    digests = reference["digests"][workload]["0"]
+    configs = bench_workloads().generate(workload, 0)
+    assert len(configs) == len(digests)
+    for config, digest in zip(configs, digests):
+        _status, text = cli.run(config)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, config

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -748,6 +749,45 @@ def test_every_genuine_row_passes_the_one_test(monkeypatch):
     huge = [(1, 1, 10**30, "polynomial"), (2, 1, 10**30 + 1, "exterior"), (3, 2, 7, "polynomial")]
     assert free_commutative(24, 12, huge) == power_chain(24, 12, huge)
     assert {1, 2, 4, 8, 16, 32} <= widths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 2000), st.data())
+def test_property_the_broken_cell_is_the_lowest_broken_degree(cell, k, data):
+    # signed residuals under the slot rule |r| < 2^(slot - 2), at the
+    # kernel's slot widths, packed from the cap down as the kernel packs a
+    # row sum: slot i holds degree D - i
+    bound = (1 << (8 * cell - 2)) - 1
+    genuine = st.integers(0, bound // k).map(lambda q: q * k)
+    digits = data.draw(
+        st.lists(st.one_of(genuine, st.integers(-bound, bound)), min_size=1, max_size=12)
+    )
+    broken = st.integers(-bound, bound).filter(lambda r: r < 0 or r % k)
+    digits[data.draw(st.integers(0, len(digits) - 1))] = data.draw(broken)
+    D = len(digits) - 1
+    total = sum(r << (8 * cell * (D - d)) for d, r in enumerate(digits))
+    assert series._quotient(total, k, series._guards(cell, D + 1, k)) is None
+    # the per-cell scan, in increasing degree
+    d, r = next((d, r) for d, r in enumerate(digits) if r < 0 or r % k)
+    failure = series._broken_cell(total, k, cell, D)
+    assert failure.cell == (d, k)
+    assert str(failure) == (
+        f"free-algebra recurrence broke at (d, k) = ({d}, {k}): "
+        f"residual {r} is not a nonnegative multiple of {k}"
+    )
+
+
+def test_a_row_step_holds_no_table_quadratic_in_the_degree_cap():
+    # at D = 2000 a table of a big int per degree, each up to D slots
+    # long, would take megabytes; the packed rows and sums are O(D) each
+    generators = [(1, 1, 3, "polynomial"), (2, 1, 2, "exterior"), (3, 2, 1, "polynomial")]
+    tracemalloc.start()
+    try:
+        free_commutative(2000, 4, generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def bump_weight_two(real, degree=None):
