@@ -11,13 +11,10 @@ with the configuration-length filtration as weight grading
 >= 2).  Each factor is a free graded-commutative algebra (for j = 1 by
 Poincare-Birkhoff-Witt), so the product is one, on all factors'
 generators counted b_q times each: one ``series.free_commutative`` call.
-:func:`theorem_b` lifts the restriction on X: the same product is formed
-with the double suspension S^2 X, and its weight-k slice shifted down by
-2k degrees is the reduced homology of the filtration quotient D_k for
-arbitrary X.  The shift t^d u^k -> t^(d-2k) u^k is a ring homomorphism,
-so theorem_b solves one free algebra on the shifted generators, of the
-same kinds, at the caps it returns; ``series.desuspend_by_weight`` of
-the whole table stays as the tests' reference.
+:func:`theorem_b` lifts the restriction on X (degree-0 classes allowed):
+the same free algebra's weight-k slice is the reduced homology of the
+filtration quotient D_k.  ``check:ab`` checks theorem_a against the
+product on S^2 X, its generators shifted down by 2k degrees at weight k.
 """
 
 from __future__ import annotations
@@ -163,37 +160,15 @@ def theorem_a(spec: ProblemSpec) -> BiSeries:
     return _solve(*_theorem_a_generators(spec))
 
 
-def _theorem_b_generators(spec: ProblemSpec) -> tuple[int, int, Generators]:
-    """The caps and desuspended generators of :func:`theorem_b`'s free algebra."""
+def theorem_b(spec: ProblemSpec) -> BiSeries:
+    """Per-weight homology of the filtration quotients D_k, any label space."""
     spec.validate()
     if spec.max_weight is None:
         raise InvalidInputError("theorem_b mode needs an explicit max_weight cap")
-    D, K = spec.max_degree, spec.max_weight
-    y = suspend_betti(normalize_betti(spec.x_betti), 2)
-    generators = []
-    for d, k, c, kind in product_generators(
-        spec.m_dim, spec.rel_betti, spec.n, y, spec.char, D + 2 * K, K
-    ):
-        if d < 2 * k:
-            raise IntegrityError(
-                "desuspension by 2 per weight sends the generator at "
-                f"(d, k) = ({d}, {k}) below degree 0",
-                cell=(d, k),
-            )
-        if d - 2 * k <= D:
-            generators.append((d - 2 * k, k, c, kind))
-    return D, K, generators
-
-
-def theorem_b(spec: ProblemSpec) -> BiSeries:
-    """Per-weight homology of the filtration quotients D_k, any label space.
-
-    The generators of the product on the doubly suspended labels, counted
-    at degree cap max_degree + 2*max_weight, are shifted down by 2k degrees
-    at weight k; those that land within max_degree span the table.  A
-    generator shifted below degree 0 raises IntegrityError naming it.
-    """
-    return _solve(*_theorem_b_generators(spec))
+    return factor_product(
+        spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char,
+        spec.max_degree, spec.max_weight,
+    )
 
 
 def filtration_table(s: BiSeries) -> list[dict[int, int]]:
@@ -338,31 +313,53 @@ def random_problem_specs(
     return specs
 
 
+def _suspended_generators(spec: ProblemSpec) -> Generators:
+    """The check's second side, independent of theorem_a's census: the
+    generators of the product on S^2 X at degree cap D + 2K, shifted down
+    by 2k degrees at weight k (t^d u^k -> t^(d-2k) u^k is a ring
+    homomorphism), those landing within D kept.  A generator shifted
+    below degree 0 raises IntegrityError naming it."""
+    D, K = spec.max_degree, spec.effective_max_weight()
+    y = suspend_betti(normalize_betti(spec.x_betti), 2)
+    generators = []
+    for d, k, c, kind in product_generators(
+        spec.m_dim, spec.rel_betti, spec.n, y, spec.char, D + 2 * K, K
+    ):
+        if d < 2 * k:
+            raise IntegrityError(
+                "desuspension by 2 per weight sends the generator at "
+                f"(d, k) = ({d}, {k}) below degree 0",
+                cell=(d, k),
+            )
+        if d - 2 * k <= D:
+            generators.append((d - 2 * k, k, c, kind))
+    return generators
+
+
 def ab_coherence_report(
     seed: int = 0, trials: int = 20, max_degree: int = 30
 ) -> CheckReport:
-    """Check theorem_a == theorem_b bigraded-exactly on seeded random specs.
+    """Check theorem_a == the S^2 X route bigraded-exactly on random specs.
 
     Each case builds theorem_a's generators and solves its table, then
-    builds theorem_b's generators.  theorem_b's table is solved and
-    compared only when its caps or its :func:`weight_log_derivative`
-    differ from theorem_a's.  When both match, theorem_b's table is
-    theorem_a's: ``free_commutative`` reads its generators only through
-    that dict, so equal caps and dicts give the same table.  The skipped
-    comparison would then have passed, so every verdict and report is the
-    one that solving both tables gives.  Errors are raised in the same
-    order as calling theorem_a and then theorem_b.
+    builds :func:`_suspended_generators`.  That route's table is solved and
+    compared only when its :func:`weight_log_derivative` differs from
+    theorem_a's.  When both match, its table is theorem_a's:
+    ``free_commutative`` reads its generators only through that dict, so
+    equal dicts give the same table.  The skipped comparison would then
+    have passed, so every verdict and report is the one that solving both
+    tables gives.  Errors are raised in the order theorem_a, then the route.
     """
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
         D, K, a_generators = _theorem_a_generators(spec)
         a = _solve(D, K, a_generators)
-        b_D, b_K, b_generators = _theorem_b_generators(spec)
-        if (b_D, b_K) == (D, K) and weight_log_derivative(
-            D, K, b_generators
-        ) == weight_log_derivative(D, K, a_generators):
-            continue  # theorem_b's table would be a
-        b = _solve(b_D, b_K, b_generators)
+        b_generators = _suspended_generators(spec)
+        if weight_log_derivative(D, K, b_generators) == weight_log_derivative(
+            D, K, a_generators
+        ):
+            continue  # the S^2 X route's table would be a
+        b = _solve(D, K, b_generators)
         if a != b:
             mism = sorted(
                 (d, k, a.get(d, k), b.get(d, k))

@@ -31,8 +31,8 @@ class IntegrityError(CalculatorError):
     i.e. a bug in the grammar or the caller.
 
     ``cell`` is the (degree, weight) the check failed at, where it has one:
-    the free-algebra residual that broke, or the generator that theorem_b
-    would shift below degree 0.
+    the free-algebra residual that broke, or the generator that check:ab's
+    S^2 X route would shift below degree 0.
     """
 
     def __init__(self, message: str, *, cell: tuple[int, int] | None = None):

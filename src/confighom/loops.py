@@ -203,7 +203,8 @@ def atom_census(
     max_degree: int,
     max_weight: int,
 ) -> AtomTable:
-    """Counts of basic bracket products for the degree-(j-1) bracket.
+    """Counts of basic bracket products for the degree-(j-1) bracket on
+    ``y``, degree-0 classes included (the free E_j-algebra theorem_b needs).
 
     Computed by regrading every generator up by j-1, running the Witt count
     in that shifted grading (signed unless char is 2, where the self
@@ -213,7 +214,7 @@ def atom_census(
     """
     if j < 1:
         raise InvalidInputError("atom census needs j >= 1")
-    y = normalize_betti(y, min_degree=1)
+    y = normalize_betti(y)
     shift = j - 1
     shifted = _shifted_atoms(
         {d + shift: c for d, c in y.items()},
@@ -293,12 +294,13 @@ def factor_generators(
     max_degree: int,
     max_weight: int,
 ) -> tuple[tuple[int, int, int, str], ...]:
-    """Generators ``(degree, weight, count, kind)`` of H_*(Omega^j Sigma^j Y)
-    as a free graded-commutative algebra, j >= 1: the generator census of
-    the atoms, each entry tagged polynomial in characteristic 2 or in even
-    degree, exterior otherwise.  A pure function: only the shifted Witt
-    table under it is shared (:func:`_shifted_atoms`); a caller that needs
-    one factor many times, like a Hilton-Milnor word class, asks once."""
+    """Generators ``(degree, weight, count, kind)`` of the free E_j-algebra
+    on ``y`` (H_*(Omega^j Sigma^j Y) if ``y`` is connected, else the
+    configuration-space model theorem_b needs) as a free graded-commutative
+    algebra, j >= 1: the atoms' census, each entry tagged polynomial in
+    characteristic 2 or in even degree, exterior otherwise.  Pure: only the
+    shifted Witt table under it is shared (:func:`_shifted_atoms`); a
+    caller needing one factor often, like a Hilton-Milnor class, asks once."""
     atoms = atom_census(y, j, char, max_degree, max_weight)
     census = generator_census(atoms, j, char, max_degree, max_weight)
     return tuple(
@@ -314,15 +316,16 @@ def factor_series(
     max_degree: int,
     max_weight: int,
 ) -> BiSeries:
-    """Poincare series of the free E_j-algebra on reduced Betti data ``y``,
-    j >= 1: the free graded-commutative algebra on :func:`factor_generators`
-    (for j = 1 the tensor algebra, by PBW), solved by
-    :func:`~confighom.series.free_commutative` from k A_k = sum_i
+    """Poincare series of H_*(Omega^j Sigma^j Y), Y connected with reduced
+    Betti data ``y``, j >= 1: the free graded-commutative algebra on
+    :func:`factor_generators` (for j = 1 the tensor algebra, by PBW), solved
+    by :func:`~confighom.series.free_commutative` from k A_k = sum_i
     B_i A_{k-i} with B = u d/du log A, which raises IntegrityError naming
     the cell (d, k) whose residual is negative or not a multiple of k.
     """
     if j < 1:
         raise InvalidInputError("loop count j must be >= 1")
+    y = normalize_betti(y, min_degree=1)
     return free_commutative(
         max_degree,
         max_weight,

@@ -46,9 +46,9 @@ reference.
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
 sparse word rows itself, every table is one :func:`free_commutative`
-call, and ``theorem_b`` desuspends the generators rather than the table
-(so a generator may sit in degree 0 at weight >= 1).  They stay as the
-tests' references, ``oracle`` uses :func:`multiply`, and
+call, and ``check:ab``'s S^2 X route desuspends its generators, not the
+table (a generator may sit in degree 0 at weight >= 1).  They stay as
+the tests' references, ``oracle`` uses :func:`multiply`, and
 ``bench/spans.py`` wraps all four by name.
 """
 

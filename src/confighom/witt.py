@@ -2,7 +2,7 @@
 bracket length.
 
 Given the letters as a degree -> count map g_d (every letter at length 1,
-in degree >= 1), the counts L(d, l) of basic products inside the caps are
+in degree >= 0), the counts L(d, l) of basic products inside the caps are
 defined by the Poincare-Birkhoff-Witt identity against the word series
 T = 1/(1 - f) of the tensor algebra, f = sum_d g_d t^d u:
 
@@ -103,8 +103,8 @@ def word_rows(
 
     T_0 = {0: 1} and T_l = f * T_{l-1}, truncated at ``max_degree``.  With
     every letter in degree >= 1 the rows die once l exceeds ``max_degree``
-    over the lowest letter degree; the list stops before the first empty
-    row (or after length ``max_weight``), and every later row is empty.
+    over the lowest letter degree, and the list stops before the first
+    empty row; a degree-0 letter keeps them all, up to length ``max_weight``.
     """
     letters = sorted(degrees.items())
     rows = [{0: 1}]
@@ -126,7 +126,7 @@ def lie_atom_counts(
 ) -> DegreeWeightTable:
     """Solve the defining product identity for the basic-product counts of
     the free Lie algebra on ``letters``, a degree -> count map with every
-    degree >= 1, inside the caps ``max_degree`` and ``max_weight``.
+    degree >= 0, inside the caps ``max_degree`` and ``max_weight``.
 
     Letters beyond the degree cap add nothing.  A word count that breaks
     exact divisibility in the Witt recurrence raises IntegrityError, since
@@ -138,8 +138,8 @@ def lie_atom_counts(
     its residual and its count are 0.
     """
     D, K = max_degree, max_weight
-    if any(d < 1 for d in letters):
-        raise InvalidInputError("generator degrees must be >= 1")
+    if any(d < 0 for d in letters):
+        raise InvalidInputError("generator degrees must be >= 0")
     rows = word_rows(letters, D, K)
     # solved[l]: degree -> L(degree, l), nonzero counts only
     solved: list[dict[int, int]] = [{}]

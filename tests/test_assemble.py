@@ -249,25 +249,23 @@ def test_property_theorem_b_equals_the_desuspended_table(manifold, x, field, n, 
 def test_generator_below_degree_zero_is_an_integrity_failure(
     monkeypatch, tmp_path, capsys
 ):
+    # only check:ab's S^2 X route shifts generators down; theorem_a, its
+    # first side, takes the stray generator as it is
     real = assemble.product_generators
 
     def stray(*args):
         return real(*args) + [(1, 1, 1, "polynomial")]
 
     monkeypatch.setattr(assemble, "product_generators", stray)
-    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(1, 1\)"):
-        theorem_b(make_spec(x_betti={0: 1}, max_degree=4, max_weight=2))
+    with pytest.raises(IntegrityError, match=r"\(d, k\) = \(1, 1\)") as failure:
+        ab_coherence_report(seed=0, trials=2, max_degree=8)
+    assert failure.value.cell == (1, 1)
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({
-        "mode": "theorem_b", "field": "F2", "manifold": {"preset": "cube", "m": 1},
-        "n": 1, "label_space": {"preset": "sphere", "d": 0},
-        "max_degree": 4, "max_weight": 2,
-    }))
+    path.write_text(json.dumps(
+        {"mode": "check:ab", "seed": 0, "trials": 2, "max_degree": 8}
+    ))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
     assert "(d, k) = (1, 1) below degree 0" in capsys.readouterr().err
-    with pytest.raises(IntegrityError) as failure:
-        theorem_b(make_spec(x_betti={0: 1}, max_degree=4, max_weight=2))
-    assert failure.value.cell == (1, 1)
 
 
 def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
@@ -297,6 +295,26 @@ def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
     )
     table = theorem_b(spec)
     assert (solves, table_ops, table.caps()) == ([(9, 4)], [], (9, 4))
+
+    # theorem_a and theorem_b share one census, of the label itself, at
+    # the caps asked for
+    censuses = []
+    real_generators = assemble.product_generators
+
+    def census(*args):
+        censuses.append(args)
+        return real_generators(*args)
+
+    monkeypatch.setattr(assemble, "product_generators", census)
+    a_spec = make_spec(
+        m_dim=2, rel_betti={0: 1, 1: 2, 2: 1}, x_betti={2: 1, 3: 1}, char=F3,
+        max_degree=9, max_weight=4,
+    )
+    theorem_a(a_spec)
+    theorem_b(spec)
+    assert censuses == [
+        (s.m_dim, s.rel_betti, s.n, s.x_betti, s.char, 9, 4) for s in (a_spec, spec)
+    ]
 
 
 def test_disconnected_labels_fill_degree_zero_at_all_weights():
@@ -455,10 +473,14 @@ def test_ab_coherence_small_run_passes_and_is_reproducible():
 
 
 def both_tables_report(seed, trials, max_degree):
-    """The coherence report that solving both tables of every case gives."""
+    """The coherence report that solving both tables of every case gives:
+    theorem_a's and that of the check's S^2 X route."""
     report = assemble.CheckReport("ab_coherence", True, trials)
     for idx, spec in enumerate(assemble.random_problem_specs(seed, trials, max_degree)):
-        a, b = theorem_a(spec), theorem_b(spec)
+        a = theorem_a(spec)
+        b = series.free_commutative(
+            spec.max_degree, spec.max_weight, assemble._suspended_generators(spec)
+        )
         if a != b:
             cells = set(a.items()) ^ set(b.items())
             mism = sorted((d, k, a.get(d, k), b.get(d, k)) for d, k, _ in cells)[:5]
@@ -494,13 +516,12 @@ def _bump_first(generators):
 
 @pytest.mark.parametrize("perturb", [_drop_first, _bump_first])
 def test_check_ab_fails_when_theorem_b_generators_change(monkeypatch, perturb):
-    real = assemble._theorem_b_generators
+    real = assemble._suspended_generators
 
     def perturbed(spec):
-        D, K, generators = real(spec)
-        return D, K, perturb([g for g in generators if g[2]])
+        return perturb([g for g in real(spec) if g[2]])
 
-    monkeypatch.setattr(assemble, "_theorem_b_generators", perturbed)
+    monkeypatch.setattr(assemble, "_suspended_generators", perturbed)
     seed, trials, D = 0, 4, 14
     expected = both_tables_report(seed, trials, D).to_json()
     assert expected["status"] == "fail"

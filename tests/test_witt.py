@@ -76,6 +76,11 @@ def test_two_degree_one_generators_unsigned_are_necklace_numbers():
     got = [L.get(l, l) for l in range(1, 6)]
     assert got == [2, 1, 2, 3, 6]
     assert got == brute_lyndon_count_by_length(2, 5)
+    # two degree-0 letters: every word lies in degree 0, where no square
+    # is signed, so both conventions count the necklaces
+    for signed in (True, False):
+        L = lie_atom_counts({0: 2}, signed, 0, 8)
+        assert [L.get(0, l) for l in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 7])
@@ -114,9 +119,7 @@ def test_smaller_output_caps_agree_with_larger_run():
 
 
 def test_input_validation():
-    with pytest.raises(InvalidInputError, match="degrees must be >= 1"):
-        lie_atom_counts({0: 1}, True, 6, 6)
-    with pytest.raises(InvalidInputError, match="degrees must be >= 1"):
+    with pytest.raises(InvalidInputError, match="degrees must be >= 0"):
         lie_atom_counts({2: 1, -1: 1}, False, 6, 6)
 
 
@@ -291,7 +294,7 @@ def test_sparse_kernel_equals_dense_recurrence(degrees, D, K, signed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.dictionaries(st.integers(1, 7), st.integers(1, 3), min_size=1, max_size=3),
+    st.dictionaries(st.integers(0, 7), st.integers(1, 3), min_size=1, max_size=3),
     st.integers(0, 30),
     st.integers(0, 15),
     st.booleans(),
