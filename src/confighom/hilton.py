@@ -14,8 +14,11 @@ so only degreewise totals are compared; the weight gradings of the two
 sides genuinely differ.  A word's factors depend only on its length and
 its smash, so the words fall into classes keyed by (length, smash Betti):
 each class's factors are built once and counted by the sum of its words'
-``word.count``.  The right-hand side is one free algebra on the generators
-of every class (see ``assemble``), solved by one ``free_commutative`` call.
+``word.count``.  Each side is one free algebra (see ``assemble``): the
+wedge's generators, and those of every class.  Since only degree totals
+are compared, each generator (d, k) is moved to (0, d), and the degree
+totals are the single degree row of one ``free_commutative`` call at
+caps (0, D).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti
-from .assemble import factor_product, product_generators
-from .series import free_commutative, require_caps
+from .assemble import Generators, product_generators
+from .series import free_commutative, require_caps, weight_log_derivative
 from .witt import _solve_cell
 
 
@@ -114,6 +117,17 @@ class HiltonReport:
         }
 
 
+def _degree_totals(max_degree: int, regraded: Generators) -> list[int]:
+    """Degree totals through max_degree of the free algebra on generators
+    (d, k), given ``regraded`` as (0, d): the weight carries the degree.
+    With 1 <= k <= d the weight cap K = max_degree cuts only products
+    beyond the degree cap, so the totals are the single degree row of the
+    regraded table."""
+    return require_caps(
+        free_commutative(0, max_degree, regraded), 0, max_degree
+    ).degree_rows()[0]
+
+
 def hilton_milnor_check(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -128,6 +142,13 @@ def hilton_milnor_check(
     orientation hypothesis; pass char 0 together with orientable=True to
     run the same comparison rationally.  n is fixed at 1 (the decomposition
     concerns a single Euclidean factor).
+
+    Both sides' generators are regraded to (0, d) and the wedge side's
+    totals are solved first (:func:`_degree_totals`).  The basic-product
+    side is solved only when its :func:`weight_log_derivative` differs
+    from the wedge side's: equal dicts give equal tables, so its totals
+    are then the wedge side's, and every report is the one that solving
+    both sides gives.
     """
     if char is None:
         char = FieldChar.mod2()
@@ -155,7 +176,11 @@ def hilton_milnor_check(
     for x in x_list:
         for d, c in x.items():
             wedge[d] = wedge.get(d, 0) + c
-    lhs = factor_product(m_dim, rel, 1, wedge, char, D, K)
+    lhs_generators = [
+        (0, d, c, kind)
+        for d, _k, c, kind in product_generators(m_dim, rel, 1, wedge, char, D, K)
+    ]
+    lhs_totals = _degree_totals(D, lhs_generators)
 
     # a length-l factor first contributes in degree (l-1)m + min_rel + bottom
     max_len = 1
@@ -193,15 +218,18 @@ def hilton_milnor_check(
         shift = (length - 1) * m_dim
         shifted_rel = {q + shift: b for q, b in rel.items()}
         rhs_generators += [
-            (d, k, c * count, kind)
-            for d, k, c, kind in product_generators(
+            (0, d, c * count, kind)
+            for d, _k, c, kind in product_generators(
                 length * m_dim, shifted_rel, 1, dict(smash), char, D, K
             )
         ]
 
-    lhs_totals = lhs.degree_totals()
-    rhs = require_caps(free_commutative(D, K, rhs_generators), D, K)
-    rhs_totals = rhs.degree_totals()
+    if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
+        0, D, rhs_generators
+    ):
+        rhs_totals = lhs_totals[:]
+    else:
+        rhs_totals = _degree_totals(D, rhs_generators)
     first = None
     for d, (lv, rv) in enumerate(zip(lhs_totals, rhs_totals)):
         if lv != rv:

@@ -526,13 +526,17 @@ def _broken_cell(total: int, k: int, cell: int, D: int) -> IntegrityError:
 def _unpack(packed: int, cell: int, n: int) -> list[int]:
     """The ``n`` nonnegative ``cell``-byte slots of ``packed``, lowest
     first.  Slots of 1, 2, 4 and 8 bytes are read in C as the native
-    unsigned words B, H, I and Q, 16-byte slots join two Q words, and
-    wider slots (or any slot on a big-endian host) are read one by one."""
+    unsigned words B, H, I and Q, 16-byte slots join two Q words (or are
+    their low words when every high word is 0), and wider slots (or any
+    slot on a big-endian host) are read one by one."""
     raw = packed.to_bytes(n * cell, "little")
     if cell > 16 or sys.byteorder == "big":
         return [int.from_bytes(raw[i : i + cell], "little") for i in range(0, len(raw), cell)]
     words = memoryview(raw).cast("BHIQ"[min(cell, 8).bit_length() - 1]).tolist()
-    return words if cell < 16 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+    if cell < 16:
+        return words
+    low, high = words[::2], words[1::2]
+    return [lo | hi << 64 for lo, hi in zip(low, high)] if any(high) else low
 
 
 def _extend_chains(

@@ -491,7 +491,18 @@ def both_tables_report(seed, trials, max_degree):
     return report
 
 
-def test_check_ab_solves_one_free_algebra_per_case(monkeypatch):
+def _drop_first(generators):
+    return generators[1:]
+
+
+def _bump_first(generators):
+    (d, k, c, kind), *rest = generators
+    return [(d, k, c + 1, kind)] + rest
+
+
+def test_check_ab_solves_only_on_a_mismatch(monkeypatch):
+    # equal Lambert coefficients decide a passing case without the kernel;
+    # a case whose route is perturbed solves both tables
     solves = []
     real = assemble.free_commutative
 
@@ -502,16 +513,14 @@ def test_check_ab_solves_one_free_algebra_per_case(monkeypatch):
     monkeypatch.setattr(assemble, "free_commutative", solve)
     config = {"mode": "check:ab", "seed": 0, "trials": 10, "max_degree": 36}
     assert cli.run(config)[0] == cli.EXIT_OK
-    assert solves == [(36, 18)] * 10
-
-
-def _drop_first(generators):
-    return generators[1:]
-
-
-def _bump_first(generators):
-    (d, k, c, kind), *rest = generators
-    return [(d, k, c + 1, kind)] + rest
+    assert solves == []
+    route = assemble._suspended_generators
+    monkeypatch.setattr(
+        assemble, "_suspended_generators", lambda spec: _bump_first(route(spec))
+    )
+    config = dict(config, trials=3, max_degree=14)
+    assert cli.run(config)[0] == cli.EXIT_CHECK_FAILED
+    assert solves == [(14, 7)] * 6
 
 
 @pytest.mark.parametrize("perturb", [_drop_first, _bump_first])

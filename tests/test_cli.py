@@ -1,5 +1,6 @@
 """Command-line behaviour: rendering, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -342,23 +343,46 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
         max_degree=6,
         max_weight=3,
     )
-    hilton_config = {"mode": "check:hilton_milnor", "max_degree": 8}
-    for run_config, caps in (
-        (dict(config, mode="theorem_a"), "got (6, 2), asked for (6, 3)"),
-        (config, "got (6, 2), asked for (6, 3)"),
-        # the wedge side of the Hilton-Milnor check
-        (hilton_config, "got (8, 7), asked for (8, 8)"),
-    ):
+    for run_config in (dict(config, mode="theorem_a"), config):
         assert _main_on(run_config, tmp_path) == EXIT_INTEGRITY
-        err = capsys.readouterr().err
-        assert err.startswith(f"integrity error: cap mismatch: {caps}")
-    # the basic-product side a degree short: comparing the totals would
-    # otherwise stop at the end of the shorter list
-    monkeypatch.setattr(assemble, "free_commutative", real)
-    monkeypatch.setattr(hilton, "free_commutative", drifting(real, -1, 0))
+        assert capsys.readouterr().err.startswith(
+            "integrity error: cap mismatch: got (6, 2), asked for (6, 3)"
+        )
+    # the Hilton-Milnor check's single-graded solve at caps (0, D): its
+    # weight cap carries the degree (a negative degree cap would be an
+    # input error instead)
+    hilton_config = {"mode": "check:hilton_milnor", "max_degree": 8}
+    monkeypatch.setattr(hilton, "free_commutative", drifting(real, 0, -1))
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert capsys.readouterr().err.startswith(
-        "integrity error: cap mismatch: got (7, 8), asked for (8, 8)"
+        "integrity error: cap mismatch: got (0, 7), asked for (0, 8)"
+    )
+    # the basic-product side of one configured case, solved second and only
+    # on a mismatch, a degree short: comparing the totals would otherwise
+    # stop at the end of the shorter list
+    hilton_config = dict(
+        hilton_config,
+        manifold={"preset": "sphere", "m": 1},
+        label_spaces=[{"preset": "sphere", "d": 2}, {"preset": "sphere", "d": 3}],
+    )
+    solves = []
+
+    def second_drifts(max_degree, max_weight, generators):
+        solves.append(max_weight)
+        solve = real if len(solves) == 1 else drifting(real, 0, -1)
+        return solve(max_degree, max_weight, generators)
+
+    words = hilton.basic_words
+    monkeypatch.setattr(
+        hilton,
+        "basic_words",
+        lambda *args: [dataclasses.replace(w, count=w.count + 1) for w in words(*args)],
+    )
+    monkeypatch.setattr(hilton, "free_commutative", second_drifts)
+    assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
+    assert solves == [8, 8]
+    assert capsys.readouterr().err.startswith(
+        "integrity error: cap mismatch: got (0, 7), asked for (0, 8)"
     )
     # a configuration error before the run is still a parse error
     assert _main_on(dict(config, modee="theorem_a"), tmp_path) == EXIT_PARSE

@@ -1,6 +1,7 @@
 """Basic-product counting and the wedge-label decomposition identity."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -121,37 +122,53 @@ def test_report_shape():
     assert len(payload["lhs_totals"]) == 11
 
 
+def bumped_words(r, max_length, _real=hilton.basic_words):
+    """basic_words with every count raised by 1: a perturbed basic-product
+    side."""
+    return [replace(w, count=w.count + 1) for w in _real(r, max_length)]
+
+
 def test_each_side_is_one_free_algebra(monkeypatch):
+    # a passing case solves one single-graded table, whose totals serve
+    # both sides; a perturbed basic-product side is solved as well
     calls = []
     for module in (assemble, hilton):
         real = module.free_commutative
 
-        def solve(*args, _real=real, _name=module.__name__):
-            calls.append(_name)
-            return _real(*args)
+        def solve(max_degree, max_weight, generators, _real=real, _name=module.__name__):
+            calls.append((_name, max_degree, max_weight))
+            return _real(max_degree, max_weight, generators)
 
         monkeypatch.setattr(module, "free_commutative", solve)
-    report = hilton_milnor_check(1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
+    problem = (1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
+    report = hilton_milnor_check(*problem)
     assert report.passed and report.words_used > 1
-    assert sorted(calls) == ["confighom.assemble", "confighom.hilton"]
+    assert calls == [("confighom.hilton", 0, 14)]
+    calls.clear()
+    monkeypatch.setattr(hilton, "basic_words", bumped_words)
+    assert not hilton_milnor_check(*problem).passed
+    assert calls == [("confighom.hilton", 0, 14)] * 2
 
 
 def test_each_word_class_is_solved_once(monkeypatch):
     # on the circle with S^2 v S^2 labels, the words of length l all smash
-    # to S^2l: one class, and one product_generators call, per length
+    # to S^2l: one class, and one product_generators call, per length,
+    # after the wedge side's one call
     m_dim, rel, labels, D = 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], 12
     calls = []
     real = hilton.product_generators
 
     def spy(*call):
-        calls.append(call[0])
+        calls.append(call)
         return real(*call)
 
     monkeypatch.setattr(hilton, "product_generators", spy)
     report = hilton_milnor_check(m_dim, rel, labels, D)
     lengths = [word["length"] for word in report.word_summary]
     assert report.passed and len(lengths) > len(set(lengths))
-    assert sorted(calls) == sorted(set(lengths))
+    wedge, *classes = calls
+    assert wedge[:4] == (m_dim, rel, 1, {2: 2})
+    assert sorted(call[0] for call in classes) == sorted(set(lengths))
 
     # the right-hand side built word by word, as the identity states it
     generators = []
@@ -163,6 +180,27 @@ def test_each_word_class_is_solved_once(monkeypatch):
             for d, k, c, kind in real(l * m_dim, shifted_rel, 1, {2 * l: 1}, F2, D, D)
         ]
     assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
+
+
+KINDS = ("polynomial", "exterior")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.integers(1, 8).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.integers(1, d), st.integers(0, 4), st.sampled_from(KINDS)
+            )
+        ),
+        max_size=7,
+    ),
+    st.integers(0, 14),
+)
+def test_property_regraded_totals_equal_the_degree_totals(gens, D):
+    # with 1 <= k <= d, a product inside the degree cap D has weight <= D
+    regraded = [(0, d, c, kind) for d, _k, c, kind in gens]
+    assert hilton._degree_totals(D, regraded) == free_commutative(D, D, gens).degree_totals()
 
 
 @st.composite
@@ -186,3 +224,40 @@ def test_property_hilton_milnor_holds_on_random_wedges(problem, field):
         m_dim, rel, labels, D, char=FieldChar.from_name(field), orientable=field == "Q"
     )
     assert report.passed, report.first_mismatch
+
+
+def both_sides_report(m_dim, rel, labels, D, char, words):
+    """The report that solving both sides at caps (D, D) gives: the wedge
+    side by ``factor_product``, and the right-hand side word by word from
+    the report's ``words``."""
+    wedge = Counter()
+    for x in labels:
+        wedge.update(x)
+    lhs = assemble.factor_product(m_dim, rel, 1, dict(wedge), char, D, D).degree_totals()
+    generators = []
+    for word in words:
+        l = word["length"]
+        shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
+        smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
+        generators += [
+            (d, k, c * word["count"], kind)
+            for d, k, c, kind in assemble.product_generators(
+                l * m_dim, shifted_rel, 1, smash, char, D, D
+            )
+        ]
+    rhs = free_commutative(D, D, generators).degree_totals()
+    first = next(((d, a, b) for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    return hilton.HiltonReport(first is None, D, len(words), first, lhs, rhs, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wedge_problems(), st.sampled_from(("F2", "Q")))
+def test_property_a_perturbed_basic_product_side_reports_as_solving_both(problem, field):
+    m_dim, rel, labels, D = problem
+    char = FieldChar.from_name(field)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hilton, "basic_words", bumped_words)
+        report = hilton_milnor_check(m_dim, rel, labels, D, char=char, orientable=field == "Q")
+    expected = both_sides_report(m_dim, rel, labels, D, char, report.word_summary)
+    assert not report.passed
+    assert report.to_json() == expected.to_json()
