@@ -14,11 +14,8 @@ so only degreewise totals are compared; the weight gradings of the two
 sides genuinely differ.  A word's factors depend only on its length and
 its smash, so the words fall into classes keyed by (length, smash Betti):
 each class's factors are built once and counted by the sum of its words'
-``word.count``.  Each side is one free algebra (see ``assemble``): the
-wedge's generators, and those of every class.  Since only degree totals
-are compared, each generator (d, k) is moved to (0, d), and the degree
-totals are the single degree row of one ``free_commutative`` call at
-caps (0, D).
+``word.count``.  Each side is one free algebra (see ``assemble``), whose
+degree totals one single-graded ``free_commutative`` call gives.
 """
 
 from __future__ import annotations
@@ -143,12 +140,10 @@ def hilton_milnor_check(
     run the same comparison rationally.  n is fixed at 1 (the decomposition
     concerns a single Euclidean factor).
 
-    Both sides' generators are regraded to (0, d) and the wedge side's
-    totals are solved first (:func:`_degree_totals`).  The basic-product
-    side is solved only when its :func:`weight_log_derivative` differs
-    from the wedge side's: equal dicts give equal tables, so its totals
-    are then the wedge side's, and every report is the one that solving
-    both sides gives.
+    The basic-product side is solved only when its regraded
+    :func:`weight_log_derivative` differs from the wedge side's; equal
+    dicts give equal tables, so every report is the one that solving both
+    sides gives.
     """
     if char is None:
         char = FieldChar.mod2()
