@@ -11,11 +11,14 @@ a Thom-class identification that is unconditional mod 2.
 
 The identity is a homotopy equivalence of spaces, not of filtered objects,
 so only degreewise totals are compared; the weight gradings of the two
-sides genuinely differ.  A word's factors depend only on its length and
-its smash, so the words fall into classes keyed by (length, smash Betti):
-each class's factors are built once and counted by the sum of its words'
-``word.count``.  Each side is one free algebra (see ``assemble``), whose
-degree totals one single-graded ``free_commutative`` call gives.
+sides genuinely differ.  The factors of (M_w, M0_w) with the smash are
+those of (M, M0) with its Thom-shifted module Sigma^((l-1)*m_dim) smash,
+one for one (j = m_dim + 1 - q loops on Sigma^(q + (l-1)*m_dim) smash), so
+every word goes through the wedge side's one factor plan.  The words fall
+into classes keyed by that module: each class's factors are built once and
+counted by the sum of its words' ``word.count``.  Each side is one free
+algebra (see ``assemble``), whose degree totals one single-graded
+``free_commutative`` call gives.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
-from .loops import FieldChar, GradedBetti, normalize_betti
+from .loops import FieldChar, GradedBetti, normalize_betti, suspend_betti
 from .assemble import Generators, product_generators
 from .series import free_commutative, require_caps, weight_log_derivative
 from .witt import _solve_cell
@@ -145,6 +148,8 @@ def hilton_milnor_check(
     dicts give equal tables, so every report is the one that solving both
     sides gives.
     """
+    if max_degree < 0:
+        raise InvalidInputError("max_degree must be an int >= 0")
     if char is None:
         char = FieldChar.mod2()
     if not char.is_two and not (char.is_zero and orientable):
@@ -163,7 +168,6 @@ def hilton_milnor_check(
         raise InvalidInputError("relative Betti data must be nonzero within 0..m_dim")
 
     D = max_degree
-    K = D  # weights are not compared; degree >= weight holds throughout
     bottoms = [min(x) for x in x_list]
     min_rel = min(rel)
 
@@ -171,34 +175,21 @@ def hilton_milnor_check(
     for x in x_list:
         for d, c in x.items():
             wedge[d] = wedge.get(d, 0) + c
-    lhs_generators = [
-        (0, d, c, kind)
-        for d, _k, c, kind in product_generators(m_dim, rel, 1, wedge, char, D, K)
-    ]
-    lhs_totals = _degree_totals(D, lhs_generators)
 
-    # a length-l factor first contributes in degree (l-1)m + min_rel + bottom
-    max_len = 1
-    while (
-        max_len * min(bottoms) + (max_len) * m_dim - m_dim + min_rel <= D
-        and max_len <= D + 1
-    ):
-        max_len += 1
-
-    classes: dict[tuple[int, tuple], int] = {}
-    used = 0
+    # a word of length l first contributes in degree
+    # (l-1)m + min_rel + l * min(bottoms), which must be at most D
+    max_len = (D + m_dim - min_rel) // (min(bottoms) + m_dim)
+    modules: dict[tuple, int] = {}
     summary = []
     for word in basic_words(len(x_list), max_len):
+        shift = (word.length - 1) * m_dim
         # the smash's lowest degree sums its factors' lowest degrees
-        low = (word.length - 1) * m_dim + min_rel + sum(
-            a * b for a, b in zip(word.multiplicities, bottoms)
-        )
+        low = shift + min_rel + sum(a * b for a, b in zip(word.multiplicities, bottoms))
         if low > D:
             continue
-        smash = _smash_betti(x_list, word.multiplicities)
-        key = (word.length, tuple(sorted(smash.items())))
-        classes[key] = classes.get(key, 0) + word.count
-        used += 1
+        module = suspend_betti(_smash_betti(x_list, word.multiplicities), shift)
+        key = tuple(sorted(module.items()))
+        modules[key] = modules.get(key, 0) + word.count
         summary.append(
             {
                 "multiplicities": list(word.multiplicities),
@@ -208,17 +199,19 @@ def hilton_milnor_check(
             }
         )
 
-    rhs_generators = []
-    for (length, smash), count in classes.items():
-        shift = (length - 1) * m_dim
-        shifted_rel = {q + shift: b for q, b in rel.items()}
-        rhs_generators += [
+    # both sides over the one factor plan of (m_dim, rel); weights are not
+    # compared, and degree >= weight holds throughout, so K = D
+    lhs_generators, rhs_generators = (
+        [
             (0, d, c * count, kind)
+            for module, count in side.items()
             for d, _k, c, kind in product_generators(
-                length * m_dim, shifted_rel, 1, dict(smash), char, D, K
+                m_dim, rel, 1, dict(module), char, D, D
             )
         ]
-
+        for side in ({tuple(wedge.items()): 1}, modules)
+    )
+    lhs_totals = _degree_totals(D, lhs_generators)
     if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
         0, D, rhs_generators
     ):
@@ -233,7 +226,7 @@ def hilton_milnor_check(
     return HiltonReport(
         passed=first is None,
         max_degree=D,
-        words_used=used,
+        words_used=len(summary),
         first_mismatch=first,
         lhs_totals=lhs_totals,
         rhs_totals=rhs_totals,

@@ -168,9 +168,9 @@ def suspend_betti(x: GradedBetti, q: int) -> GradedBetti:
 
 
 # the one memo of the census layer: shifted Witt tables, cleared when full.
-# Every factor of a plan sees the same shifted letters, and so, often, do
-# Hilton-Milnor word classes of different lengths and the interval and
-# circle cases of one check.  Factors themselves are not memoized.
+# Every factor of a plan sees the same shifted letters, and so do the
+# Hilton-Milnor word classes that share a module across the cases of one
+# check.  Factors themselves are not memoized.
 _WITT_CACHE_LIMIT = 512
 _witt_cache: dict[tuple, DegreeWeightTable] = {}
 

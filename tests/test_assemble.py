@@ -172,16 +172,65 @@ ABSOLUTE_MANIFOLDS = [
 ]
 
 
+# (preset, parameters) of manifold pairs, including relative ones
+MANIFOLD_PAIRS = ABSOLUTE_MANIFOLDS + [("disk_pair", {"m": 2}), ("sphere", {"m": 0})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MANIFOLD_PAIRS + [("rp", {"m": 2}), ("rp", {"m": 3})]),
+    st.one_of(
+        st.just({0: 1}),
+        st.dictionaries(st.integers(0, 3), st.integers(1, 2), min_size=1, max_size=3),
+    ),
+    st.sampled_from(("Q", "F2", "Fp:3", "Fp:5")),
+    st.integers(1, 3),
+)
+@example(("point", {}), {0: 1}, "Q", 1)
+@example(("disk_pair", {"m": 2}), {0: 2, 1: 1}, "F2", 1)
+@example(("rp", {"m": 3}), {0: 1, 3: 1}, "F2", 2)
+def test_property_s0_rows_have_the_gal_euler_characteristic(manifold, x, field, n):
+    # row k, the weight-k filtration quotient for N = M x R^n, lies in
+    # degrees <= k (dim N + top degree of X).  With chi = chi(M, M0) and e the
+    # reduced Euler characteristic of X, sum_k chi(row k) u^k is
+    # (1 + e u)^chi for even dim N and (1 - e u)^(-chi) for odd dim N,
+    # over every field; X = S^0 is Gal's formula
+    char = F2 if manifold[0] == "rp" else FieldChar.from_name(field)
+    m_dim, rel = preset(manifold[0], char=char, **manifold[1])
+    K = 6
+    spec = make_spec(
+        m_dim=m_dim,
+        rel_betti=rel,
+        n=n,
+        x_betti=x,
+        char=char,
+        max_degree=K * (m_dim + n + max(x)),
+        max_weight=K,
+    )
+    rows = filtration_table(theorem_b(spec))
+    chi = sum((-1) ** q * b for q, b in rel.items())
+    e = sum((-1) ** d * b for d, b in x.items())
+    for k in range(1, K + 1):
+        if (m_dim + n) % 2 == 0:
+            expected = binomial(chi, k) * e**k
+        else:
+            expected = binomial(-chi, k) * (-e) ** k
+        assert sum((-1) ** d * v for d, v in rows[k].items()) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(ABSOLUTE_MANIFOLDS),
     st.sampled_from(("Q", "F2", "Fp:3", "Fp:5")),
     st.integers(1, 3),
+    st.integers(0, 10),
+    st.integers(1, 8),
 )
-def test_property_s0_rows_have_the_gal_euler_characteristic(manifold, field, n):
-    # with X = S^0, row k is H_*(B_k(N)) for N = M x R^n; Gal's formula:
-    # sum_k chi(B_k N) t^k is (1+t)^chi(N) for even dim N and
-    # (1-t)^(-chi(N)) for odd dim N, and chi(N) = chi(M)
+def test_property_s0_rows_are_homologically_stable(manifold, field, n, D, K):
+    # M connected and M0 empty, so row k is H_*(B_k N) for the open
+    # manifold N = M x R^n: b_i(B_k N) <= b_i(B_{k+1} N), with equality
+    # for k >= 2i over every field (McDuff, Segal) and for k >= i + 1 over
+    # Q (Church)
     char = FieldChar.from_name(field)
     m_dim, rel = preset(manifold[0], char=char, **manifold[1])
     spec = make_spec(
@@ -190,17 +239,16 @@ def test_property_s0_rows_have_the_gal_euler_characteristic(manifold, field, n):
         n=n,
         x_betti={0: 1},
         char=char,
-        max_degree=60,
-        max_weight=6,
+        max_degree=D,
+        max_weight=K,
     )
     rows = filtration_table(theorem_b(spec))
-    chi = sum((-1) ** q * b for q, b in rel.items())
-    for k in range(1, 7):
-        if (m_dim + n) % 2 == 0:
-            expected = binomial(chi, k)
-        else:
-            expected = (-1) ** k * binomial(-chi, k)
-        assert sum((-1) ** d * v for d, v in rows[k].items()) == expected
+    for k in range(K):
+        for i in range(D + 1):
+            before, after = rows[k].get(i, 0), rows[k + 1].get(i, 0)
+            assert before <= after, (k, i)
+            if k >= 2 * i or (char.is_zero and k >= i + 1):
+                assert before == after, (k, i)
 
 
 def test_weight_one_slice_is_relative_smash():
@@ -215,10 +263,6 @@ def test_weight_one_slice_is_relative_smash():
     assert series.weight_slice(1) == weight_one_slice_expected(
         spec.rel_betti, spec.x_betti, 8
     )
-
-
-# (preset, parameters) of manifold pairs, including relative ones
-MANIFOLD_PAIRS = ABSOLUTE_MANIFOLDS + [("disk_pair", {"m": 2}), ("sphere", {"m": 0})]
 
 
 @settings(max_examples=60, deadline=None)

@@ -285,6 +285,24 @@ def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"mode": "check:hilton_milnor", "max_degree": -1},
+        {
+            "mode": "check:hilton_milnor",
+            "manifold": {"preset": "cube", "m": 1},
+            "label_spaces": [{"preset": "sphere", "d": 2}],
+            "max_degree": -1,
+        },
+    ],
+)
+def test_negative_hilton_max_degree_is_an_input_error(config, tmp_path, capsys):
+    # the default suite and a configured case refuse it alike
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: max_degree must be an int >= 0\n"
+
+
 @pytest.mark.parametrize("orientable", ["no", 1, []])
 def test_non_boolean_orientable_is_rejected(orientable, tmp_path):
     config = {"mode": "check:hilton_milnor", "field": "Q",

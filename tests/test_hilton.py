@@ -150,11 +150,20 @@ def test_each_side_is_one_free_algebra(monkeypatch):
     assert calls == [("confighom.hilton", 0, 14)] * 2
 
 
-def test_each_word_class_is_solved_once(monkeypatch):
+# (m_dim, rel, labels, D, words sharing one module, that module)
+SHARED_MODULE_CASES = [
     # on the circle with S^2 v S^2 labels, the words of length l all smash
-    # to S^2l: one class, and one product_generators call, per length,
-    # after the wedge side's one call
-    m_dim, rel, labels, D = 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], 12
+    # to S^2l: (2, 1) and (1, 2) both give Sigma^2 S^6 = S^8
+    (1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], 12, [(2, 1), (1, 2)], {8: 1}),
+    # on the interval with S^2 v S^3 labels, words of lengths 5 and 6 give
+    # Sigma^4 S^14 = Sigma^5 S^13 = S^18
+    (1, {0: 1}, [{2: 1}, {3: 1}], 18, [(1, 4), (5, 1)], {18: 1}),
+]
+
+
+def test_each_word_class_is_solved_once(monkeypatch):
+    # every census runs over the one factor plan of (m_dim, rel), the wedge
+    # side's first, then one per distinct Thom-shifted module of the words
     calls = []
     real = hilton.product_generators
 
@@ -163,23 +172,42 @@ def test_each_word_class_is_solved_once(monkeypatch):
         return real(*call)
 
     monkeypatch.setattr(hilton, "product_generators", spy)
-    report = hilton_milnor_check(m_dim, rel, labels, D)
-    lengths = [word["length"] for word in report.word_summary]
-    assert report.passed and len(lengths) > len(set(lengths))
-    wedge, *classes = calls
-    assert wedge[:4] == (m_dim, rel, 1, {2: 2})
-    assert sorted(call[0] for call in classes) == sorted(set(lengths))
+    for m_dim, rel, labels, D, shared, module in SHARED_MODULE_CASES:
+        calls.clear()
+        report = hilton_milnor_check(m_dim, rel, labels, D)
+        assert report.passed
+        assert all(call[:3] == (m_dim, rel, 1) for call in calls)
+        wedge, *classes = calls
+        assert wedge[3] == dict(sum((Counter(x) for x in labels), Counter()))
 
-    # the right-hand side built word by word, as the identity states it
-    generators = []
-    for word in report.word_summary:
-        l = word["length"]
-        shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
-        generators += [
-            (d, k, c * word["count"], kind)
-            for d, k, c, kind in real(l * m_dim, shifted_rel, 1, {2 * l: 1}, F2, D, D)
-        ]
-    assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
+        modules = {}
+        for word in report.word_summary:
+            shift = (word["length"] - 1) * m_dim
+            smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
+            key = tuple(sorted((d + shift, c) for d, c in smash.items()))
+            modules.setdefault(key, []).append(tuple(word["multiplicities"]))
+        assert sorted(tuple(sorted(call[3].items())) for call in classes) == sorted(modules)
+        assert modules[tuple(module.items())] == shared
+
+        # the right-hand side built word by word, as the identity states it
+        generators = []
+        for word in report.word_summary:
+            l = word["length"]
+            shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
+            smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
+            generators += [
+                (d, k, c * word["count"], kind)
+                for d, k, c, kind in real(l * m_dim, shifted_rel, 1, smash, F2, D, D)
+            ]
+        assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
+
+
+def test_negative_max_degree_is_refused_before_any_census(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hilton, "product_generators", lambda *call: calls.append(call))
+    with pytest.raises(InvalidInputError, match="max_degree must be an int >= 0"):
+        hilton_milnor_check(1, {0: 1}, [{2: 1}, {3: 1}], -1)
+    assert calls == []
 
 
 KINDS = ("polynomial", "exterior")
@@ -217,8 +245,8 @@ def wedge_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(wedge_problems(), st.sampled_from(("F2", "Q")))
 def test_property_hilton_milnor_holds_on_random_wedges(problem, field):
-    # repeated summands and multi-class labels make several words share a
-    # (length, smash) class, and words of different lengths share a smash
+    # repeated summands and multi-class labels make several words of one
+    # length share a module, and words of different lengths share one too
     m_dim, rel, labels, D = problem
     report = hilton_milnor_check(
         m_dim, rel, labels, D, char=FieldChar.from_name(field), orientable=field == "Q"
