@@ -354,6 +354,9 @@ def ab_coherence_report(
     checked to be >= 0.  Errors are raised in the order theorem_a, then
     the route.
     """
+    for name, v in (("trials", trials), ("max_degree", max_degree)):
+        if v < 0:
+            raise InvalidInputError(f"{name} must be an int >= 0")
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
         D, K, a_generators = _theorem_a_generators(spec)

@@ -125,7 +125,7 @@ def _degree_totals(max_degree: int, regraded: Generators) -> list[int]:
     regraded table."""
     return require_caps(
         free_commutative(0, max_degree, regraded), 0, max_degree
-    ).degree_rows()[0]
+    ).rows()[0]
 
 
 def hilton_milnor_check(

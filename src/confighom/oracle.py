@@ -10,12 +10,14 @@ same admissibility grammar the engine documents.  Counting both ways and
 comparing is the point: the two implementations share only the grammar,
 not code.
 
-The closed-form catalog is computed with coin/subset dynamic programming,
-again independent of the series kernel.  Most catalog entries are
+The closed-form catalog is computed with coin/subset dynamic programming
+from generator lists written down from the literature: it calls neither
+the series kernel nor the census, and takes only :class:`BiSeries` and
+the field and Betti types from the engine.  Most catalog entries are
 degreewise and park their dimensions at weight 0; ``james``,
-``stunted_weight2`` and ``braid`` carry a meaningful weight grading (those
-are classically known), and ``braid`` runs its coin DP over both
-gradings.
+``stunted_weight2``, ``even_sphere_split`` and ``braid`` carry a weight
+grading, and ``even_sphere_split`` and ``braid`` run their coin DP over
+both gradings.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import ConfigurationError, InvalidInputError
-from .loops import FieldChar, GradedBetti, factor_series, normalize_betti
-from .series import BiSeries, multiply
+from .loops import FieldChar, GradedBetti, normalize_betti
+from .series import BiSeries
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,16 @@ def classical_series(
       weight 2) and the xi_i (degree 2p^i - 1, weight 2p^i, i >= 1) tensor
       F_p[beta xi_i] (degree 2p^i - 2) (F. Cohen, LNM 533, 1976);
     * Q: Q[x_0] tensor the exterior algebra on lambda (Arnold 1969).
+
+    ``even_sphere_split`` is H_*(Omega^2 S^(2k)) through the splitting
+    Omega^2 S^(2k) = Omega S^(2k-1) x Omega^2 S^(4k-1): James' polynomial
+    generator (2k - 2, 1) tensor H_*(Omega^2 S^(4k-1)) (F. Cohen, LNM 533,
+    1976), its bottom class at weight 1, so m = 4k - 2:
+
+    * F2: polynomial on (2^i m - 1, 2^i), i >= 0;
+    * odd p: exterior on (p^i m - 1, p^i), i >= 0, tensor polynomial on
+      (p^i m - 2, p^i), i >= 1;
+    * Q: exterior on (m - 1, 1).
     """
     params = dict(params or {})
     D, K = max_degree, max_weight
@@ -316,9 +328,21 @@ def classical_series(
         if k < 2:
             raise InvalidInputError("even_sphere_split needs k >= 2")
         char = field if isinstance(field, FieldChar) else FieldChar.from_name(str(field))
-        james = classical_series("james", {"d": 2 * k - 2}, D, K)
-        rest = factor_series({4 * k - 3: 1}, 2, char, D, K)
-        return multiply(james, rest)
+        m = 4 * k - 2
+        poly, ext = [(2 * k - 2, 1)], []
+        if char.is_zero:
+            ext.append((m - 1, 1))
+        w = 1
+        while not char.is_zero and w <= K:
+            if char.is_two:
+                poly.append((w * m - 1, w))
+            else:
+                ext.append((w * m - 1, w))
+                if w > 1:
+                    poly.append((w * m - 2, w))
+            w *= char.p
+        counts = _bigraded_counts(poly, ext, D, K)
+        return BiSeries(D, K, counts, is_algebra=True)
 
     if name == "braid":
         field = params.pop("field")

@@ -10,12 +10,10 @@ All operations are pure: a BiSeries is never mutated after construction, so
 values can be shared freely (including across threads) and products may be
 evaluated in any order.
 
-:func:`multiply`, the product of two series, packs each operand into a
-single big integer (one fixed-width little-endian slot per coefficient,
-rows padded so degree carries cannot cross weight rows) and does one
-native big-int multiplication.  The engine assembles no products with it:
-a product of free algebras is itself free, so it is one
-:func:`free_commutative` call on the union of the generators.
+:func:`multiply`, the product of two series, is a plain convolution over
+their nonzero cells.  The engine assembles no products with it: a product
+of free algebras is itself free, so it is one :func:`free_commutative`
+call on the union of the generators.
 
 Free graded-commutative algebras, products of (1 - t^d u^w)^(-c) and
 (1 + t^d u^w)^c, are solved by one log-derivative kernel,
@@ -48,8 +46,7 @@ reference.
 sparse word rows itself, every table is one :func:`free_commutative`
 call, and ``check:ab``'s S^2 X route desuspends its generators, not the
 table (a generator may sit in degree 0 at weight >= 1).  They stay as
-the tests' references, ``oracle`` uses :func:`multiply`, and
-``bench/spans.py`` wraps all four by name.
+the tests' references, and ``bench/spans.py`` wraps all four by name.
 """
 
 from __future__ import annotations
@@ -129,19 +126,15 @@ class BiSeries:
         cls,
         max_degree: int,
         max_weight: int,
-        entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
+        entries: Mapping[tuple[int, int], int],
         *,
         is_algebra: bool = False,
     ) -> "BiSeries":
         """Build from sparse (d, k) -> value data; out-of-cap entries are dropped."""
         c = _blank(max_degree, max_weight)
-        if isinstance(entries, Mapping):
-            triples = ((d, k, v) for (d, k), v in entries.items())
-        else:
-            triples = iter(entries)
-        for d, k, v in triples:
+        for (d, k), v in entries.items():
             if 0 <= d <= max_degree and 0 <= k <= max_weight:
-                c[d][k] += v
+                c[d][k] = v
         return cls(max_degree, max_weight, c, is_algebra=is_algebra)
 
     # -- access -------------------------------------------------------
@@ -162,13 +155,9 @@ class BiSeries:
                 if v:
                     yield d, k, v
 
-    def degree_rows(self) -> list[list[int]]:
-        """A copy of the table as rows indexed [degree][weight]."""
-        return [row[:] for row in self._c]
-
     def rows(self) -> Sequence[Sequence[int]]:
         """The stored rows indexed [degree][weight], not copied: read them
-        only, for a BiSeries is never mutated (:meth:`degree_rows` copies)."""
+        only, for a BiSeries is never mutated."""
         return self._c
 
     def to_dict(self) -> dict[tuple[int, int], int]:
@@ -221,45 +210,21 @@ def require_caps(s: BiSeries, max_degree: int, max_weight: int) -> BiSeries:
     return s
 
 
-def _stats(s: BiSeries) -> tuple[int, int]:
-    """(max coefficient, number of nonzero cells)."""
-    values = [v for row in s._c for v in row if v]
-    return max(values, default=0), len(values)
-
-
-def _pack(s: BiSeries, row_slots: int, cell: int) -> int:
-    buf = bytearray((s.max_weight + 1) * row_slots * cell)
-    for d, row in enumerate(s._c):
-        for k, v in enumerate(row):
-            if v:
-                off = (k * row_slots + d) * cell
-                buf[off : off + cell] = v.to_bytes(cell, "little")
-    return int.from_bytes(buf, "little")
-
-
 def multiply(a: BiSeries, b: BiSeries) -> BiSeries:
     """Truncated product: out(d,k) = sum a(d1,k1) b(d2,k2) over splits.
 
-    This is the dimension count of a tensor product of bigraded modules.
+    This is the dimension count of a tensor product of bigraded modules,
+    convolved over the nonzero cells of both.
     """
     D, K = require_caps(b, *a.caps()).caps()
-    max_a, nnz_a = _stats(a)
-    max_b, nnz_b = _stats(b)
-    if nnz_a == 0 or nnz_b == 0:
-        return BiSeries.zero(D, K)
-    # Any product cell is a sum of at most min(nnz) terms, each <= max_a*max_b.
-    bound = max_a * max_b * min(nnz_a, nnz_b)
-    cell = (bound.bit_length() + 8) // 8
-    row_slots = 2 * D + 1  # degree sums reach 2D; keep them inside one weight row
-    prod = _pack(a, row_slots, cell) * _pack(b, row_slots, cell)
-    need = ((2 * K) * row_slots + 2 * D + 1) * cell
-    raw = prod.to_bytes(need, "little")
     c = _blank(D, K)
-    for k in range(K + 1):
-        base = k * row_slots * cell
-        for d in range(D + 1):
-            off = base + d * cell
-            c[d][k] = int.from_bytes(raw[off : off + cell], "little")
+    cells = list(b.items())  # degree-major, so a degree past D ends the row
+    for d1, k1, v1 in a.items():
+        for d2, k2, v2 in cells:
+            if d1 + d2 > D:
+                break
+            if k1 + k2 <= K:
+                c[d1 + d2][k1 + k2] += v1 * v2
     return BiSeries(D, K, c, is_algebra=a.is_algebra and b.is_algebra)
 
 
@@ -285,28 +250,13 @@ def power_factor(
     if count == 0:
         return acc
     D, K = acc.caps()
-    imax = D // degree
-    if weight > 0:
-        imax = min(imax, K // weight)
-    if kind == EXTERIOR:
-        imax = min(imax, count)
-    if kind == POLYNOMIAL:
-        multipliers = [math.comb(count + i - 1, i) for i in range(imax + 1)]
-    else:
-        multipliers = [math.comb(count, i) for i in range(imax + 1)]
-    src = acc._c
-    c = _blank(D, K)
-    for d in range(D + 1):
-        out_row = c[d]
-        for i in range(min(imax, d // degree) + 1):
-            m = multipliers[i]
-            src_row = src[d - i * degree]
-            kk = i * weight
-            for k in range(kk, K + 1):
-                v = src_row[k - kk]
-                if v:
-                    out_row[k] += m * v
-    return BiSeries(D, K, c, is_algebra=acc.is_algebra)
+    factor = {
+        (i * degree, i * weight): math.comb(count + i - 1, i)
+        if kind == POLYNOMIAL
+        else math.comb(count, i)
+        for i in range(D // degree + 1)
+    }
+    return multiply(acc, BiSeries.from_entries(D, K, factor, is_algebra=True))
 
 
 def weight_log_derivative(

@@ -104,7 +104,7 @@ def test_criterion_05_even_sphere_splitting():
     ok = True
     detail = ""
     for k in (2, 3):
-        for char in (F2, FieldChar.odd(3)):
+        for char in (F2, FieldChar.odd(3), FieldChar.odd(5), Q):
             got = factor_series({2 * k - 2: 1}, 2, char, D, D).degree_totals()
             expected = classical_series(
                 "even_sphere_split", {"k": k, "field": char}, D, D

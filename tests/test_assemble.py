@@ -516,6 +516,17 @@ def test_ab_coherence_small_run_passes_and_is_reproducible():
     assert rep1.to_json() == rep2.to_json()
 
 
+def test_ab_coherence_refuses_negative_counts_before_any_spec(monkeypatch):
+    def specs(*_args):
+        raise AssertionError("a spec was built for a bad count")
+
+    monkeypatch.setattr(assemble, "random_problem_specs", specs)
+    with pytest.raises(InvalidInputError, match="trials must be an int >= 0"):
+        ab_coherence_report(0, -3, 30)
+    with pytest.raises(InvalidInputError, match="max_degree must be an int >= 0"):
+        ab_coherence_report(0, 0, -1)
+
+
 def both_tables_report(seed, trials, max_degree):
     """The coherence report that solving both tables of every case gives:
     theorem_a's and that of the check's S^2 X route."""

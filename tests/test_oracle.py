@@ -1,7 +1,13 @@
 """The enumeration oracle: explicit witnesses, recomputation of their
-gradings, agreement with the census, and the closed-form catalog."""
+gradings, agreement with the census, the closed-form catalog, and the
+oracle's independence from the engine."""
+
+import ast
+from pathlib import Path
 
 import pytest
+
+import confighom
 
 from confighom import (
     FieldChar,
@@ -125,12 +131,20 @@ def test_stunted_catalog():
 
 
 def test_even_sphere_split_catalog_matches_engine_product():
-    direct = multiply(
-        classical_series("james", {"d": 2}, 12, 12),
-        factor_series({5: 1}, 2, F2, 12, 12),
-    )
-    got = classical_series("even_sphere_split", {"k": 2, "field": "F2"}, 12, 12)
-    assert got == direct
+    # the closed form against James' series times the engine's double loops
+    # on S^(4k-1), cell by cell, including caps that cut the weights short
+    for k in range(2, 6):
+        for field in ("F2", "Fp:3", "Fp:5", "Q"):
+            char = FieldChar.from_name(field)
+            for D, K in ((40, 40), (40, 7), (25, 3)):
+                direct = multiply(
+                    classical_series("james", {"d": 2 * k - 2}, D, K),
+                    factor_series({4 * k - 3: 1}, 2, char, D, K),
+                )
+                got = classical_series(
+                    "even_sphere_split", {"k": k, "field": field}, D, K
+                )
+                assert got == direct, (k, field, D, K)
 
 
 def test_braid_catalog_rows():
@@ -181,3 +195,38 @@ def test_odd_primary_catalog_keeps_polynomial_generator_at_the_cap(p, cap):
     got = classical_series("omega2_s3_modp", {"p": p}, cap, 0).degree_totals()
     engine = factor_series({1: 1}, 2, FieldChar.odd(p), cap, cap).degree_totals()
     assert got == engine
+
+
+# -- independence ------------------------------------------------------------
+
+SRC = Path(confighom.__file__).parent
+ORACLE_MAY_IMPORT = {
+    "errors": None,  # any name
+    "series": {"BiSeries"},
+    "loops": {"FieldChar", "GradedBetti", "normalize_betti"},
+}
+REFERENCES = {"multiply", "power_factor", "inverse_one_minus", "desuspend_by_weight"}
+
+
+def test_oracle_borrows_nothing_from_the_engine():
+    # the oracle checks the engine only while it shares no kernel with it,
+    # and the series references stay out of the engine modules
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("confighom")]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("confighom")
+        ):
+            module = (node.module or "").rpartition(".")[2]
+            assert module in ORACLE_MAY_IMPORT, module
+            allowed = ORACLE_MAY_IMPORT[module]
+            names = {a.name for a in node.names}
+            assert allowed is None or names <= allowed, (module, names - allowed)
+    for module in ("assemble", "loops", "witt", "hilton", "cli"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert not named & REFERENCES, (module, named & REFERENCES)

@@ -1,7 +1,7 @@
 """Kernel tests: worked examples plus seeded-random algebra properties.
 
 The reference multiplication used here is a direct dict convolution written
-independently of the packed-integer path in the package.
+independently of the package's ``multiply``.
 """
 
 import json
