@@ -18,7 +18,7 @@ every word goes through the wedge side's one factor plan.  The words fall
 into classes keyed by that module: each class's factors are built once and
 counted by the sum of its words' ``word.count``.  Each side is one free
 algebra (see ``assemble``), whose degree totals one single-graded
-``free_commutative`` call gives.
+``assemble._solve`` call gives.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, suspend_betti
-from .assemble import Generators, product_generators
-from .series import free_commutative, require_caps, weight_log_derivative
+from .assemble import _solve, product_generators
+from .series import weight_log_derivative
 from .witt import _solve_cell
 
 
@@ -117,17 +117,6 @@ class HiltonReport:
         }
 
 
-def _degree_totals(max_degree: int, regraded: Generators) -> list[int]:
-    """Degree totals through max_degree of the free algebra on generators
-    (d, k), given ``regraded`` as (0, d): the weight carries the degree.
-    With 1 <= k <= d the weight cap K = max_degree cuts only products
-    beyond the degree cap, so the totals are the single degree row of the
-    regraded table."""
-    return require_caps(
-        free_commutative(0, max_degree, regraded), 0, max_degree
-    ).rows()[0]
-
-
 def hilton_milnor_check(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -200,7 +189,10 @@ def hilton_milnor_check(
         )
 
     # both sides over the one factor plan of (m_dim, rel); weights are not
-    # compared, and degree >= weight holds throughout, so K = D
+    # compared, and degree >= weight holds throughout, so K = D.  Each
+    # generator (d, k) is regraded to (0, d), so the weight carries the
+    # degree; with 1 <= k <= d the weight cap D cuts only products beyond
+    # the degree cap, so the degree totals are the one row of the table
     lhs_generators, rhs_generators = (
         [
             (0, d, c * count, kind)
@@ -211,13 +203,13 @@ def hilton_milnor_check(
         ]
         for side in ({tuple(wedge.items()): 1}, modules)
     )
-    lhs_totals = _degree_totals(D, lhs_generators)
+    lhs_totals = _solve(0, D, lhs_generators).rows()[0]
     if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
         0, D, rhs_generators
     ):
         rhs_totals = lhs_totals[:]
     else:
-        rhs_totals = _degree_totals(D, rhs_generators)
+        rhs_totals = _solve(0, D, rhs_generators).rows()[0]
     first = None
     for d, (lv, rv) in enumerate(zip(lhs_totals, rhs_totals)):
         if lv != rv:

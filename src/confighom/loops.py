@@ -6,17 +6,14 @@ i.e. of H_*(Omega^j Sigma^j Y; F).  The weight grading is the configuration
 length filtration: letters have weight 1, a bracket of length l has weight
 l, and each Dyer-Lashof operation multiplies the weight by the prime.
 
-The generator grammar, by characteristic:
-
-* char 0: generators are the basic Browder-bracket products alone.
-* char 2: every basic product w feeds admissible words Q_{b_s}...Q_{b_1} w,
-  applied b_1 first with j-1 >= b_1 >= b_2 >= ... >= b_s >= 1; the
-  operation in lower index b sends degree d to 2d + b.
-* odd p: units (b, eps) with Q_b sending d to p*d + b(p-1) followed by eps
-  Bockstein steps down by 1; constraints 1 <= b <= j-1, b congruent to the
-  current degree mod 2, and b_{t+1} <= b_t - eps_t between consecutive
-  units.  Atoms carry no standalone Bockstein (inputs behave like wedges
-  of spheres).
+The generator grammar: char 0 has the basic Browder-bracket products
+alone.  In char p every basic product w feeds admissible words of units
+(b, eps), applied first to last, under one move rule: Q_b sends degree d
+to p*d + b(p-1) and weight k to p*k, followed at odd p only by eps in
+{0, 1} Bockstein steps down by 1 (eps = 0 at p = 2).  The indices satisfy
+1 <= b <= j-1 and b_{t+1} <= b_t - eps_t between consecutive units, and
+at odd p b is congruent to the current degree mod 2.  Atoms carry no
+standalone Bockstein (inputs behave like wedges of spheres).
 
 For j >= 1 the series is that of the free graded-commutative algebra on
 the census, solved by ``series.free_commutative``.  At j = 1 the census is
@@ -86,6 +83,8 @@ class FieldChar:
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise InvalidInputError(f"characteristic must be an int; got {self.p!r}")
         if self.p == 0 or self.p == 2:
             return
         if self.p >= FIELD_LIMIT:
@@ -105,7 +104,7 @@ class FieldChar:
 
     @classmethod
     def odd(cls, p: int) -> "FieldChar":
-        if p < 3 or p % 2 == 0:
+        if isinstance(p, int) and (p < 3 or p % 2 == 0):
             raise InvalidInputError(f"odd characteristic must be an odd prime, got {p}")
         return cls(p)
 
@@ -248,40 +247,38 @@ def generator_census(
     """
     if j < 1:
         raise InvalidInputError("generator census needs j >= 1")
-    census: dict[tuple[int, int], int] = {}
-    for d, k, c in atoms.items():
-        if d <= max_degree and k <= max_weight:
-            census[(d, k)] = census.get((d, k), 0) + c
+    census = {
+        (d, k): c
+        for d, k, c in atoms.items()
+        if d <= max_degree and k <= max_weight
+    }
     if char.is_zero:
         return DegreeWeightTable(max_degree, max_weight, census)
 
     p = char.p
-    frontier: dict[tuple[int, int, int], int] = {}
-    for (d, k), c in census.items():
-        frontier[(d, k, j - 1)] = frontier.get((d, k, j - 1), 0) + c
+    steps = (0,) if p == 2 else (0, 1)  # the Bockstein steps after Q_b
+    frontier = {(d, k, j - 1): c for (d, k), c in census.items()}
     while frontier:
         nxt: dict[tuple[int, int, int], int] = {}
         for (d, k, bmax), c in frontier.items():
+            nk = p * k
+            if nk > max_weight:
+                continue
             for b in range(1, bmax + 1):
+                base = p * d + b * (p - 1)
                 # the lowest move of index b only rises with b, so the
                 # first b that lands past the degree cap ends the indices
-                if p == 2:
-                    if 2 * d + b > max_degree:
-                        break
-                    moves = [(2 * d + b, 2 * k, b)]
-                else:
-                    base = p * d + b * (p - 1)
-                    if base - 1 > max_degree:
-                        break
-                    if (b - d) % 2:
-                        continue
-                    moves = [(base, p * k, b), (base - 1, p * k, b - 1)]
-                for nd, nk, nb in moves:
-                    if nd > max_degree or nk > max_weight:
+                if base - steps[-1] > max_degree:
+                    break
+                if p != 2 and (b - d) % 2:
+                    continue
+                for eps in steps:
+                    nd = base - eps
+                    if nd > max_degree:
                         continue
                     census[(nd, nk)] = census.get((nd, nk), 0) + c
-                    if nb >= 1:
-                        key = (nd, nk, nb)
+                    if b > eps:
+                        key = (nd, nk, b - eps)
                         nxt[key] = nxt.get(key, 0) + c
         frontier = nxt
     return DegreeWeightTable(max_degree, max_weight, census)

@@ -247,12 +247,13 @@ def classical_series(
     ``even_sphere_split`` is H_*(Omega^2 S^(2k)) through the splitting
     Omega^2 S^(2k) = Omega S^(2k-1) x Omega^2 S^(4k-1): James' polynomial
     generator (2k - 2, 1) tensor H_*(Omega^2 S^(4k-1)) (F. Cohen, LNM 533,
-    1976), its bottom class at weight 1, so m = 4k - 2:
+    1976).  The bottom class of the second factor is the Browder bracket
+    [iota, iota], at weight 2, so with m = 4k - 2:
 
-    * F2: polynomial on (2^i m - 1, 2^i), i >= 0;
-    * odd p: exterior on (p^i m - 1, p^i), i >= 0, tensor polynomial on
-      (p^i m - 2, p^i), i >= 1;
-    * Q: exterior on (m - 1, 1).
+    * F2: polynomial on (2^i m - 1, 2^(i+1)), i >= 0;
+    * odd p: exterior on (p^i m - 1, 2p^i), i >= 0, tensor polynomial on
+      (p^i m - 2, 2p^i), i >= 1;
+    * Q: exterior on (m - 1, 2).
     """
     params = dict(params or {})
     D, K = max_degree, max_weight
@@ -331,15 +332,15 @@ def classical_series(
         m = 4 * k - 2
         poly, ext = [(2 * k - 2, 1)], []
         if char.is_zero:
-            ext.append((m - 1, 1))
-        w = 1
-        while not char.is_zero and w <= K:
+            ext.append((m - 1, 2))
+        w = 1  # p^i, the split factor's classes sit at weight 2p^i
+        while not char.is_zero and 2 * w <= K:
             if char.is_two:
-                poly.append((w * m - 1, w))
+                poly.append((w * m - 1, 2 * w))
             else:
-                ext.append((w * m - 1, w))
+                ext.append((w * m - 1, 2 * w))
                 if w > 1:
-                    poly.append((w * m - 2, w))
+                    poly.append((w * m - 2, 2 * w))
             w *= char.p
         counts = _bigraded_counts(poly, ext, D, K)
         return BiSeries(D, K, counts, is_algebra=True)

@@ -311,11 +311,10 @@ def free_commutative(
     packed from the degree cap down: slot i holds degree D - i.  So t^e
     times a row, truncated at the cap, is the row shifted right by e
     slots; the degrees it pushes past D fall off the bottom, and the
-    degrees below the row's lowest nonzero one, low_k (D + 1 for a zero
-    row), are high zero slots that the big integer does not store.  A
-    bidegree (d, w) of B has rmax = min(K // w, D // d) multiples inside
-    both caps (K // w if d = 0), and rmax alone picks how it enters a row
-    step:
+    degrees below the row's lowest nonzero one are high zero slots that
+    the big integer does not store.  A bidegree (d, w) of B has
+    rmax = min(K // w, D // d) multiples inside both caps (K // w if
+    d = 0), and rmax alone picks how it enters a row step:
 
     * a *chain* when rmax >= CHAIN_MULTIPLES (so 2w <= K): its multiples
       sum to beta t^d R_{k-w}, with the running sum
@@ -327,9 +326,10 @@ def free_commutative(
       stop at the first one whose S_j is 0.
     * otherwise *direct*: each multiple (r*d, r*w) inside the caps is a
       term B(e, i) of B_i, and a row step sums the scalar multiples
-      B(e, i) * (A_{k-i} >> e slots).  The step visits only the weights i
-      with terms, B_i sorted by e, and stops at the first
-      e + low_{k-i} > D.  Few multiples cost less than a chain.
+      B(e, i) * (A_{k-i} >> e slots).  The step visits only the weights
+      i <= k with terms, B_i sorted by e, and stops, as a weight's chains
+      do, at the first e whose shift of A_{k-i} is 0.  Few multiples cost
+      less than a chain.
 
     So the row sum is total = sum_d r_d 2^(s(D-d)) over slots of s bits,
     with r_d the residual at degree d.  The slot width keeps
@@ -372,7 +372,7 @@ def free_commutative(
     for (d, w), v in weight_log_derivative(D, K, generators).items():
         rmax = K // w if d == 0 else min(K // w, D // d)
         if rmax >= CHAIN_MULTIPLES:
-            chains.setdefault(w, []).append((d, v, [None] * w))
+            chains.setdefault(w, []).append((d, v, [(None, 0)] * w))
             b_sum += abs(v) * rmax
             continue
         for r in range(1, rmax + 1):
@@ -389,42 +389,38 @@ def free_commutative(
 
     # the rows A_k, indexed [weight][degree]; zero rows share one list
     table = [[1] + [0] * D] + [[0] * (D + 1)] * K
-    cell = 0  # slot width in bytes
-    rows: list[int] = []  # the packed rows, A_0 = 1 from the first sizing on
-    low = [0]  # lowest nonzero degree of each row, D + 1 for a zero row
+    cell = 1  # slot width in bytes
+    rows = [1 << (8 * D)]  # the packed rows; A_0 = 1 is degree 0, the top slot
+    guards = _guards(cell, D + 1, K)
     peak = 1
-    reach = 0  # steps[:reach] are the weights i <= k
     for k in range(1, K + 1):
         if b_bits + peak.bit_length() + 2 > 8 * cell:
-            wider = max(cell, 1)
+            wider = cell
             while b_bits + peak.bit_length() + 2 > 8 * wider:
                 wider *= 2
-            if cell:
-                rows = [_widen(row, cell, wider) for row in rows]
-                for weight_chains in chains.values():
-                    for _d, _v, ring in weight_chains:  # None marks an empty ring slot
-                        ring[:] = [e and (e[0], _widen(e[1], cell, wider)) for e in ring]
-            else:  # A_0 = 1 is degree 0, the top slot
-                rows = [1 << (D * 8 * wider)]
+            rows = [_widen(row, cell, wider) for row in rows]
+            for weight_chains in chains.values():
+                for _d, _v, ring in weight_chains:
+                    ring[:] = [(j, _widen(sum_j, cell, wider)) for j, sum_j in ring]
             cell = wider
-            slot = 8 * cell
             guards = _guards(cell, D + 1, K)
-        while reach < len(steps) and steps[reach][0] <= k:
-            reach += 1
+        slot = 8 * cell
         total = 0
         for w, weight_chains in chains.items():  # by weight, each by degree
             if w > k:
                 break
             total += _extend_chains(weight_chains, w, k - w, rows, slot)
-        for i, terms in steps[:reach]:
-            prev, lo = rows[k - i], low[k - i]
-            for e, v in terms:
-                if e + lo > D:
+        for i, terms in steps:
+            if i > k:
+                break
+            prev = rows[k - i]
+            for e, v in terms:  # by degree, so the first zero shift ends B_i
+                shifted = prev >> (e * slot)
+                if not shifted:
                     break
-                total += v * (prev >> (e * slot))
+                total += v * shifted
         if not total:
             rows.append(0)
-            low.append(D + 1)
             continue
         q = _quotient(total, k, guards)
         if q is None:
@@ -432,8 +428,6 @@ def free_commutative(
         table[k] = _unpack(q, cell, D + 1)[::-1]
         peak = max(peak, max(table[k]))
         rows.append(q)
-        # the top nonzero slot holds the lowest nonzero degree
-        low.append(D - (q.bit_length() - 1) // slot)
     rows = chains = None  # free the packed rows before the transpose
     return BiSeries(D, K, list(map(list, zip(*table))), is_algebra=True)
 
@@ -497,18 +491,19 @@ def _extend_chains(
     sum of their terms beta S_j.
 
     Each chain keeps S_j as (j, packed sum) in slot j % w of its ring,
-    where S_{j+w} is built from it; a slot holding another index means
-    that sum is 0.  The lowest degree of t^d R_j rises with d, so the
-    first chain whose S_j is 0 ends the weight: every later one is 0
-    too, and its slot is left stale.
+    where S_{j+w} is built from it; a slot holding another index (None
+    before the chain's first sum) means that sum is 0.  The lowest
+    degree of t^d R_j rises with d, so the first chain whose S_j is 0
+    ends the weight: every later one is 0 too, and its slot is left
+    stale.
     """
     total = 0
     s = j % w
     for d, v, ring in chains:
         running = rows[j]
-        prev = ring[s]
-        if prev is not None and prev[0] == j - w:
-            running += prev[1]
+        index, prev = ring[s]
+        if index == j - w:
+            running += prev
         running >>= d * slot
         if not running:
             break

@@ -370,7 +370,7 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
     # weight cap carries the degree (a negative degree cap would be an
     # input error instead)
     hilton_config = {"mode": "check:hilton_milnor", "max_degree": 8}
-    monkeypatch.setattr(hilton, "free_commutative", drifting(real, 0, -1))
+    monkeypatch.setattr(assemble, "free_commutative", drifting(real, 0, -1))
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert capsys.readouterr().err.startswith(
         "integrity error: cap mismatch: got (0, 7), asked for (0, 8)"
@@ -396,7 +396,7 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
         "basic_words",
         lambda *args: [dataclasses.replace(w, count=w.count + 1) for w in words(*args)],
     )
-    monkeypatch.setattr(hilton, "free_commutative", second_drifts)
+    monkeypatch.setattr(assemble, "free_commutative", second_drifts)
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert solves == [8, 8]
     assert capsys.readouterr().err.startswith(

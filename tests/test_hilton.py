@@ -132,22 +132,21 @@ def test_each_side_is_one_free_algebra(monkeypatch):
     # a passing case solves one single-graded table, whose totals serve
     # both sides; a perturbed basic-product side is solved as well
     calls = []
-    for module in (assemble, hilton):
-        real = module.free_commutative
+    real = assemble.free_commutative
 
-        def solve(max_degree, max_weight, generators, _real=real, _name=module.__name__):
-            calls.append((_name, max_degree, max_weight))
-            return _real(max_degree, max_weight, generators)
+    def solve(max_degree, max_weight, generators):
+        calls.append((assemble.__name__, max_degree, max_weight))
+        return real(max_degree, max_weight, generators)
 
-        monkeypatch.setattr(module, "free_commutative", solve)
+    monkeypatch.setattr(assemble, "free_commutative", solve)
     problem = (1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
     report = hilton_milnor_check(*problem)
     assert report.passed and report.words_used > 1
-    assert calls == [("confighom.hilton", 0, 14)]
+    assert calls == [("confighom.assemble", 0, 14)]
     calls.clear()
     monkeypatch.setattr(hilton, "basic_words", bumped_words)
     assert not hilton_milnor_check(*problem).passed
-    assert calls == [("confighom.hilton", 0, 14)] * 2
+    assert calls == [("confighom.assemble", 0, 14)] * 2
 
 
 # (m_dim, rel, labels, D, words sharing one module, that module)
@@ -228,7 +227,8 @@ KINDS = ("polynomial", "exterior")
 def test_property_regraded_totals_equal_the_degree_totals(gens, D):
     # with 1 <= k <= d, a product inside the degree cap D has weight <= D
     regraded = [(0, d, c, kind) for d, _k, c, kind in gens]
-    assert hilton._degree_totals(D, regraded) == free_commutative(D, D, gens).degree_totals()
+    totals = assemble._solve(0, D, regraded).rows()[0]
+    assert totals == free_commutative(D, D, gens).degree_totals()
 
 
 @st.composite

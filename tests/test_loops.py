@@ -41,6 +41,10 @@ def test_field_char_parsing():
         FieldChar.odd(2)
     with pytest.raises(InvalidInputError):
         FieldChar(6)
+    # the characteristic is an int, checked first: no float, str or bool
+    for p in (3.0, 2.0, "3", True, False, None):
+        with pytest.raises(InvalidInputError, match="must be an int"):
+            FieldChar(p)
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -6,6 +6,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confighom
 
@@ -16,7 +18,6 @@ from confighom import (
     factor_series,
     filtration_table,
     generator_census,
-    multiply,
 )
 from confighom.oracle import (
     census_from_descriptors,
@@ -96,6 +97,23 @@ def test_counts_match_census(char, j):
         assert oracle == engine, (y, j, char.name)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 4), st.integers(1, 2), min_size=1, max_size=2),
+    st.integers(2, 4),
+    st.sampled_from((0, 2, 3, 5, 7)),
+    st.integers(0, 18),
+    st.integers(0, 16),
+)
+def test_property_census_matches_enumeration(y, j, p, D, K):
+    # the engine's one move rule against the oracle's exhaustive search:
+    # a dropped Bockstein step, top index or flipped parity shows here
+    char = FieldChar(p)
+    oracle = census_from_descriptors(enumerate_generators(y, j, char, D, K))
+    engine = generator_census(atom_census(y, j, char, D, K), j, char, D, K)
+    assert oracle == engine.entries
+
+
 # -- classical catalog -------------------------------------------------------
 
 
@@ -131,20 +149,18 @@ def test_stunted_catalog():
 
 
 def test_even_sphere_split_catalog_matches_engine_product():
-    # the closed form against James' series times the engine's double loops
-    # on S^(4k-1), cell by cell, including caps that cut the weights short
+    # the closed form against the engine's double loops on S^(2k), cell by
+    # cell, including caps that cut the weights short or to zero: the
+    # split factor's bottom class [iota, iota] sits at weight 2
     for k in range(2, 6):
         for field in ("F2", "Fp:3", "Fp:5", "Q"):
             char = FieldChar.from_name(field)
-            for D, K in ((40, 40), (40, 7), (25, 3)):
-                direct = multiply(
-                    classical_series("james", {"d": 2 * k - 2}, D, K),
-                    factor_series({4 * k - 3: 1}, 2, char, D, K),
-                )
+            for D, K in ((40, 40), (40, 7), (25, 3), (40, 0), (0, 5), (60, 60)):
+                engine = factor_series({2 * k - 2: 1}, 2, char, D, K)
                 got = classical_series(
                     "even_sphere_split", {"k": k, "field": field}, D, K
                 )
-                assert got == direct, (k, field, D, K)
+                assert got == engine, (k, field, D, K)
 
 
 def test_braid_catalog_rows():
@@ -230,3 +246,29 @@ def test_oracle_borrows_nothing_from_the_engine():
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
         }
         assert not named & REFERENCES, (module, named & REFERENCES)
+
+
+CAP_CHECKED_SOLVE = {"free_commutative", "require_caps"}
+
+
+def _named(tree: ast.AST) -> set[str]:
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_every_solve_goes_through_the_one_cap_checked_solve():
+    # in assemble only _solve calls the kernel and checks the caps; hilton
+    # and cli reach the kernel through it alone
+    tree = ast.parse((SRC / "assemble.py").read_text())
+    solvers = {
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        if not isinstance(node, ast.ImportFrom) and _named(node) & CAP_CHECKED_SOLVE
+    }
+    assert solvers == {"_solve"}
+    for module in ("hilton", "cli"):
+        named = _named(ast.parse((SRC / f"{module}.py").read_text()))
+        assert not named & CAP_CHECKED_SOLVE, (module, named & CAP_CHECKED_SOLVE)
