@@ -30,6 +30,7 @@ from .loops import (
     GradedBetti,
     factor_generators,
     normalize_betti,
+    require_int,
     suspend_betti,
 )
 from .series import BiSeries, free_commutative, require_caps, weight_log_derivative
@@ -54,20 +55,19 @@ class ProblemSpec:
     max_weight: int | None = None
 
     def validate(self) -> None:
-        if self.m_dim < 0:
-            raise InvalidInputError("manifold dimension must be >= 0")
-        if self.n < 1:
-            raise InvalidInputError("the Euclidean factor needs n >= 1")
-        if self.max_degree < 0:
-            raise InvalidInputError("max_degree must be >= 0")
+        require_int(self.m_dim, "manifold dim")
+        require_int(self.n, "n", minimum=1)
+        require_int(self.max_degree, "max_degree")
         rel = normalize_betti(self.rel_betti)
         if any(q > self.m_dim for q in rel):
             raise InvalidInputError(
                 "relative Betti classes must live in degrees 0..m_dim"
             )
         normalize_betti(self.x_betti)
-        if self.max_weight is not None and self.max_weight < 0:
-            raise InvalidInputError("max_weight must be >= 0")
+        if self.max_weight is not None:
+            require_int(self.max_weight, "max_weight")
+        if not isinstance(self.char, FieldChar):
+            raise InvalidInputError(f"char must be a FieldChar; got {self.char!r}")
 
     def effective_max_weight(self) -> int:
         if self.max_weight is not None:
@@ -217,10 +217,7 @@ def preset(
     def need(key: str) -> int:
         if key not in params:
             raise InvalidInputError(f"preset {name!r} needs parameter {key!r}")
-        v = params[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InvalidInputError(f"preset parameter {key!r} must be an int >= 0")
-        return v
+        return require_int(params[key], f"preset parameter {key!r}")
 
     extra = set(params) - set(preset_parameters(name))
     if extra:
@@ -244,7 +241,7 @@ def preset(
         return m, {m: 1}
     if name == "rp":
         m = need("m")
-        if char is None or not char.is_two:
+        if not isinstance(char, FieldChar) or not char.is_two:
             raise InvalidInputError(
                 "preset 'rp' carries F2 Betti data; select the field F2"
             )
@@ -354,9 +351,8 @@ def ab_coherence_report(
     checked to be >= 0.  Errors are raised in the order theorem_a, then
     the route.
     """
-    for name, v in (("trials", trials), ("max_degree", max_degree)):
-        if v < 0:
-            raise InvalidInputError(f"{name} must be an int >= 0")
+    for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
+        require_int(v, name)
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
         D, K, a_generators = _theorem_a_generators(spec)

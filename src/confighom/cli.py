@@ -5,14 +5,16 @@ computation or consistency suite, and renders a table, CSV or JSON.
 Rendering is deterministic: identical configs give byte-identical output.
 
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
-config (bad JSON, unknown key, wrong schema_version) or an unreadable
---config / unwritable --output file, 3 violated input hypothesis (JSON
-booleans are not accepted where an int is expected, ``seed`` must be an
-int >= 0 in every mode, ``orientable`` a boolean, ``field`` and a manifold
-``preset`` strings, no Betti degree may be given twice, a manifold or
-label object may carry only the keys of its shape, and the config only
-top-level keys its mode reads), 4 internal integrity failure: a broken
-identity or mismatched caps inside the engine.
+config (bad JSON, unknown key, a schema_version other than the int 1) or
+an unreadable --config / unwritable --output file, 3 violated input
+hypothesis, 4 internal integrity failure: a broken identity or mismatched
+caps inside the engine.
+
+Exit 3 is every InvalidInputError.  The library refuses wrong values
+itself, each count through ``loops.require_int`` (an int, never a bool,
+at or above its minimum); this module checks only the JSON shape: value
+types, the keys a manifold, label or the mode's config may carry, and
+that no Betti degree is given twice.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .errors import (
     InvalidInputError,
 )
 from .hilton import hilton_milnor_check
-from .loops import FieldChar, GradedBetti, factor_generators, normalize_betti
+from .loops import FieldChar, GradedBetti, factor_generators
+from .loops import normalize_betti, require_int
 from .series import BiSeries
 
 SCHEMA_VERSION = 1
@@ -78,11 +81,6 @@ _MODE_KEYS = {
 _CONFIG_KEYS = set().union(*_MODE_KEYS.values())
 
 
-def _is_int(value: Any) -> bool:
-    # bool is a subclass of int, but JSON true/false is not a count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_betti(raw: Any, what: str) -> GradedBetti:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{what} must be an object of degree -> dimension")
@@ -94,8 +92,6 @@ def _parse_betti(raw: Any, what: str) -> GradedBetti:
             raise InvalidInputError(f"{what}: bad degree key {key!r}") from None
         if d in out:
             raise InvalidInputError(f"{what}: degree {d} is given twice")
-        if not _is_int(value):
-            raise InvalidInputError(f"{what}: dimension for degree {d} must be int")
         out[d] = value
     return normalize_betti(out)
 
@@ -118,10 +114,8 @@ def _parse_manifold(raw: Any, char: FieldChar) -> tuple[int, GradedBetti]:
         return preset(name, char=char, **params)
     if "dim" in raw and "rel_betti" in raw:
         _only_keys(raw, ("dim", "rel_betti"), "explicit manifold")
-        dim = raw["dim"]
-        if not _is_int(dim) or dim < 0:
-            raise InvalidInputError("manifold dim must be an int >= 0")
-        return dim, _parse_betti(raw["rel_betti"], "rel_betti")
+        # ProblemSpec.validate and hilton_milnor_check refuse a bad dim
+        return raw["dim"], _parse_betti(raw["rel_betti"], "rel_betti")
     raise InvalidInputError(
         "manifold needs either a 'preset' or explicit 'dim' + 'rel_betti'"
     )
@@ -135,10 +129,7 @@ def _parse_label_space(raw: Any) -> GradedBetti:
         return _parse_betti(raw["betti"], "label betti")
     if raw.get("preset") == "sphere":
         _only_keys(raw, ("preset", "d"), "label sphere")
-        d = raw.get("d")
-        if not _is_int(d) or d < 0:
-            raise InvalidInputError("label sphere needs an int dimension 'd' >= 0")
-        return {d: 1}
+        return {require_int(raw.get("d"), "label sphere dimension 'd'"): 1}
     if raw.get("preset") == "wedge":
         _only_keys(raw, ("preset", "spheres"), "label wedge")
         spheres = raw.get("spheres")
@@ -146,8 +137,7 @@ def _parse_label_space(raw: Any) -> GradedBetti:
             raise InvalidInputError("label wedge needs a nonempty list 'spheres'")
         out: GradedBetti = {}
         for d in spheres:
-            if not _is_int(d) or d < 0:
-                raise InvalidInputError("wedge sphere dimensions must be ints >= 0")
+            require_int(d, "wedge sphere dimension")
             out[d] = out.get(d, 0) + 1
         return out
     raise InvalidInputError(
@@ -171,9 +161,10 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     version = config.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # true and 1.0 equal 1, but only the int 1 names this schema
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigurationError(
-            f"unsupported schema_version {version}; this build speaks {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; this build speaks {SCHEMA_VERSION}"
         )
     for key, value in overrides.items():
         if value is not None:
@@ -201,9 +192,7 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     fmt = config.get("format", "table")
     if fmt not in ("table", "csv", "json"):
         raise InvalidInputError(f"format must be table, csv or json; got {fmt!r}")
-    seed = config.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise InvalidInputError("seed must be an int >= 0")
+    seed = require_int(config.get("seed", 0), "seed")
 
     if mode in ("check:ab", "check:hilton_milnor"):
         run_check = _run_check_ab if mode == "check:ab" else _run_check_hilton
@@ -217,9 +206,6 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     n = _require(config, "n", int)
     x = _parse_label_space(_require(config, "label_space", dict))
     max_degree = _require(config, "max_degree", int)
-    max_weight = config.get("max_weight")
-    if max_weight is not None and not _is_int(max_weight):
-        raise InvalidInputError("max_weight must be an integer")
 
     spec = ProblemSpec(
         m_dim=m_dim,
@@ -228,7 +214,7 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
         x_betti=x,
         char=char,
         max_degree=max_degree,
-        max_weight=max_weight,
+        max_weight=config.get("max_weight"),
     )
 
     echo = dict(describe_spec(spec), mode=mode, seed=seed)
@@ -245,7 +231,8 @@ def _require(config: dict[str, Any], key: str, typ: type) -> Any:
     if key not in config:
         raise InvalidInputError(f"config is missing required key {key!r}")
     value = config[key]
-    if not (_is_int(value) if typ is int else isinstance(value, typ)):
+    # exact types: a JSON true is not an int
+    if type(value) is not typ:
         raise InvalidInputError(f"config key {key!r} must be of type {typ.__name__}")
     return value
 
@@ -253,9 +240,6 @@ def _require(config: dict[str, Any], key: str, typ: type) -> Any:
 def _run_check_ab(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
     trials = config.get("trials", 20)
     max_degree = config.get("max_degree", 30)
-    for name, v in (("trials", trials), ("max_degree", max_degree)):
-        if not _is_int(v) or v < 0:
-            raise InvalidInputError(f"{name} must be an int >= 0")
     report = ab_coherence_report(seed=seed, trials=trials, max_degree=max_degree)
     echo = {"mode": "check:ab", "seed": seed, "trials": trials,
             "max_degree": max_degree}
@@ -264,8 +248,6 @@ def _run_check_ab(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
 
 def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
     orientable = config.get("orientable", False)
-    if not isinstance(orientable, bool):
-        raise InvalidInputError("orientable must be a boolean")
     char = FieldChar.from_name(config.get("field", "F2"))
     cases = []
     if "manifold" in config or "label_spaces" in config:
@@ -277,8 +259,6 @@ def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dic
     else:
         # default suite: unit interval with S2 v S3, circle with S2 v S2
         max_degree = config.get("max_degree", 20)
-        if not _is_int(max_degree) or max_degree < 0:
-            raise InvalidInputError("max_degree must be an int >= 0")
         cases.append(("interval_s2_s3", 1, {0: 1}, [{2: 1}, {3: 1}], max_degree))
         cases.append(("circle_s2_s2", 1, {0: 1, 1: 1}, [{2: 1}, {2: 1}], max_degree))
 

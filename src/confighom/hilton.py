@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
-from .loops import FieldChar, GradedBetti, normalize_betti, suspend_betti
+from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
 from .assemble import _solve, product_generators
 from .series import weight_log_derivative
 from .witt import _solve_cell
@@ -137,17 +137,21 @@ def hilton_milnor_check(
     dicts give equal tables, so every report is the one that solving both
     sides gives.
     """
-    if max_degree < 0:
-        raise InvalidInputError("max_degree must be an int >= 0")
+    require_int(max_degree, "max_degree")
+    require_int(m_dim, "manifold dim")
+    if not isinstance(orientable, bool):
+        raise InvalidInputError("orientable must be a boolean")
     if char is None:
         char = FieldChar.mod2()
+    if not isinstance(char, FieldChar):
+        raise InvalidInputError(f"char must be a FieldChar; got {char!r}")
     if not char.is_two and not (char.is_zero and orientable):
         raise InvalidInputError(
             "the decomposition check runs mod 2, or rationally with "
             "orientable=True; other characteristics need orientation data"
         )
-    if not x_list:
-        raise InvalidInputError("need at least one label space")
+    if not isinstance(x_list, list) or not x_list:
+        raise InvalidInputError("need a nonempty list of label spaces")
     x_list = [normalize_betti(x, min_degree=1) for x in x_list]
     for x in x_list:
         if not x:

@@ -51,6 +51,14 @@ FIELD_LIMIT = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def require_int(value: object, what: str, minimum: int = 0) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``minimum``;
+    otherwise InvalidInputError.  The one test of what counts as an int."""
+    if type(value) is not int or value < minimum:
+        raise InvalidInputError(f"{what} must be an int >= {minimum}")
+    return value
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the bases 2..37, exact for n < 2**64."""
     if n < 2:
@@ -83,8 +91,7 @@ class FieldChar:
     p: int
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, int):
-            raise InvalidInputError(f"characteristic must be an int; got {self.p!r}")
+        require_int(self.p, "characteristic")
         if self.p == 0 or self.p == 2:
             return
         if self.p >= FIELD_LIMIT:
@@ -143,11 +150,17 @@ class FieldChar:
 
 
 def normalize_betti(betti: Mapping[int, int], *, min_degree: int = 0) -> GradedBetti:
-    """Validate and copy a degree -> dimension map, dropping zeros."""
+    """Validate and copy a degree -> dimension map, dropping zeros.  Its
+    exact-type test is :func:`require_int`'s, inlined on a hot path."""
+    message = "Betti data must map int degrees to int counts"
+    try:
+        pairs = betti.items()
+    except AttributeError:
+        raise InvalidInputError(message) from None
     out: GradedBetti = {}
-    for d, c in betti.items():
-        if not isinstance(d, int) or not isinstance(c, int):
-            raise InvalidInputError("Betti data must map int degrees to int counts")
+    for d, c in pairs:
+        if type(d) is not int or type(c) is not int:
+            raise InvalidInputError(message)
         if c < 0:
             raise InvalidInputError(f"negative Betti number {c} in degree {d}")
         if d < min_degree:

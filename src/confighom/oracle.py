@@ -128,9 +128,9 @@ def enumerate_generators(
     Intended for modest caps (degrees up to roughly 25): the enumeration is
     exhaustive on purpose.
     """
-    if j < 2:
-        raise InvalidInputError("generator enumeration needs j >= 2")
-    y = normalize_betti(y, min_degree=1)
+    if j < 1:
+        raise InvalidInputError("generator enumeration needs j >= 1")
+    y = normalize_betti(y)
     shift = j - 1
     letters: list[int] = []  # actual degree per alphabet symbol
     for d in sorted(y):
@@ -139,7 +139,9 @@ def enumerate_generators(
     shifted = tuple(d + shift for d in letters)
 
     atoms: list[tuple[str, tuple[int, ...], int, int]] = []
-    max_len = min(max_weight, max_degree + shift)
+    # a shifted letter of degree 0 (j = 1, a degree-0 class) makes words
+    # of any length fit the degree cap, so only the weight cap bounds them
+    max_len = max_weight if 0 in shifted else min(max_weight, max_degree + shift)
     for word in _lyndon_words(shifted, max_degree + shift, max_len):
         sh_deg = sum(shifted[i] for i in word)
         actual = sh_deg - shift

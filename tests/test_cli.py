@@ -175,9 +175,11 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 def test_load_config_rejects_wrong_schema_version(tmp_path):
     path = tmp_path / "v9.json"
-    path.write_text(json.dumps({"schema_version": 9}))
-    with pytest.raises(ConfigurationError):
-        load_config(str(path), {})
+    # true and 1.0 equal 1 but are not the int 1
+    for version in (9, True, 1.0, "1"):
+        path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(ConfigurationError):
+            load_config(str(path), {})
 
 
 def test_main_exit_codes_and_output_file(tmp_path):

@@ -97,17 +97,40 @@ def test_counts_match_census(char, j):
         assert oracle == engine, (y, j, char.name)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.dictionaries(st.integers(1, 4), st.integers(1, 2), min_size=1, max_size=2),
-    st.integers(2, 4),
-    st.sampled_from((0, 2, 3, 5, 7)),
-    st.integers(0, 18),
-    st.integers(0, 16),
+PRIMES = st.sampled_from((0, 2, 3, 5, 7))
+CENSUS_CASES = st.one_of(
+    # connected letters and j >= 2: the operation grammar at wide caps
+    st.tuples(
+        st.dictionaries(st.integers(1, 4), st.integers(1, 2), min_size=1, max_size=2),
+        st.integers(2, 4),
+        PRIMES,
+        st.integers(0, 18),
+        st.integers(0, 16),
+    ),
+    # theorem_b's configuration-space model: j >= 1 and degree-0 letters,
+    # favoured.  A letter of shifted degree 0 fits any degree cap, so the
+    # oracle's words grow to the weight cap, and both caps stay small
+    st.tuples(
+        st.dictionaries(
+            st.one_of(st.just(0), st.integers(0, 4)),
+            st.integers(1, 2),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(1, 4),
+        PRIMES,
+        st.integers(0, 12),
+        st.integers(0, 8),
+    ),
 )
-def test_property_census_matches_enumeration(y, j, p, D, K):
+
+
+@settings(max_examples=600, deadline=None)
+@given(CENSUS_CASES)
+def test_property_census_matches_enumeration(case):
     # the engine's one move rule against the oracle's exhaustive search:
     # a dropped Bockstein step, top index or flipped parity shows here
+    y, j, p, D, K = case
     char = FieldChar(p)
     oracle = census_from_descriptors(enumerate_generators(y, j, char, D, K))
     engine = generator_census(atom_census(y, j, char, D, K), j, char, D, K)
@@ -272,3 +295,48 @@ def test_every_solve_goes_through_the_one_cap_checked_solve():
     for module in ("hilton", "cli"):
         named = _named(ast.parse((SRC / f"{module}.py").read_text()))
         assert not named & CAP_CHECKED_SOLVE, (module, named & CAP_CHECKED_SOLVE)
+
+
+def _is_bool_test(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and getattr(node.args[1], "id", None) == "bool"
+    )
+
+
+def _is_int_test(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return getattr(node.args[1], "id", None) == "int"
+    return (  # type(x) is int, type(x) is not int
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and getattr(node.comparators[0], "id", None) == "int"
+    )
+
+
+INT_RULE_OWNERS = {("loops", "require_int"), ("loops", "normalize_betti")}
+
+
+def test_the_int_rule_is_written_once():
+    # what counts as an int (never a bool) is decided by loops.require_int,
+    # inlined only in normalize_betti's hot loop: no module keeps an
+    # _is_int or joins a bool test and an int test in one expression
+    copies = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {
+            id(node)
+            for owner in ast.walk(tree)
+            if isinstance(owner, ast.FunctionDef)
+            and (path.stem, owner.name) in INT_RULE_OWNERS
+            for node in ast.walk(owner)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_is_int":
+                copies.append((path.stem, node.lineno))
+            elif isinstance(node, ast.BoolOp) and id(node) not in owned:
+                parts = list(ast.walk(node))
+                if any(map(_is_bool_test, parts)) and any(map(_is_int_test, parts)):
+                    copies.append((path.stem, node.lineno))
+    assert copies == []
