@@ -25,9 +25,7 @@ from .series import (
 )
 from .witt import DegreeWeightTable, lie_atom_counts
 from .loops import (
-    AtomTable,
     FieldChar,
-    GeneratorCensus,
     GradedBetti,
     atom_census,
     factor_series,
@@ -50,7 +48,6 @@ from .assemble import (
 from .hilton import BasicWord, HiltonReport, basic_words, hilton_milnor_check
 
 __all__ = [
-    "AtomTable",
     "BasicWord",
     "BiSeries",
     "CalculatorError",
@@ -60,7 +57,6 @@ __all__ = [
     "DivergentSeriesError",
     "EXTERIOR",
     "FieldChar",
-    "GeneratorCensus",
     "GradedBetti",
     "HiltonReport",
     "IntegrityError",

@@ -28,12 +28,14 @@ from .errors import IntegrityError, InvalidInputError
 from .loops import (
     FieldChar,
     GradedBetti,
+    atom_census,
     factor_generators,
     normalize_betti,
     require_int,
     suspend_betti,
 )
 from .series import BiSeries, free_commutative, require_caps, weight_log_derivative
+from .witt import DegreeWeightTable
 
 
 @dataclass
@@ -112,12 +114,31 @@ def product_generators(
     max_weight: int,
 ) -> Generators:
     """Generators ``(degree, weight, count, kind)`` of the whole product:
-    those of every factor of :func:`factor_plan`, counted ``copies`` times."""
-    return [
-        (d, k, c * copies, kind)
-        for _q, j, y, copies in factor_plan(m_dim, rel_betti, n, x_betti)
-        for d, k, c, kind in factor_generators(y, j, char, max_degree, max_weight)
-    ]
+    those of every factor of :func:`factor_plan`, counted ``copies`` times.
+
+    Factor q applies the degree-(j-1) bracket to Sigma^q X, j = m_dim + n
+    - q, so a length-l basic product x_1 ... x_l has degree |x_1| + ... +
+    |x_l| + (l-1)(m_dim + n - 1) + q.  Factor q's atoms are therefore the
+    first factor's raised by q - q0: one :func:`atom_census`, and one Witt
+    solve, serves the whole plan."""
+    plan = factor_plan(m_dim, rel_betti, n, x_betti)
+    if not plan:
+        return []
+    q0, j0, y0, _copies = plan[0]
+    atoms = atom_census(y0, j0, char, max_degree, max_weight)
+    generators: Generators = []
+    for q, j, _y, copies in plan:
+        rise = q - q0
+        raised = DegreeWeightTable(max_degree, max_weight, {
+            (d + rise, l): c for d, l, c in atoms.items() if d + rise <= max_degree
+        })
+        generators += [
+            (d, k, c * copies, kind)
+            for d, k, c, kind in factor_generators(
+                raised, j, char, max_degree, max_weight
+            )
+        ]
+    return generators
 
 
 def factor_product(
@@ -129,10 +150,13 @@ def factor_product(
     max_degree: int,
     max_weight: int,
 ) -> BiSeries:
-    """Shared assembly core: the tensor product of the loop-space factors
-    of :func:`factor_plan`, the free algebra on :func:`product_generators`."""
-    problem = (m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
-    return _solve(max_degree, max_weight, product_generators(*problem))
+    """The tensor product of the loop-space factors of :func:`factor_plan`,
+    the free algebra on :func:`product_generators`: :func:`theorem_b` on
+    plain arguments, refusing what it refuses."""
+    require_int(max_weight, "max_weight")
+    return theorem_b(
+        ProblemSpec(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
+    )
 
 
 def _solve(max_degree: int, max_weight: int, generators: Generators) -> BiSeries:
@@ -166,10 +190,10 @@ def theorem_b(spec: ProblemSpec) -> BiSeries:
     spec.validate()
     if spec.max_weight is None:
         raise InvalidInputError("theorem_b mode needs an explicit max_weight cap")
-    return factor_product(
-        spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char,
-        spec.max_degree, spec.max_weight,
-    )
+    D, K = spec.max_degree, spec.max_weight
+    return _solve(D, K, product_generators(
+        spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char, D, K
+    ))
 
 
 def filtration_table(s: BiSeries) -> list[dict[int, int]]:

@@ -43,8 +43,8 @@ from .errors import (
     InvalidInputError,
 )
 from .hilton import hilton_milnor_check
-from .loops import FieldChar, GradedBetti, factor_generators
-from .loops import normalize_betti, require_int
+from .loops import FieldChar, GradedBetti, atom_census, factor_generators
+from .loops import int_from_text, normalize_betti, require_int
 from .series import BiSeries
 
 SCHEMA_VERSION = 1
@@ -87,7 +87,7 @@ def _parse_betti(raw: Any, what: str) -> GradedBetti:
     out: GradedBetti = {}
     for key, value in raw.items():
         try:
-            d = int(key)
+            d = int_from_text(key)
         except (TypeError, ValueError):
             raise InvalidInputError(f"{what}: bad degree key {key!r}") from None
         if d in out:
@@ -290,10 +290,11 @@ def _generator_rows(spec: ProblemSpec) -> list[dict]:
             ]
         else:
             kind = "free_commutative"
+            atoms = atom_census(y, j, spec.char, spec.max_degree, K)
             gens = [
                 {"degree": d, "weight": k, "kind": g_kind, "count": c}
                 for d, k, c, g_kind in factor_generators(
-                    y, j, spec.char, spec.max_degree, K
+                    atoms, j, spec.char, spec.max_degree, K
                 )
             ]
         rows.append(

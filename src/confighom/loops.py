@@ -25,7 +25,11 @@ Basic products are counted by the Witt inversion in a shifted grading
 where every letter is raised by j-1 (making the degree-(j-1) bracket
 degree-preserving); the sign convention of the count uses that shifted
 degree, while the exterior/polynomial split of the resulting algebra uses
-the actual degree.
+the actual degree.  Sigma^q y at j - q loops has the same shifted letters
+for every q, so its basic products are those of y at j raised by q
+degrees: ``assemble`` runs one :func:`atom_census` per factor plan and
+hands each factor the raised entries.  Nothing here keeps state between
+calls.
 """
 
 from __future__ import annotations
@@ -39,12 +43,6 @@ from .witt import DegreeWeightTable, lie_atom_counts
 
 GradedBetti = dict[int, int]
 
-# counts of basic bracket products by (actual degree, bracket length)
-AtomTable = DegreeWeightTable
-# counts of free-commutative-algebra generators by (degree, weight)
-GeneratorCensus = DegreeWeightTable
-
-
 # fields of characteristic below this limit are accepted, so that
 # Miller-Rabin over the first twelve primes decides primality exactly
 FIELD_LIMIT = 2**64
@@ -57,6 +55,16 @@ def require_int(value: object, what: str, minimum: int = 0) -> int:
     if type(value) is not int or value < minimum:
         raise InvalidInputError(f"{what} must be an int >= {minimum}")
     return value
+
+
+def int_from_text(text: str) -> int:
+    """The int ``text`` spells as an optional '-' and ASCII digits, and
+    nothing else (no '+', space, '_' or other digit); otherwise ValueError.
+    The one rule for reading an int from text."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an int: {text!r}")
+    return int(text)
 
 
 def _is_prime(n: int) -> bool:
@@ -125,7 +133,7 @@ class FieldChar:
             return cls.mod2()
         if name.startswith("Fp:"):
             try:
-                return cls.odd(int(name[3:]))
+                return cls.odd(int_from_text(name[3:]))
             except ValueError as exc:
                 raise InvalidInputError(f"cannot parse field name {name!r}") from exc
         raise InvalidInputError(
@@ -179,56 +187,30 @@ def suspend_betti(x: GradedBetti, q: int) -> GradedBetti:
     return {d + q: c for d, c in x.items()}
 
 
-# the one memo of the census layer: shifted Witt tables, cleared when full.
-# Every factor of a plan sees the same shifted letters, and so do the
-# Hilton-Milnor word classes that share a module across the cases of one
-# check.  Factors themselves are not memoized.
-_WITT_CACHE_LIMIT = 512
-_witt_cache: dict[tuple, DegreeWeightTable] = {}
-
-
-def _shifted_atoms(
-    letters: GradedBetti, signed: bool, max_degree: int, max_weight: int
-) -> DegreeWeightTable:
-    """``lie_atom_counts`` of the shifted letters, at least up to degree
-    ``max_degree``.
-
-    Factor q of a plan raises the letters of Sigma^q X by j - 1 = m_dim +
-    n - q - 1, so every factor sees the same shifted letters.  One table
-    per (letters, signed, max_weight) serves any degree cap up to the one
-    it was solved at (the caller filters); a larger cap solves it again.
-    """
-    key = (tuple(sorted(letters.items())), signed, max_weight)
-    table = _witt_cache.get(key)
-    if table is None or table.max_degree < max_degree:
-        table = lie_atom_counts(letters, signed, max_degree, max_weight)
-        if len(_witt_cache) >= _WITT_CACHE_LIMIT:
-            _witt_cache.clear()
-        _witt_cache[key] = table
-    return table
-
-
 def atom_census(
     y: GradedBetti,
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> AtomTable:
-    """Counts of basic bracket products for the degree-(j-1) bracket on
-    ``y``, degree-0 classes included (the free E_j-algebra theorem_b needs).
+) -> DegreeWeightTable:
+    """Counts of basic bracket products, by (actual degree, bracket
+    length), for the degree-(j-1) bracket on ``y``, degree-0 classes
+    included (the free E_j-algebra theorem_b needs).
 
     Computed by regrading every generator up by j-1, running the Witt count
     in that shifted grading (signed unless char is 2, where the self
     bracket vanishes in the free object), and shifting atom degrees back
     down: a length-l shifted word of degree d' is an actual word of degree
-    d' - (j-1).  The shifted table is shared through :func:`_shifted_atoms`.
+    d' - (j-1).  Hence the census of Sigma y at j - 1 is this one raised
+    by one degree, which is how ``assemble`` serves a whole factor plan
+    from one call.
     """
     if j < 1:
         raise InvalidInputError("atom census needs j >= 1")
     y = normalize_betti(y)
     shift = j - 1
-    shifted = _shifted_atoms(
+    shifted = lie_atom_counts(
         {d + shift: c for d, c in y.items()},
         not char.is_two,
         max_degree + shift,
@@ -237,21 +219,17 @@ def atom_census(
     return DegreeWeightTable(
         max_degree,
         max_weight,
-        {
-            (d - shift, l): c
-            for d, l, c in shifted.items()
-            if d - shift <= max_degree
-        },
+        {(d - shift, l): c for d, l, c in shifted.items()},
     )
 
 
 def generator_census(
-    atoms: AtomTable,
+    atoms: DegreeWeightTable,
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> GeneratorCensus:
+) -> DegreeWeightTable:
     """Close the atoms under admissible operation words.
 
     Characteristic 0 applies no operations.  Otherwise states aggregate by
@@ -298,20 +276,18 @@ def generator_census(
 
 
 def factor_generators(
-    y: GradedBetti,
+    atoms: DegreeWeightTable,
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
 ) -> tuple[tuple[int, int, int, str], ...]:
     """Generators ``(degree, weight, count, kind)`` of the free E_j-algebra
-    on ``y`` (H_*(Omega^j Sigma^j Y) if ``y`` is connected, else the
-    configuration-space model theorem_b needs) as a free graded-commutative
-    algebra, j >= 1: the atoms' census, each entry tagged polynomial in
-    characteristic 2 or in even degree, exterior otherwise.  Pure: only the
-    shifted Witt table under it is shared (:func:`_shifted_atoms`); a
-    caller needing one factor often, like a Hilton-Milnor class, asks once."""
-    atoms = atom_census(y, j, char, max_degree, max_weight)
+    whose basic products are ``atoms`` (an :func:`atom_census`), as a free
+    graded-commutative algebra, j >= 1: the atoms' census, each entry
+    tagged polynomial in characteristic 2 or in even degree, exterior
+    otherwise.  Taking the atoms lets a caller raise one census for many
+    factors instead of solving the Witt table again for each."""
     census = generator_census(atoms, j, char, max_degree, max_weight)
     return tuple(
         (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
@@ -336,8 +312,9 @@ def factor_series(
     if j < 1:
         raise InvalidInputError("loop count j must be >= 1")
     y = normalize_betti(y, min_degree=1)
+    atoms = atom_census(y, j, char, max_degree, max_weight)
     return free_commutative(
         max_degree,
         max_weight,
-        factor_generators(y, j, char, max_degree, max_weight),
+        factor_generators(atoms, j, char, max_degree, max_weight),
     )

@@ -32,7 +32,7 @@ The table is sparse: a sphere or a wedge of a few spheres has words in
 few degrees of each length.  :func:`word_rows` builds T_l = f T_{l-1}
 over the nonzero cells only, and the recurrence runs on the cells that
 have words or a nonzero divisor term; every other cell has residual 0
-and no basic products.  ``loops`` solves one such table per factor plan:
+and no basic products.  ``assemble`` solves one such table per factor plan:
 every factor of a plan sees the same shifted letters.
 """
 

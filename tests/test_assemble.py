@@ -30,7 +30,8 @@ from confighom import (
     theorem_b,
     weight_one_slice_expected,
 )
-from confighom.assemble import factor_plan
+from confighom.assemble import factor_plan, product_generators
+from confighom.loops import atom_census, factor_generators
 from confighom.oracle import classical_series
 
 Q = FieldChar.rational()
@@ -447,9 +448,38 @@ def test_property_factor_product_equals_the_multiply_chain(data):
     assert factor_product(m_dim, rel, n, x, char, D, K) == chain
 
 
-def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_witt_solve(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_one_census_serves_every_factor_of_a_plan(data):
+    # factor q's basic products are the first factor's raised by q - q0,
+    # degree-0 labels (theorem_b's model) and j = 1 factors included
+    m_dim = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 2))
+    rel = data.draw(
+        st.dictionaries(st.integers(0, m_dim), st.integers(1, 3), min_size=1, max_size=3)
+    )
+    if data.draw(st.booleans()):
+        n, rel[m_dim] = 1, data.draw(st.integers(1, 3))
+    x = data.draw(
+        st.dictionaries(st.integers(0, 4), st.integers(1, 2), min_size=1, max_size=2)
+    )
+    char = FieldChar(data.draw(st.sampled_from((0, 2, 3, 5))))
+    D, K = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 7))
+    per_factor = [
+        (d, k, c * copies, kind)
+        for _q, j, y, copies in factor_plan(m_dim, rel, n, x)
+        for d, k, c, kind in factor_generators(
+            atom_census(y, j, char, D, K), j, char, D, K
+        )
+    ]
+    assert product_generators(m_dim, rel, n, x, char, D, K) == per_factor
+
+
+def test_a_table_is_one_free_algebra_on_one_census_and_a_repeat_solves_again(
+    monkeypatch,
+):
     solves, censuses, witt_solves = [], [], []
-    real_solve, real_census = assemble.free_commutative, loops.atom_census
+    real_solve, real_census = assemble.free_commutative, assemble.atom_census
     real_witt = loops.lie_atom_counts
 
     def solve(*args):
@@ -465,17 +495,16 @@ def test_a_table_is_one_free_algebra_and_a_repeat_runs_no_witt_solve(monkeypatch
         return real_witt(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(assemble, "free_commutative", solve)
-    monkeypatch.setattr(loops, "atom_census", census)
+    monkeypatch.setattr(assemble, "atom_census", census)
     monkeypatch.setattr(loops, "lie_atom_counts", witt)
-    monkeypatch.setattr(loops, "_witt_cache", {})
-    # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1
+    # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1; the
+    # census of the j = 3 factor, at shifted cap 16 + 2, serves all three
     args = (2, {0: 1, 1: 2, 2: 1}, 1, {2: 1, 3: 1}, F3, 16, 8)
     first = factor_product(*args)
-    assert (solves, sorted(censuses)) == ([(16, 8)], [1, 2, 3])
-    assert len(witt_solves) == 1
-    # the repeat builds its census again, but on the memoized Witt table
+    assert (solves, censuses, witt_solves) == ([(16, 8)], [3], [18])
+    # nothing is kept between calls: a repeat solves the Witt table again
     assert factor_product(*args) == first
-    assert (len(solves), len(censuses), len(witt_solves)) == (2, 6, 1)
+    assert (solves, censuses, witt_solves) == ([(16, 8)] * 2, [3, 3], [18, 18])
 
 
 # -- presets ---------------------------------------------------------------

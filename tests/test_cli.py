@@ -460,10 +460,10 @@ def test_non_string_manifold_preset_is_rejected(name, tmp_path, capsys):
     "config",
     [
         base_config(label_space={"betti": {"2": 1, "02": 3}}),
-        base_config(manifold={"dim": 1, "rel_betti": {"0": 1, " 0": 1}}),
+        base_config(manifold={"dim": 1, "rel_betti": {"0": 1, "-0": 1}}),
         {
             "mode": "check:hilton_milnor",
-            "manifold": {"dim": 1, "rel_betti": {"1": 1, "+1": 2}},
+            "manifold": {"dim": 1, "rel_betti": {"1": 1, "01": 2}},
             "label_spaces": [{"preset": "sphere", "d": 2}],
             "max_degree": 8,
         },
@@ -472,6 +472,30 @@ def test_non_string_manifold_preset_is_rejected(name, tmp_path, capsys):
 def test_betti_degree_given_twice_is_rejected(config, tmp_path, capsys):
     assert _main_on(config, tmp_path) == EXIT_INPUT
     assert "given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        *(
+            (
+                base_config(mode="generators", label_space={"betti": {key: 1}}),
+                f"label betti: bad degree key {key!r}",
+            )
+            for key in ("1_0", " 3", "+3", "\u0663", "3 ", "", "-")
+        ),
+        *(
+            (base_config(field=name), f"cannot parse field name {name!r}")
+            for name in ("Fp:1_1", "Fp: 7", "Fp:+7", "Fp:\u0667")
+        ),
+    ],
+)
+def test_an_int_in_text_is_an_optional_minus_and_ascii_digits(
+    config, message, tmp_path, capsys
+):
+    # int() would also take these, reading "1_0" as 10 and "Fp:1_1" as 11
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_starting_the_cli_does_not_import_the_oracle():

@@ -13,6 +13,7 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
+    factor_product,
     hilton_milnor_check,
     preset,
     theorem_a,
@@ -140,6 +141,14 @@ PROBES = {
     "ab seed='x'": lambda: ab_coherence_report("x", 2, 10),
     "normalize_betti bools": lambda: normalize_betti({2: True, True: 1}),
     "preset cube m=True": lambda: preset("cube", m=True),
+    "factor_product char=2": lambda: factor_product(1, {0: 1}, 1, {2: 1}, 2, 10, 5),
+    "factor_product max_degree=1.5": lambda: factor_product(
+        1, {0: 1}, 1, {2: 1}, F2, 1.5, 5
+    ),
+    "factor_product m_dim=None": lambda: factor_product(
+        None, {0: 1}, 1, {2: 1}, F2, 10, 5
+    ),
+    "factor_product n=True": lambda: factor_product(1, {0: 1}, True, {2: 1}, F2, 10, 5),
 }
 
 

@@ -250,7 +250,7 @@ def test_property_one_loop_factor_is_the_tensor_algebra(y, p, D, K):
     assert factor_series(y, 1, FieldChar(p), D, K) == words
 
 
-def test_shifted_witt_table_serves_smaller_caps_and_grows(monkeypatch):
+def test_the_census_of_a_suspension_at_one_loop_fewer_is_raised_by_one(monkeypatch):
     calls = []
     real = loops.lie_atom_counts
 
@@ -259,22 +259,23 @@ def test_shifted_witt_table_serves_smaller_caps_and_grows(monkeypatch):
         return real(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(loops, "lie_atom_counts", spy)
-    monkeypatch.setattr(loops, "_witt_cache", {})
-    y, char = {2: 1, 3: 1}, F3
-    # Sigma y at j = 2 sees the same shifted letters {4, 5} as y at j = 3
-    first = atom_census(y, 3, char, 12, 6)
-    shared = atom_census(suspend_betti(y, 1), 2, char, 12, 6)
-    assert atom_census(y, 3, char, 8, 6) == DegreeWeightTable(
-        8, 6, {(d, l): c for d, l, c in first.items() if d <= 8}
-    )
-    assert calls == [14]
-    # a larger cap solves the table again; a new weight cap is a new table
-    grown = atom_census(y, 3, char, 20, 6)
-    atom_census(y, 3, char, 12, 5)
-    assert calls == [14, 22, 14]
-    for args, table in (((y, 3), grown), ((suspend_betti(y, 1), 2), shared)):
-        monkeypatch.setattr(loops, "_witt_cache", {})
-        assert atom_census(*args, char, table.max_degree, 6) == table
+    y = {2: 1, 3: 1}
+    for char in (Q, F2, F3):
+        # Sigma y at j = 2 sees the same shifted letters {4, 5} as y at j = 3
+        calls.clear()
+        atoms = atom_census(y, 3, char, 12, 6)
+        raised = atom_census(suspend_betti(y, 1), 2, char, 12, 6)
+        assert calls == [14, 13]
+        # the raise drops the atoms at the cap, here in degree 12
+        assert atoms.get(12, 3)
+        assert raised == DegreeWeightTable(
+            12, 6, {(d + 1, l): c for d, l, c in atoms.items() if d < 12}
+        )
+        # a smaller cap solves a smaller table with the same cells below it
+        assert atom_census(y, 3, char, 8, 6) == DegreeWeightTable(
+            8, 6, {(d, l): c for d, l, c in atoms.items() if d <= 8}
+        )
+        assert calls == [14, 13, 10]
 
 
 def test_one_loop_census_is_the_basic_products():

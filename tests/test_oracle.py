@@ -3,6 +3,7 @@ gradings, agreement with the census, the closed-form catalog, and the
 oracle's independence from the engine."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,42 @@ def test_the_int_rule_is_written_once():
                 if any(map(_is_bool_test, parts)) and any(map(_is_int_test, parts)):
                     copies.append((path.stem, node.lineno))
     assert copies == []
+
+
+def _module_bindings(body: list[ast.stmt]):
+    """(name, line) of each name a module binds outside its functions and
+    classes, through blocks such as ``if`` and ``try`` too."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt.lineno
+        for block in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_bindings(getattr(stmt, block, []))
+
+
+STATELESS_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*|_?[A-Z][A-Za-z0-9]*|__\w+__")
+
+
+def test_no_module_keeps_hidden_state():
+    # every library call is a pure function: a module binds only UPPER_CASE
+    # constants, CamelCase type aliases and dunder names, and no function
+    # rebinds a module name through ``global``
+    stateful = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        stateful += [
+            (path.stem, name, line)
+            for name, line in _module_bindings(tree.body)
+            if not STATELESS_NAME.fullmatch(name)
+        ]
+        stateful += [
+            (path.stem, "global", node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert stateful == []

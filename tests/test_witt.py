@@ -197,7 +197,6 @@ def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
         with pytest.raises(IntegrityError, match="Witt recurrence"):
             lie_atom_counts({2: 1}, signed, 12, 6)
 
-    monkeypatch.setattr(loops, "_witt_cache", {})
     config = {
         "field": "F2",
         "manifold": {"preset": "cube", "m": 1},
@@ -319,7 +318,6 @@ def test_one_witt_table_serves_every_factor_of_a_plan(monkeypatch):
         return real(letters, signed, max_degree, max_weight)
 
     monkeypatch.setattr(loops, "lie_atom_counts", spy)
-    monkeypatch.setattr(loops, "_witt_cache", {})
     m_dim, rel = preset("torus", m=6)
     spec = ProblemSpec(m_dim, rel, 1, {2: 1}, FieldChar.odd(3), 30)
     assert len(factor_plan(m_dim, rel, 1, {2: 1})) == 7
