@@ -104,7 +104,7 @@ def factor_plan(
 Generators = list[tuple[int, int, int, str]]
 
 
-def product_generators(
+def plan_generators(
     m_dim: int,
     rel_betti: GradedBetti,
     n: int,
@@ -112,9 +112,9 @@ def product_generators(
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> Generators:
-    """Generators ``(degree, weight, count, kind)`` of the whole product:
-    those of every factor of :func:`factor_plan`, counted ``copies`` times.
+) -> list[tuple[int, int, GradedBetti, int, Generators]]:
+    """Each factor ``(q, j, y, copies)`` of :func:`factor_plan` with its
+    own generators ``(degree, weight, count, kind)``, counted once.
 
     Factor q applies the degree-(j-1) bracket to Sigma^q X, j = m_dim + n
     - q, so a length-l basic product x_1 ... x_l has degree |x_1| + ... +
@@ -126,19 +126,34 @@ def product_generators(
         return []
     q0, j0, y0, _copies = plan[0]
     atoms = atom_census(y0, j0, char, max_degree, max_weight)
-    generators: Generators = []
-    for q, j, _y, copies in plan:
+    factors = []
+    for q, j, y, copies in plan:
         rise = q - q0
         raised = DegreeWeightTable(max_degree, max_weight, {
             (d + rise, l): c for d, l, c in atoms.items() if d + rise <= max_degree
         })
-        generators += [
-            (d, k, c * copies, kind)
-            for d, k, c, kind in factor_generators(
-                raised, j, char, max_degree, max_weight
-            )
-        ]
-    return generators
+        generators = factor_generators(raised, j, char, max_degree, max_weight)
+        factors.append((q, j, y, copies, list(generators)))
+    return factors
+
+
+def product_generators(
+    m_dim: int,
+    rel_betti: GradedBetti,
+    n: int,
+    x_betti: GradedBetti,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> Generators:
+    """Generators ``(degree, weight, count, kind)`` of the whole product:
+    those of each factor of :func:`plan_generators`, ``copies`` times."""
+    plan = plan_generators(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
+    return [
+        (d, k, c * copies, kind)
+        for _q, _j, _y, copies, generators in plan
+        for d, k, c, kind in generators
+    ]
 
 
 def factor_product(

@@ -5,16 +5,16 @@ computation or consistency suite, and renders a table, CSV or JSON.
 Rendering is deterministic: identical configs give byte-identical output.
 
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
-config (bad JSON, unknown key, a schema_version other than the int 1) or
-an unreadable --config / unwritable --output file, 3 violated input
-hypothesis, 4 internal integrity failure: a broken identity or mismatched
-caps inside the engine.
+config (bad JSON, unknown key, a schema_version other than the int 1),
+an unreadable --config or unwritable --output or stdout, 3 violated
+input hypothesis, 4 internal integrity failure: a broken identity or
+mismatched caps inside the engine.
 
 Exit 3 is every InvalidInputError.  The library refuses wrong values
 itself, each count through ``loops.require_int`` (an int, never a bool,
-at or above its minimum); this module checks only the JSON shape: value
-types, the keys a manifold, label or the mode's config may carry, and
-that no Betti degree is given twice.
+at or above its minimum); this module checks only the JSON shape (value
+types, the keys each object may carry, no Betti degree given twice) and
+that the ``generators`` listing's label space is connected.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Any, Iterable, Iterator
 
@@ -30,7 +31,7 @@ from .assemble import (
     ProblemSpec,
     ab_coherence_report,
     describe_spec,
-    factor_plan,
+    plan_generators,
     preset,
     preset_parameters,
     theorem_a,
@@ -43,8 +44,7 @@ from .errors import (
     InvalidInputError,
 )
 from .hilton import hilton_milnor_check
-from .loops import FieldChar, GradedBetti, atom_census, factor_generators
-from .loops import int_from_text, normalize_betti, require_int
+from .loops import FieldChar, GradedBetti, int_from_text, normalize_betti, require_int
 from .series import BiSeries
 
 SCHEMA_VERSION = 1
@@ -153,7 +153,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad UTF-8, bad syntax, a too-long int literal or too deep nesting
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigurationError("config root must be a JSON object")
@@ -166,11 +167,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
         raise ConfigurationError(
             f"unsupported schema_version {version!r}; this build speaks {SCHEMA_VERSION}"
         )
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    config.setdefault("format", "table")
-    config.setdefault("seed", 0)
+    config.update((key, value) for key, value in overrides.items() if value is not None)
     return config
 
 
@@ -274,15 +271,16 @@ def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dic
 def _generator_rows(spec: ProblemSpec) -> list[dict]:
     # the census listing needs connected labels, not simply connected ones
     spec.validate()
-    K = spec.effective_max_weight()
     if any(d < 1 for d in normalize_betti(spec.x_betti)):
         raise InvalidInputError(
             "the generator census needs a connected label space "
             "(reduced classes in degrees >= 1)"
         )
     rows = []
-    plan = factor_plan(spec.m_dim, spec.rel_betti, spec.n, spec.x_betti)
-    for q, j, y, copies in plan:
+    for q, j, y, copies, generators in plan_generators(
+        spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char,
+        spec.max_degree, spec.effective_max_weight(),
+    ):
         if j == 1:
             kind = "free_associative"
             gens = [
@@ -290,12 +288,9 @@ def _generator_rows(spec: ProblemSpec) -> list[dict]:
             ]
         else:
             kind = "free_commutative"
-            atoms = atom_census(y, j, spec.char, spec.max_degree, K)
             gens = [
                 {"degree": d, "weight": k, "kind": g_kind, "count": c}
-                for d, k, c, g_kind in factor_generators(
-                    atoms, j, spec.char, spec.max_degree, K
-                )
+                for d, k, c, g_kind in generators
             ]
         rows.append(
             {"q": q, "j": j, "copies": copies, "kind": kind, "generators": gens}
@@ -316,37 +311,25 @@ def _render(
 ) -> str:
     """The one place each output format is put together.
 
-    json is the envelope of the spec echo, the series cells and the check
-    reports (plus the generator rows in generators mode); csv joins the
-    view's ``lines``; table puts two header lines before them.  ``lines``
-    is a generator, so no view is built for json.
+    json dumps the spec echo, the check reports, any generator rows and a
+    marker where the series cells go in, laid out directly: the stdlib's
+    indenting encoder is pure Python.  csv joins the view's
+    ``lines``; table puts two header lines before them.  ``lines`` is a
+    generator, so no view is built for json.
     """
     if fmt == "json":
+        marker = "\0series"  # no other string of the envelope holds a NUL
         fields: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
             "spec": echo,
             "checks": checks or [],
+            "series": marker,
         }
         if generators is not None:
             fields["generators"] = generators
-        # json.dumps(fields, sort_keys=True, indent=2), with the series
-        # cells laid out directly: the stdlib's indenting encoder is pure
-        # Python.  A nested dump is re-indented by its newlines, which JSON
-        # strings never hold raw.
-        members = {
-            key: [json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")]
-            for key, value in fields.items()
-        }
-        members["series"] = _json_cells(series)
-        # the text is joined once from its parts: each member follows a
-        # comma, but the first follows the opening brace
-        chunks = []
-        for key in sorted(members):
-            chunks.append(f',\n  "{key}": ')
-            chunks += members[key]
-        chunks[0] = "{" + chunks[0][1:]
-        chunks.append("\n}\n")
-        return "".join(chunks)
+        text = json.dumps(fields, sort_keys=True, indent=2)
+        head, _, tail = text.partition(json.dumps(marker))
+        return "".join([head, *_json_cells(series), tail, "\n"])
     if fmt == "table":
         parts = " ".join(
             f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
@@ -459,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON problem description")
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--field", help="Q, F2 or Fp:<p>")
+    # an int flag is read by the int-from-text rule
+    parser.register("type", int, int_from_text)
     parser.add_argument("--max-degree", type=int, dest="max_degree")
     parser.add_argument("--max-weight", type=int, dest="max_weight")
     parser.add_argument("--format", choices=("table", "csv", "json"))
@@ -469,14 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "field": args.field,
-        "max_degree": args.max_degree,
-        "max_weight": args.max_weight,
-        "format": args.format,
-        "seed": args.seed,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("config", "output")}
     try:
         config = load_config(args.config, overrides)
     except ConfigurationError as exc:
@@ -491,15 +469,21 @@ def main(argv: list[str] | None = None) -> int:
     except CalculatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write output {args.output}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        sys.stdout.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+    except OSError as exc:
+        target = args.output or "<stdout>"
+        print(f"error: cannot write output {target}: {exc}", file=sys.stderr)
+        if not args.output:
+            # what stays buffered goes nowhere at the interpreter's last flush
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PARSE
     return status
 
 

@@ -166,11 +166,20 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path), {})
 
 
-def test_load_config_rejects_bad_json(tmp_path):
+def test_load_config_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigurationError):
-        load_config(str(path), {})
+    for data in (
+        b"{not json",
+        b'{"mode": "theorem_a\xff"}',  # not UTF-8
+        b'{"seed": ' + b"7" * 5000 + b"}",  # past the int-literal digit limit
+        b"[" * 100_000,  # nested past the recursion limit
+    ):
+        path.write_bytes(data)
+        with pytest.raises(ConfigurationError, match="is not valid JSON"):
+            load_config(str(path), {})
+        assert main(["--config", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON"), err
 
 
 def test_load_config_rejects_wrong_schema_version(tmp_path):
@@ -210,6 +219,19 @@ def test_main_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("degree,")
     assert len(out.strip().splitlines()) == 4  # header + degrees 0..2
+    assert main(["--config", str(config_path), "--max-degree", "3"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-weight", "--seed"])
+@pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663"])
+def test_int_flags_are_an_optional_minus_and_ascii_digits(flag, text, capsys):
+    # int() would take each of these; argparse refuses them as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "theorem_a", flag, text])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid int value: {text!r}" in err
+    assert "Traceback" not in err
 
 
 def test_rp_preset_requires_f2_field():
@@ -496,6 +518,25 @@ def test_an_int_in_text_is_an_optional_minus_and_ascii_digits(
     # int() would also take these, reading "1_0" as 10 and "Fp:1_1" as 11
     assert _main_on(config, tmp_path) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_is_a_clean_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(base_config()))
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "confighom", "--config", str(path)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("error: cannot write output <stdout>: ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_starting_the_cli_does_not_import_the_oracle():

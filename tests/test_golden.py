@@ -10,6 +10,8 @@ the engine that still solved theorem_b at degree cap max_degree +
 (``LARGE_CAPS``), whose weight rows start far above degree 0 or whose log
 derivative has many terms shifted past the degree cap, were recorded from
 the free-algebra kernel that still solved every row over all degrees.
+The several-factor generators cases (``generators.torus3_*``) were
+recorded from the listing that still solved one Witt table per factor.
 """
 
 import hashlib
@@ -78,6 +80,16 @@ CONFIGS.update(
     for name, problem in DEGREE_ZERO_PROBLEMS.items()
     for mode in ("dk_table", "theorem_b")
 )
+# a plan of several factors, j = 4, 3, 2, 1 on (T^3, empty) x R^1, each
+# factor's census raised from the first one's
+CONFIGS.update(
+    (f"generators.torus3_{field}", {
+        "mode": "generators", "field": field, "manifold": {"preset": "torus", "m": 3},
+        "n": 1, "label_space": {"preset": "wedge", "spheres": [1, 2]},
+        "max_degree": 12, "seed": 0,
+    })
+    for field in ("F2", "Fp:3")
+)
 
 # caps above the benchmark's, where most weight rows start high and many
 # terms of the log derivative shift past the degree cap; csv only, since
@@ -113,6 +125,12 @@ DIGESTS = {
     "generators/table": (0, "c177a0e4dcc59bb72aefb4cfcd9cb8b7202bcf95667ff3bbf406696651517e0c"),
     "generators/csv": (0, "807ecdd8c37314f96ee7cdcdab32abfd962340b06f27dc2a2b121bc494b128ee"),
     "generators/json": (0, "ade8f098cecd7c2c1bd41c7a235342ca910373dad150b2cd0a6d865d5a128589"),
+    "generators.torus3_F2/table": (0, "a2bfa139be925de9091515fdef90a7e15319050f235167c5ed8415bd08bf77d6"),
+    "generators.torus3_F2/csv": (0, "925d1d57b5e00d034aa2e4edc728dfd0ad93a97bc1bc559fc3f586188c0fcb4b"),
+    "generators.torus3_F2/json": (0, "3ae7658c8a545a1956447e5557cbd296d6f7d834a0efb115a4f1739b236dde49"),
+    "generators.torus3_Fp:3/table": (0, "a5fdfc3a6e8bc287d0a78772c620f74334ad17d9f53fc1d34f0a966f899ce59b"),
+    "generators.torus3_Fp:3/csv": (0, "c795e15f914b132efa79181fefcfba43cea00dd3414c26fce430f9a76f9854fd"),
+    "generators.torus3_Fp:3/json": (0, "19db5547d217115d12ca164ac98279e32eb41ad57aab6eac407d5124b9635ac9"),
     "theorem_a/table": (0, "6111ede66efc5d2b392f394cd46aab3fec4f03412247d80c09e7ce92f82e9782"),
     "theorem_a/csv": (0, "ae6703744fac9f19fd2774c6c19cf7bad14da52c94ae4e80e3b219a1c4257d18"),
     "theorem_a/json": (0, "3dd2852e24bbcb5e6d37a660ffb2c049c84b2a2bd6ea0ebbce3633fb1a4de57b"),

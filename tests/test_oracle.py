@@ -273,6 +273,10 @@ def test_oracle_borrows_nothing_from_the_engine():
 
 
 CAP_CHECKED_SOLVE = {"free_commutative", "require_caps"}
+PLAN_WALK = {
+    "factor_plan", "atom_census", "factor_generators", "generator_census",
+    "lie_atom_counts",
+}
 
 
 def _named(tree: ast.AST) -> set[str]:
@@ -296,6 +300,10 @@ def test_every_solve_goes_through_the_one_cap_checked_solve():
     for module in ("hilton", "cli"):
         named = _named(ast.parse((SRC / f"{module}.py").read_text()))
         assert not named & CAP_CHECKED_SOLVE, (module, named & CAP_CHECKED_SOLVE)
+    # nor does cli walk the factor plan or take a census: its generators
+    # listing is assemble's, from the one Witt table of the plan
+    named = _named(ast.parse((SRC / "cli.py").read_text()))
+    assert not named & PLAN_WALK, named & PLAN_WALK
 
 
 def _is_bool_test(node: ast.AST) -> bool:

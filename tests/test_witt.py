@@ -324,3 +324,10 @@ def test_one_witt_table_serves_every_factor_of_a_plan(monkeypatch):
     theorem_a(spec)
     # the q = 0 factor has the largest shifted cap, 30 + (j - 1) = 36
     assert calls == [36]
+    # the generators listing reads the same census
+    calls.clear()
+    status, _text = cli.run({
+        "mode": "generators", "field": "Fp:3", "manifold": {"preset": "torus", "m": 6},
+        "n": 1, "label_space": {"preset": "sphere", "d": 2}, "max_degree": 30,
+    })
+    assert (status, calls) == (0, [36])
