@@ -11,6 +11,9 @@ with the configuration-length filtration as weight grading
 >= 2).  Each factor is a free graded-commutative algebra (for j = 1 by
 Poincare-Birkhoff-Witt), so the product is one, on all factors'
 generators counted b_q times each: one ``series.free_commutative`` call.
+Those generators come from :func:`plan_generators`, one atom census per
+factor plan; it is the engine's one route to them, and the ``generators``
+mode lists what it returns.
 :func:`theorem_b` lifts the restriction on X (degree-0 classes allowed):
 the same free algebra's weight-k slice is the reduced homology of the
 filtration quotient D_k.  ``check:ab`` checks theorem_a against the
@@ -29,13 +32,12 @@ from .loops import (
     FieldChar,
     GradedBetti,
     atom_census,
-    factor_generators,
     normalize_betti,
+    raised_generators,
     require_int,
     suspend_betti,
 )
 from .series import BiSeries, free_commutative, require_caps, weight_log_derivative
-from .witt import DegreeWeightTable
 
 
 @dataclass
@@ -120,21 +122,19 @@ def plan_generators(
     - q, so a length-l basic product x_1 ... x_l has degree |x_1| + ... +
     |x_l| + (l-1)(m_dim + n - 1) + q.  Factor q's atoms are therefore the
     first factor's raised by q - q0: one :func:`atom_census`, and one Witt
-    solve, serves the whole plan."""
+    solve, serves the whole plan.  Each factor's census is raised, closed
+    and tagged by one ``loops.raised_generators`` call on the atoms'
+    entries, so no table is built per factor."""
     plan = factor_plan(m_dim, rel_betti, n, x_betti)
     if not plan:
         return []
     q0, j0, y0, _copies = plan[0]
-    atoms = atom_census(y0, j0, char, max_degree, max_weight)
-    factors = []
-    for q, j, y, copies in plan:
-        rise = q - q0
-        raised = DegreeWeightTable(max_degree, max_weight, {
-            (d + rise, l): c for d, l, c in atoms.items() if d + rise <= max_degree
-        })
-        generators = factor_generators(raised, j, char, max_degree, max_weight)
-        factors.append((q, j, y, copies, list(generators)))
-    return factors
+    atoms = atom_census(y0, j0, char, max_degree, max_weight).entries
+    return [
+        (q, j, y, copies,
+         raised_generators(atoms, q - q0, j, char, max_degree, max_weight))
+        for q, j, y, copies in plan
+    ]
 
 
 def product_generators(

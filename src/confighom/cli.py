@@ -20,6 +20,7 @@ that the ``generators`` listing's label space is connected.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -342,43 +343,48 @@ def _render(
 
 def _json_cells(series: BiSeries | None) -> list[str]:
     """The nonzero cells as a list of [d, k, v] triples, in the layout of
-    json.dumps(..., indent=2) one level down, as parts to be joined."""
+    json.dumps(..., indent=2) one level down, as parts to be joined: one
+    part per degree row that has a nonzero cell."""
     if series is None:
         return ["[]"]
     weights = [f"{k},\n      " for k in range(series.max_weight + 1)]
-    cells = [
-        f"{head}{weights[k]}{v}\n    ]"
-        for d, row in enumerate(series.rows())
-        for head in [f",\n    [\n      {d},\n      "]  # one prefix per degree
-        for k, v in enumerate(row)
-        if v
-    ]
-    if not cells:
+    parts = []
+    for d, row in enumerate(series.rows()):
+        head = f",\n    [\n      {d},\n      "
+        part = "".join(
+            [f"{head}{weights[k]}{v}\n    ]" for k, v in enumerate(row) if v]
+        )
+        if part:
+            parts.append(part)
+    if not parts:
         return ["[]"]
     # each cell follows a comma, but the first follows the opening bracket
-    cells[0] = "[" + cells[0][1:]
-    cells.append("\n  ]")
-    return cells
+    parts[0] = "[" + parts[0][1:]
+    parts.append("\n  ]")
+    return parts
 
 
 def _grid_lines(series: BiSeries, fmt: str) -> Iterator[str]:
+    """One line per degree: its degree, its cells and their total, each
+    row put through one printf-style format built once per table."""
     K = series.max_weight
     rows = series.rows()
     if fmt == "csv":
         yield "degree," + ",".join(f"w{k}" for k in range(K + 1)) + ",total"
-        for d, row in enumerate(rows):
-            yield f"{d}," + ",".join(map(str, row)) + f",{sum(row)}"
-        return
-    # counts are nonnegative, so the largest one is the widest
-    width = max(4, len(str(max(map(max, rows)))))
-    head = (
-        "degree | " + " ".join(f"w{k}".rjust(width) for k in range(K + 1)) + " | total"
-    )
-    yield head
-    yield "-" * len(head)
+        line = "%d," * (K + 2) + "%d"
+    else:
+        # counts are nonnegative, so the largest one is the widest
+        width = max(4, len(str(max(map(max, rows)))))
+        head = (
+            "degree | "
+            + " ".join(f"w{k}".rjust(width) for k in range(K + 1))
+            + " | total"
+        )
+        yield head
+        yield "-" * len(head)
+        line = "%6d | " + " ".join([f"%{width}d"] * (K + 1)) + " | %d"
     for d, row in enumerate(rows):
-        cells = " ".join([str(v).rjust(width) for v in row])
-        yield f"{d:6d} | {cells} | {sum(row)}"
+        yield line % (d, *row, sum(row))
 
 
 def _dk_lines(series: BiSeries, fmt: str) -> Iterator[str]:
@@ -473,13 +479,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
+        elif sys.stdout is None:
+            # the interpreter sets sys.stdout to None when it starts with
+            # file descriptor 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
         else:
             sys.stdout.write(rendered)
             sys.stdout.flush()
     except OSError as exc:
         target = args.output or "<stdout>"
-        print(f"error: cannot write output {target}: {exc}", file=sys.stderr)
-        if not args.output:
+        if sys.stderr is not None:
+            print(f"error: cannot write output {target}: {exc}", file=sys.stderr)
+        if not args.output and sys.stdout is not None:
             # what stays buffered goes nowhere at the interpreter's last flush
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())

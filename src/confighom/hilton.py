@@ -31,7 +31,7 @@ from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
 from .assemble import _solve, product_generators
 from .series import weight_log_derivative
-from .witt import _solve_cell
+from .witt import _divisor_sieve, _solve_cell
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ def basic_words(r: int, max_length: int) -> list[BasicWord]:
     if r < 1:
         raise InvalidInputError("need at least one letter")
     counts: dict[tuple[int, ...], int] = {}
+    divisors = _divisor_sieve(max_length)
     words = []
     for length in range(1, max_length + 1):
         for slots in combinations_with_replacement(range(r), length):
@@ -67,8 +68,10 @@ def basic_words(r: int, max_length: int) -> list[BasicWord]:
                 mult,
                 _multinomial(length, mult),
                 length,
-                math.gcd(*mult),
-                lambda k: counts.get(tuple(a // k for a in mult), 0),
+                [
+                    (k, counts.get(tuple(a // k for a in mult), 0))
+                    for k in divisors[math.gcd(*mult)]
+                ],
             )
             if count:
                 counts[mult] = count

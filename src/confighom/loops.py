@@ -27,9 +27,17 @@ degree-preserving); the sign convention of the count uses that shifted
 degree, while the exterior/polynomial split of the resulting algebra uses
 the actual degree.  Sigma^q y at j - q loops has the same shifted letters
 for every q, so its basic products are those of y at j raised by q
-degrees: ``assemble`` runs one :func:`atom_census` per factor plan and
-hands each factor the raised entries.  Nothing here keeps state between
-calls.
+degrees.
+
+Per factor plan the engine (``assemble.plan_generators``) calls
+:func:`atom_census` once, its one Witt solve, and then
+:func:`raised_generators` once per factor on the atoms' entries: raise,
+close under operations and tag on a plain ``(degree, weight) -> count``
+dict, sorted once.  No table is built per factor.
+:func:`generator_census`, :func:`factor_generators` and
+:func:`factor_series` are wrappers over the same census for the tracer
+and the tests; the engine calls none of them.  Nothing here keeps state
+between calls.
 """
 
 from __future__ import annotations
@@ -219,18 +227,21 @@ def atom_census(
     return DegreeWeightTable(
         max_degree,
         max_weight,
-        {(d - shift, l): c for d, l, c in shifted.items()},
+        {(d - shift, l): c for (d, l), c in shifted.entries.items()},
     )
 
 
-def generator_census(
-    atoms: DegreeWeightTable,
+def _closed_census(
+    atoms: Mapping[tuple[int, int], int],
+    rise: int,
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> DegreeWeightTable:
-    """Close the atoms under admissible operation words.
+) -> dict[tuple[int, int], int]:
+    """The ``(degree, weight) -> count`` map of ``atoms`` raised by ``rise``
+    degrees, cut to the caps and closed under admissible operation words,
+    as a new dict.
 
     Characteristic 0 applies no operations.  Otherwise states aggregate by
     (degree, weight, largest index the next operation may use); every
@@ -239,12 +250,12 @@ def generator_census(
     if j < 1:
         raise InvalidInputError("generator census needs j >= 1")
     census = {
-        (d, k): c
-        for d, k, c in atoms.items()
-        if d <= max_degree and k <= max_weight
+        (d + rise, k): c
+        for (d, k), c in atoms.items()
+        if d + rise <= max_degree and k <= max_weight
     }
     if char.is_zero:
-        return DegreeWeightTable(max_degree, max_weight, census)
+        return census
 
     p = char.p
     steps = (0,) if p == 2 else (0, 1)  # the Bockstein steps after Q_b
@@ -272,7 +283,50 @@ def generator_census(
                         key = (nd, nk, b - eps)
                         nxt[key] = nxt.get(key, 0) + c
         frontier = nxt
-    return DegreeWeightTable(max_degree, max_weight, census)
+    return census
+
+
+def raised_generators(
+    atoms: Mapping[tuple[int, int], int],
+    rise: int,
+    j: int,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> list[tuple[int, int, int, str]]:
+    """Generators ``(degree, weight, count, kind)``, in increasing (degree,
+    weight), of the free E_j-algebra whose basic products are ``atoms`` (a
+    ``(degree, length) -> count`` map, such as an :func:`atom_census`'s
+    entries) raised by ``rise`` degrees, as a free graded-commutative
+    algebra, j >= 1: their census, each entry tagged polynomial in
+    characteristic 2 or in even degree, exterior otherwise.
+
+    This is what ``assemble`` calls per factor, on one atom census per
+    plan; it builds no table.  :func:`generator_census` and
+    :func:`factor_generators` are the same census on a table."""
+    polynomial_only = char.is_two
+    return [
+        (d, k, c, POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR)
+        for (d, k), c in sorted(
+            _closed_census(atoms, rise, j, char, max_degree, max_weight).items()
+        )
+    ]
+
+
+def generator_census(
+    atoms: DegreeWeightTable,
+    j: int,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> DegreeWeightTable:
+    """Close the atoms under admissible operation words, as a table: the
+    census :func:`raised_generators` tags, at rise 0."""
+    return DegreeWeightTable(
+        max_degree,
+        max_weight,
+        _closed_census(atoms.entries, 0, j, char, max_degree, max_weight),
+    )
 
 
 def factor_generators(
@@ -282,17 +336,9 @@ def factor_generators(
     max_degree: int,
     max_weight: int,
 ) -> tuple[tuple[int, int, int, str], ...]:
-    """Generators ``(degree, weight, count, kind)`` of the free E_j-algebra
-    whose basic products are ``atoms`` (an :func:`atom_census`), as a free
-    graded-commutative algebra, j >= 1: the atoms' census, each entry
-    tagged polynomial in characteristic 2 or in even degree, exterior
-    otherwise.  Taking the atoms lets a caller raise one census for many
-    factors instead of solving the Witt table again for each."""
-    census = generator_census(atoms, j, char, max_degree, max_weight)
-    return tuple(
-        (d, k, c, POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR)
-        for d, k, c in census.items()
-    )
+    """:func:`raised_generators` of the table ``atoms`` (an
+    :func:`atom_census`) at rise 0, as a tuple."""
+    return tuple(raised_generators(atoms.entries, 0, j, char, max_degree, max_weight))
 
 
 def factor_series(

@@ -32,15 +32,22 @@ The table is sparse: a sphere or a wedge of a few spheres has words in
 few degrees of each length.  :func:`word_rows` builds T_l = f T_{l-1}
 over the nonzero cells only, and the recurrence runs on the cells that
 have words or a nonzero divisor term; every other cell has residual 0
-and no basic products.  ``assemble`` solves one such table per factor plan:
-every factor of a plan sees the same shifted letters.
+and no basic products.  The divisor terms are scattered from the nonzero
+cells of the shorter lengths, whose divisors come from one sieve per
+call, and :func:`_solve_cell` is the one recurrence step, shared with
+``hilton``.
+
+The engine solves one such table per factor plan, through
+``loops.atom_census``: every factor of a plan sees the same shifted
+letters.  :func:`lie_atom_counts` is also the entry point the
+benchmark's tracer wraps and the tests call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigurationError, IntegrityError, InvalidInputError
 
@@ -54,15 +61,23 @@ class DegreeWeightTable:
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[tuple[int, int], int] = {}
-        for (d, l), c in self.entries.items():
-            if c < 0:
-                raise IntegrityError(f"negative count {c} at ({d},{l})")
-            if d > self.max_degree or l > self.max_weight:
-                raise ConfigurationError(f"entry ({d},{l}) outside caps")
-            if c:
-                clean[(d, l)] = c
-        object.__setattr__(self, "entries", clean)
+        # a copy, so the caller's dict is never aliased; the checks run as
+        # min/max over the whole dict, and only a failure walks it in order
+        # to name the first entry at fault
+        entries = dict(self.entries)
+        if entries and (
+            min(entries.values()) < 0
+            or max(entries)[0] > self.max_degree
+            or max(map(itemgetter(1), entries)) > self.max_weight
+        ):
+            for (d, l), c in entries.items():
+                if c < 0:
+                    raise IntegrityError(f"negative count {c} at ({d},{l})")
+                if d > self.max_degree or l > self.max_weight:
+                    raise ConfigurationError(f"entry ({d},{l}) outside caps")
+        if 0 in entries.values():
+            entries = {key: c for key, c in entries.items() if c}
+        object.__setattr__(self, "entries", entries)
 
     def get(self, degree: int, length: int) -> int:
         return self.entries.get((degree, length), 0)
@@ -72,20 +87,30 @@ class DegreeWeightTable:
             yield d, l, c
 
 
+def _divisor_sieve(n: int) -> list[list[int]]:
+    """Entry m lists the divisors r >= 2 of m in increasing order, for
+    0 <= m <= n (entries 0 and 1 are empty)."""
+    divisors: list[list[int]] = [[] for _ in range(n + 1)]
+    for r in range(2, n + 1):
+        for m in range(r, n + 1, r):
+            divisors[m].append(r)
+    return divisors
+
+
 def _solve_cell(
-    cell: object, words: int, length: int, g: int, lower: Callable[[int], int]
+    cell: object, words: int, length: int, lowers: Iterable[tuple[int, int]]
 ) -> int:
     """One step of the Witt recurrence: the number of basic products in
-    ``cell`` from its word count, its length, the gcd ``g`` of its grading
-    and ``lower(r)`` = s * L(cell / r) for each divisor r >= 2 of ``g``.
+    ``cell`` from its word count, its length and ``lowers``, the pairs
+    (r, s * L(cell / r)) over the divisors r >= 2 of the gcd of its
+    grading (a pair whose count is 0 may be left out).
 
     A residual that is negative or not a multiple of ``length`` cannot come
     from a genuine word series and raises IntegrityError.
     """
     residual = words
-    for r in range(2, g + 1):
-        if g % r == 0:
-            residual -= (length // r) * lower(r)
+    for r, lower in lowers:
+        residual -= (length // r) * lower
     count, rem = divmod(residual, length)
     if residual < 0 or rem:
         raise IntegrityError(
@@ -132,33 +157,31 @@ def lie_atom_counts(
     exact divisibility in the Witt recurrence raises IntegrityError, since
     that cannot occur for a genuine generating set.
 
-    Only cells that can be nonzero are solved: at length l, the degrees
-    of :func:`word_rows` row l and every r*d' (r >= 2 dividing l) with
-    L(d', l/r) != 0.  Any other cell has no words and no divisor term, so
-    its residual and its count are 0.
+    Only cells that can be nonzero are solved, in increasing degree at
+    each length l: the degrees of :func:`word_rows` row l and every r*d'
+    (r >= 2 dividing l) with L(d', l/r) != 0.  Any other cell has no
+    words and no divisor term, so its residual and its count are 0.
     """
     D, K = max_degree, max_weight
     if any(d < 0 for d in letters):
         raise InvalidInputError("generator degrees must be >= 0")
     rows = word_rows(letters, D, K)
+    divisors = _divisor_sieve(len(rows) - 1)
     # solved[l]: degree -> L(degree, l), nonzero counts only
     solved: list[dict[int, int]] = [{}]
     for length in range(1, len(rows)):
         words = rows[length]
-        cells = set(words)
-        for r in range(2, length + 1):
-            if length % r == 0:
-                cells.update(r * d for d in solved[length // r] if r * d <= D)
+        # the divisor terms, scattered from the nonzero cells below
+        lowers: dict[int, list[tuple[int, int]]] = {}
+        for r in divisors[length]:
+            flip = signed and r % 2 == 0
+            for d, c in solved[length // r].items():
+                if r * d <= D:
+                    term = (r, -c if flip and d % 2 else c)
+                    lowers.setdefault(r * d, []).append(term)
         row: dict[int, int] = {}
-        for d in sorted(cells):
-
-            def lower(r: int) -> int:
-                sign = -1 if signed and r % 2 == 0 and (d // r) % 2 else 1
-                return sign * solved[length // r].get(d // r, 0)
-
-            c = _solve_cell(
-                (d, length), words.get(d, 0), length, math.gcd(d, length), lower
-            )
+        for d in sorted(words.keys() | lowers.keys()) if lowers else sorted(words):
+            c = _solve_cell((d, length), words.get(d, 0), length, lowers.get(d, ()))
             if c:
                 row[d] = c
         solved.append(row)

@@ -30,8 +30,9 @@ from confighom import (
     theorem_b,
     weight_one_slice_expected,
 )
-from confighom.assemble import factor_plan, product_generators
-from confighom.loops import atom_census, factor_generators
+from confighom.assemble import factor_plan, plan_generators, product_generators
+from confighom.loops import atom_census, factor_generators, generator_census
+from confighom.witt import DegreeWeightTable
 from confighom.oracle import classical_series
 
 Q = FieldChar.rational()
@@ -473,6 +474,53 @@ def test_property_one_census_serves_every_factor_of_a_plan(data):
         )
     ]
     assert product_generators(m_dim, rel, n, x, char, D, K) == per_factor
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_the_engine_census_is_the_per_factor_route_through_tables(data):
+    # plan_generators raises, closes and tags on plain dicts; the public
+    # wrappers do it on a raised DegreeWeightTable per factor
+    m_dim = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 2))
+    rel = data.draw(
+        st.dictionaries(st.integers(0, m_dim), st.integers(1, 3), min_size=1, max_size=3)
+    )
+    x = data.draw(
+        st.dictionaries(st.integers(0, 4), st.integers(1, 2), min_size=1, max_size=2)
+    )
+    char = FieldChar(data.draw(st.sampled_from((0, 2, 3, 5))))
+    D, K = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 7))
+    plan = factor_plan(m_dim, rel, n, x)
+    q0, j0, y0, _copies = plan[0]
+    atoms = atom_census(y0, j0, char, D, K)
+    expected = []
+    for q, j, y, copies in plan:
+        raised = DegreeWeightTable(D, K, {
+            (d + q - q0, l): c for d, l, c in atoms.items() if d + q - q0 <= D
+        })
+        census = generator_census(raised, j, char, D, K)
+        generators = factor_generators(raised, j, char, D, K)
+        assert [(d, k, c) for d, k, c, _kind in generators] == list(census.items())
+        expected.append((q, j, y, copies, list(generators)))
+    assert plan_generators(m_dim, rel, n, x, char, D, K) == expected
+
+
+def test_a_multi_factor_plan_builds_no_table_per_factor(monkeypatch):
+    tables = []
+    real = DegreeWeightTable.__post_init__
+
+    def spy(table):
+        tables.append((table.max_degree, table.max_weight))
+        real(table)
+
+    monkeypatch.setattr(DegreeWeightTable, "__post_init__", spy)
+    # torus m = 6 over F3: seven factors, j = 7 down to 1; the Witt table
+    # at the shifted cap 30 + 6 and the atom census are the only tables
+    m_dim, rel = preset("torus", m=6)
+    assert len(factor_plan(m_dim, rel, 1, {2: 1})) == 7
+    theorem_a(ProblemSpec(m_dim, rel, 1, {2: 1}, F3, 30))
+    assert tables == [(36, 15), (30, 15)]
 
 
 def test_a_table_is_one_free_algebra_on_one_census_and_a_repeat_solves_again(

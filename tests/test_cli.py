@@ -539,6 +539,25 @@ def test_a_failed_write_to_stdout_is_a_clean_error(tmp_path):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+def test_a_closed_stdout_is_a_clean_error(tmp_path):
+    # with file descriptor 1 closed at start the interpreter's sys.stdout
+    # is None; the write fails like any other, with exit 2 and one line
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(base_config()))
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "confighom", "--config", str(path)],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert done.returncode == EXIT_PARSE, done.stderr
+    assert done.stderr.startswith("error: cannot write output <stdout>: ")
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def test_starting_the_cli_does_not_import_the_oracle():
     # the brute-force oracle is for tests and checks by hand; no mode of
     # cli.run calls it, so a start must not pay for loading it

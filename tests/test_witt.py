@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from confighom import (
     BiSeries,
+    ConfigurationError,
     DegreeWeightTable,
     FieldChar,
     IntegrityError,
@@ -126,6 +127,36 @@ def test_input_validation():
 def test_negative_table_count_rejected():
     with pytest.raises(IntegrityError):
         DegreeWeightTable(4, 4, {(2, 1): -1})
+
+
+def test_table_checks_name_the_first_entry_at_fault():
+    with pytest.raises(IntegrityError, match=r"negative count -2 at \(3,1\)"):
+        DegreeWeightTable(4, 4, {(1, 1): 1, (3, 1): -2, (4, 2): -1})
+    for d, l in ((5, 1), (1, 5)):
+        with pytest.raises(ConfigurationError, match=rf"entry \({d},{l}\) outside caps"):
+            DegreeWeightTable(4, 4, {(0, 0): 1, (d, l): 1})
+    # entries are checked in order, each for its sign before its caps
+    with pytest.raises(ConfigurationError, match=r"\(9,1\) outside caps"):
+        DegreeWeightTable(4, 4, {(9, 1): 1, (2, 1): -1})
+    with pytest.raises(IntegrityError, match=r"at \(9,1\)"):
+        DegreeWeightTable(4, 4, {(9, 1): -1})
+
+
+def test_table_drops_zeros_and_keeps_no_alias_of_the_callers_dict():
+    given = {(1, 1): 2, (2, 1): 0, (4, 4): 1}
+    table = DegreeWeightTable(4, 4, given)
+    assert table.entries == {(1, 1): 2, (4, 4): 1}
+    assert given == {(1, 1): 2, (2, 1): 0, (4, 4): 1}
+    without_zeros = {(1, 1): 2}
+    table = DegreeWeightTable(4, 4, without_zeros)
+    assert table.entries == without_zeros and table.entries is not without_zeros
+    without_zeros[(1, 1)] = 5
+    assert table.get(1, 1) == 2
+    assert DegreeWeightTable(4, 4).entries == {}
+    assert list(DegreeWeightTable(4, 4, {(3, 1): 1, (1, 2): 1}).items()) == [
+        (1, 2, 1),
+        (3, 1, 1),
+    ]
 
 
 def test_words_identity_signed_vs_unsigned_agree_through_tensor_series():
@@ -260,19 +291,20 @@ except IntegrityError:
 
 def dense_atom_counts(degrees: dict, D: int, K: int, signed: bool) -> dict:
     """The dense Witt recurrence: the word series by ``inverse_one_minus``
-    and ``_solve_cell`` on every cell of the (D+1) x (K+1) grid."""
+    and ``_solve_cell`` on every cell of the (D+1) x (K+1) grid, each with
+    every divisor r >= 2 of its gcd found by trial division."""
     words = tensor_series(degrees, D, K)
     counts = {}
     for length in range(1, K + 1):
         for d in range(D + 1):
-
-            def lower(r):
-                sign = -1 if signed and r % 2 == 0 and (d // r) % 2 else 1
-                return sign * counts.get((d // r, length // r), 0)
-
-            c = witt._solve_cell(
-                (d, length), words.get(d, length), length, math.gcd(d, length), lower
-            )
+            g = math.gcd(d, length)
+            lowers = [
+                (r, (-1 if signed and r % 2 == 0 and (d // r) % 2 else 1)
+                 * counts.get((d // r, length // r), 0))
+                for r in range(2, g + 1)
+                if g % r == 0
+            ]
+            c = witt._solve_cell((d, length), words.get(d, length), length, lowers)
             if c:
                 counts[(d, length)] = c
     return counts
