@@ -24,8 +24,6 @@ by comparing Lambert coefficients; it solves tables only on a mismatch.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
 
 from .errors import IntegrityError, InvalidInputError
 from .loops import (
@@ -37,26 +35,41 @@ from .loops import (
     require_int,
     suspend_betti,
 )
+from .record import Record
 from .series import BiSeries, free_commutative, require_caps, weight_log_derivative
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     """One full problem instance, for :func:`theorem_a` or :func:`theorem_b`.
 
     ``max_weight`` is mandatory for theorem_b (for disconnected X
     arbitrarily many weights land in each low degree); theorem_a derives
     max_degree // 2 when it is omitted, which loses nothing because weight
-    k then only contributes from degree 2k upward.
+    k then only contributes from degree 2k upward.  The fields are checked
+    by :meth:`validate`, which the modes call, not on construction.
     """
 
-    m_dim: int
-    rel_betti: GradedBetti
-    n: int
-    x_betti: GradedBetti
-    char: FieldChar
-    max_degree: int
-    max_weight: int | None = None
+    __slots__ = (
+        "m_dim", "rel_betti", "n", "x_betti", "char", "max_degree", "max_weight"
+    )
+
+    def __init__(
+        self,
+        m_dim: int,
+        rel_betti: GradedBetti,
+        n: int,
+        x_betti: GradedBetti,
+        char: FieldChar,
+        max_degree: int,
+        max_weight: int | None = None,
+    ) -> None:
+        self.m_dim = m_dim
+        self.rel_betti = rel_betti
+        self.n = n
+        self.x_betti = x_betti
+        self.char = char
+        self.max_degree = max_degree
+        self.max_weight = max_weight
 
     def validate(self) -> None:
         require_int(self.m_dim, "manifold dim")
@@ -294,14 +307,18 @@ def preset(
 # -- the A/B coherence suite ----------------------------------------------
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a named consistency suite."""
 
-    name: str
-    passed: bool
-    cases: int
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "passed", "cases", "failures")
+
+    def __init__(
+        self, name: str, passed: bool, cases: int, failures: list[dict] | None = None
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     def to_json(self) -> dict:
         return {
@@ -320,6 +337,8 @@ def random_problem_specs(
     Characteristics cycle through 0, 2 and an odd prime so each suite run
     touches all three.
     """
+    import random  # check:ab alone draws specs, so a start does not load it
+
     rng = random.Random(seed)
     chars = [FieldChar.rational(), FieldChar.mod2(), FieldChar.odd(3)]
     specs = []

@@ -25,7 +25,8 @@ import itertools
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .assemble import (
@@ -82,7 +83,7 @@ _MODE_KEYS = {
 _CONFIG_KEYS = set().union(*_MODE_KEYS.values())
 
 
-def _parse_betti(raw: Any, what: str) -> GradedBetti:
+def _parse_betti(raw: object, what: str) -> GradedBetti:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{what} must be an object of degree -> dimension")
     out: GradedBetti = {}
@@ -105,7 +106,7 @@ def _only_keys(raw: dict, allowed: tuple[str, ...], what: str) -> None:
         )
 
 
-def _parse_manifold(raw: Any, char: FieldChar) -> tuple[int, GradedBetti]:
+def _parse_manifold(raw: object, char: FieldChar) -> tuple[int, GradedBetti]:
     if not isinstance(raw, dict):
         raise InvalidInputError("manifold must be an object")
     if "preset" in raw:
@@ -122,7 +123,7 @@ def _parse_manifold(raw: Any, char: FieldChar) -> tuple[int, GradedBetti]:
     )
 
 
-def _parse_label_space(raw: Any) -> GradedBetti:
+def _parse_label_space(raw: object) -> GradedBetti:
     if not isinstance(raw, dict):
         raise InvalidInputError("label_space must be an object")
     if "betti" in raw:
@@ -146,8 +147,8 @@ def _parse_label_space(raw: Any) -> GradedBetti:
     )
 
 
-def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
-    config: dict[str, Any] = {}
+def load_config(path: str | None, overrides: dict[str, object]) -> dict[str, object]:
+    config: dict[str, object] = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -175,7 +176,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
 # -- execution -------------------------------------------------------------
 
 
-def run(config: dict[str, Any]) -> tuple[int, str]:
+def run(config: dict[str, object]) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, rendered output)."""
     mode = config.get("mode")
     if mode not in MODES:
@@ -225,7 +226,7 @@ def run(config: dict[str, Any]) -> tuple[int, str]:
     return EXIT_OK, _render(fmt, echo, view(series, fmt), series=series)
 
 
-def _require(config: dict[str, Any], key: str, typ: type) -> Any:
+def _require(config: dict[str, object], key: str, typ: type) -> object:
     if key not in config:
         raise InvalidInputError(f"config is missing required key {key!r}")
     value = config[key]
@@ -235,7 +236,7 @@ def _require(config: dict[str, Any], key: str, typ: type) -> Any:
     return value
 
 
-def _run_check_ab(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
+def _run_check_ab(config: dict[str, object], seed: int) -> tuple[dict, list[dict]]:
     trials = config.get("trials", 20)
     max_degree = config.get("max_degree", 30)
     report = ab_coherence_report(seed=seed, trials=trials, max_degree=max_degree)
@@ -244,7 +245,7 @@ def _run_check_ab(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
     return echo, [report.to_json()]
 
 
-def _run_check_hilton(config: dict[str, Any], seed: int) -> tuple[dict, list[dict]]:
+def _run_check_hilton(config: dict[str, object], seed: int) -> tuple[dict, list[dict]]:
     orientable = config.get("orientable", False)
     char = FieldChar.from_name(config.get("field", "F2"))
     cases = []
@@ -304,7 +305,7 @@ def _generator_rows(spec: ProblemSpec) -> list[dict]:
 
 def _render(
     fmt: str,
-    echo: dict[str, Any],
+    echo: dict[str, object],
     lines: Iterable[str],
     series: BiSeries | None = None,
     checks: list[dict] | None = None,
@@ -312,15 +313,15 @@ def _render(
 ) -> str:
     """The one place each output format is put together.
 
-    json dumps the spec echo, the check reports, any generator rows and a
-    marker where the series cells go in, laid out directly: the stdlib's
-    indenting encoder is pure Python.  csv joins the view's
+    json lays out the spec echo, the check reports, any generator rows and
+    a marker where the series cells go in by :func:`_json_text`, then puts
+    the cells in place of the marker.  csv joins the view's
     ``lines``; table puts two header lines before them.  ``lines`` is a
     generator, so no view is built for json.
     """
     if fmt == "json":
         marker = "\0series"  # no other string of the envelope holds a NUL
-        fields: dict[str, Any] = {
+        fields: dict[str, object] = {
             "schema_version": SCHEMA_VERSION,
             "spec": echo,
             "checks": checks or [],
@@ -328,7 +329,7 @@ def _render(
         }
         if generators is not None:
             fields["generators"] = generators
-        text = json.dumps(fields, sort_keys=True, indent=2)
+        text = _json_text(fields)
         head, _, tail = text.partition(json.dumps(marker))
         return "".join([head, *_json_cells(series), tail, "\n"])
     if fmt == "table":
@@ -339,6 +340,35 @@ def _render(
         lines = itertools.chain((title, f"# {parts}"), lines)
     # the empty last line ends the text with a newline
     return "\n".join(itertools.chain(lines, ("",)))
+
+
+def _json_text(value: object, pad: str = "\n") -> str:
+    """``value`` in the layout of json.dumps(value, sort_keys=True,
+    indent=2), for dicts with str keys, lists, tuples and scalars; ``pad``
+    is a newline and the indentation of the line ``value`` starts on.
+
+    The stdlib lays out an indented dump with its pure-Python encoder, one
+    generator step per part; this joins each container's items at once
+    and spells an int itself, so the check reports' totals and words cost
+    a join instead.  Every other scalar goes through json.dumps."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        return "".join(["{", ",".join(items), pad, "}"])
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "".join(["[", inner, f",{inner}".join(items), pad, "]"])
+    return json.dumps(value)
 
 
 def _json_cells(series: BiSeries | None) -> list[str]:
@@ -458,22 +488,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(message: str) -> None:
+    """Write ``message`` as a line to stderr while stderr can take it.
+
+    With stderr closed the interpreter sets ``sys.stderr`` to None, or the
+    write fails with OSError; either way the exit status alone then tells
+    what went wrong."""
+    if sys.stderr is None:
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("config", "output")}
     try:
         config = load_config(args.config, overrides)
     except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_PARSE
     try:
         status, rendered = run(config)
     except (ConfigurationError, IntegrityError) as exc:
         # past load_config, mismatched engine objects are an engine fault
-        print(f"integrity error: {exc}", file=sys.stderr)
+        _complain(f"integrity error: {exc}")
         return EXIT_INTEGRITY
     except CalculatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_INPUT
     try:
         if args.output:
@@ -487,9 +531,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(rendered)
             sys.stdout.flush()
     except OSError as exc:
-        target = args.output or "<stdout>"
-        if sys.stderr is not None:
-            print(f"error: cannot write output {target}: {exc}", file=sys.stderr)
+        _complain(f"error: cannot write output {args.output or '<stdout>'}: {exc}")
         if not args.output and sys.stdout is not None:
             # what stays buffered goes nowhere at the interpreter's last flush
             with open(os.devnull, "w") as devnull:

@@ -24,23 +24,27 @@ algebra (see ``assemble``), whose degree totals one single-graded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
 from .assemble import _solve, product_generators
+from .record import FrozenRecord, Record
 from .series import weight_log_derivative
 from .witt import _divisor_sieve, _solve_cell
 
 
-@dataclass(frozen=True)
-class BasicWord:
+class BasicWord(FrozenRecord):
     """Basic products with a fixed multiplicity vector over the letters."""
 
-    multiplicities: tuple[int, ...]
-    length: int
-    count: int
+    __slots__ = ("multiplicities", "length", "count")
+
+    def __init__(
+        self, multiplicities: tuple[int, ...], length: int, count: int
+    ) -> None:
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "count", count)
 
 
 def _multinomial(total: int, parts: tuple[int, ...]) -> int:
@@ -94,18 +98,32 @@ def _smash_betti(x_list: list[GradedBetti], mult: tuple[int, ...]) -> GradedBett
     return acc
 
 
-@dataclass
-class HiltonReport:
+class HiltonReport(Record):
     """Degreewise comparison of the wedge series against the basic-product
     decomposition."""
 
-    passed: bool
-    max_degree: int
-    words_used: int
-    first_mismatch: tuple[int, int, int] | None
-    lhs_totals: list[int]
-    rhs_totals: list[int]
-    word_summary: list[dict] = field(default_factory=list)
+    __slots__ = (
+        "passed", "max_degree", "words_used", "first_mismatch",
+        "lhs_totals", "rhs_totals", "word_summary",
+    )
+
+    def __init__(
+        self,
+        passed: bool,
+        max_degree: int,
+        words_used: int,
+        first_mismatch: tuple[int, int, int] | None,
+        lhs_totals: list[int],
+        rhs_totals: list[int],
+        word_summary: list[dict] | None = None,
+    ) -> None:
+        self.passed = passed
+        self.max_degree = max_degree
+        self.words_used = words_used
+        self.first_mismatch = first_mismatch
+        self.lhs_totals = lhs_totals
+        self.rhs_totals = rhs_totals
+        self.word_summary = [] if word_summary is None else word_summary
 
     def to_json(self) -> dict:
         return {

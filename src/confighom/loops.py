@@ -42,10 +42,10 @@ between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InvalidInputError
+from .record import FrozenRecord
 from .series import BiSeries, EXTERIOR, POLYNOMIAL, free_commutative
 from .witt import DegreeWeightTable, lie_atom_counts
 
@@ -99,23 +99,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldChar:
+class FieldChar(FrozenRecord):
     """Characteristic of the coefficient field: 0, 2, or an odd prime
     below :data:`FIELD_LIMIT`."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        require_int(self.p, "characteristic")
-        if self.p == 0 or self.p == 2:
-            return
-        if self.p >= FIELD_LIMIT:
-            raise InvalidInputError(
-                f"characteristic {self.p} is not below the limit 2**64"
-            )
-        if self.p < 3 or not _is_prime(self.p):
-            raise InvalidInputError(f"{self.p} is not 0, 2 or an odd prime")
+    def __init__(self, p: int) -> None:
+        require_int(p, "characteristic")
+        if p != 0 and p != 2:
+            if p >= FIELD_LIMIT:
+                raise InvalidInputError(
+                    f"characteristic {p} is not below the limit 2**64"
+                )
+            if p < 3 or not _is_prime(p):
+                raise InvalidInputError(f"{p} is not 0, 2 or an odd prime")
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def rational(cls) -> "FieldChar":

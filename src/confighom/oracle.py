@@ -22,16 +22,15 @@ both gradings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .errors import ConfigurationError, InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti
+from .record import FrozenRecord
 from .series import BiSeries
 
 
-@dataclass(frozen=True)
-class GeneratorDescriptor:
+class GeneratorDescriptor(FrozenRecord):
     """One explicit free-algebra generator: a bracket word plus an
     admissible operation word.
 
@@ -41,11 +40,21 @@ class GeneratorDescriptor:
     the data (checked in the test suite).
     """
 
-    bracket: str
-    letter_degrees: tuple[int, ...]
-    ops: tuple[tuple[int, int], ...]
-    degree: int
-    weight: int
+    __slots__ = ("bracket", "letter_degrees", "ops", "degree", "weight")
+
+    def __init__(
+        self,
+        bracket: str,
+        letter_degrees: tuple[int, ...],
+        ops: tuple[tuple[int, int], ...],
+        degree: int,
+        weight: int,
+    ) -> None:
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "letter_degrees", letter_degrees)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
 
 
 def _lyndon_words(

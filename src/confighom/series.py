@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConfigurationError,

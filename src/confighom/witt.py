@@ -45,38 +45,43 @@ benchmark's tracer wraps and the tests call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigurationError, IntegrityError, InvalidInputError
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class DegreeWeightTable:
-    """Nonnegative counts indexed by (degree, length/weight) inside caps."""
+class DegreeWeightTable(FrozenRecord):
+    """Nonnegative counts indexed by (degree, length/weight) inside caps:
+    ``entries`` maps (degree, length) to a count, zeros dropped."""
 
-    max_degree: int
-    max_weight: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("max_degree", "max_weight", "entries")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_degree: int,
+        max_weight: int,
+        entries: Mapping[tuple[int, int], int] | None = None,
+    ) -> None:
         # a copy, so the caller's dict is never aliased; the checks run as
         # min/max over the whole dict, and only a failure walks it in order
         # to name the first entry at fault
-        entries = dict(self.entries)
+        entries = {} if entries is None else dict(entries)
         if entries and (
             min(entries.values()) < 0
-            or max(entries)[0] > self.max_degree
-            or max(map(itemgetter(1), entries)) > self.max_weight
+            or max(entries)[0] > max_degree
+            or max(map(itemgetter(1), entries)) > max_weight
         ):
             for (d, l), c in entries.items():
                 if c < 0:
                     raise IntegrityError(f"negative count {c} at ({d},{l})")
-                if d > self.max_degree or l > self.max_weight:
+                if d > max_degree or l > max_weight:
                     raise ConfigurationError(f"entry ({d},{l}) outside caps")
         if 0 in entries.values():
             entries = {key: c for key, c in entries.items() if c}
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "max_weight", max_weight)
         object.__setattr__(self, "entries", entries)
 
     def get(self, degree: int, length: int) -> int:

@@ -1,12 +1,13 @@
 """Command-line behaviour: rendering, determinism, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confighom.assemble as assemble
 import confighom.hilton as hilton
@@ -16,6 +17,7 @@ from confighom.cli import (
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_PARSE,
+    _json_text,
     load_config,
     main,
     run,
@@ -418,7 +420,10 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
     monkeypatch.setattr(
         hilton,
         "basic_words",
-        lambda *args: [dataclasses.replace(w, count=w.count + 1) for w in words(*args)],
+        lambda *args: [
+            hilton.BasicWord(w.multiplicities, w.length, w.count + 1)
+            for w in words(*args)
+        ],
     )
     monkeypatch.setattr(assemble, "free_commutative", second_drifts)
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
@@ -556,6 +561,47 @@ def test_a_closed_stdout_is_a_clean_error(tmp_path):
     assert done.returncode == EXIT_PARSE, done.stderr
     assert done.stderr.startswith("error: cannot write output <stdout>: ")
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("{not json", EXIT_PARSE),
+        (json.dumps(base_config(field="Fp:4")), EXIT_INPUT),
+    ],
+)
+def test_a_closed_stderr_keeps_the_exit_status(tmp_path, text, status):
+    # with file descriptor 2 closed at start the error message has nowhere
+    # to go; the exit status alone tells what went wrong
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "confighom", "--config", str(path)],
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: os.close(2),
+    )
+    assert done.returncode == status
+    assert done.stdout == ""
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+REPORT_SHAPED = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_SHAPED)
+def test_property_the_json_layout_is_the_indented_dump(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_starting_the_cli_does_not_import_the_oracle():

@@ -1,7 +1,6 @@
 """Basic-product counting and the wedge-label decomposition identity."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -125,7 +124,10 @@ def test_report_shape():
 def bumped_words(r, max_length, _real=hilton.basic_words):
     """basic_words with every count raised by 1: a perturbed basic-product
     side."""
-    return [replace(w, count=w.count + 1) for w in _real(r, max_length)]
+    return [
+        hilton.BasicWord(w.multiplicities, w.length, w.count + 1)
+        for w in _real(r, max_length)
+    ]
 
 
 def test_each_side_is_one_free_algebra(monkeypatch):

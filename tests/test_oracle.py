@@ -242,6 +242,7 @@ def test_odd_primary_catalog_keeps_polynomial_generator_at_the_cap(p, cap):
 SRC = Path(confighom.__file__).parent
 ORACLE_MAY_IMPORT = {
     "errors": None,  # any name
+    "record": {"FrozenRecord"},  # the records' base class, no kernel
     "series": {"BiSeries"},
     "loops": {"FieldChar", "GradedBetti", "normalize_betti"},
 }
