@@ -136,13 +136,13 @@ def plan_generators(
     |x_l| + (l-1)(m_dim + n - 1) + q.  Factor q's atoms are therefore the
     first factor's raised by q - q0: one :func:`atom_census`, and one Witt
     solve, serves the whole plan.  Each factor's census is raised, closed
-    and tagged by one ``loops.raised_generators`` call on the atoms'
-    entries, so no table is built per factor."""
+    and tagged by one ``loops.raised_generators`` call on the atoms' dict,
+    so the plan's one table is its Witt solve's."""
     plan = factor_plan(m_dim, rel_betti, n, x_betti)
     if not plan:
         return []
     q0, j0, y0, _copies = plan[0]
-    atoms = atom_census(y0, j0, char, max_degree, max_weight).entries
+    atoms = atom_census(y0, j0, char, max_degree, max_weight)
     return [
         (q, j, y, copies,
          raised_generators(atoms, q - q0, j, char, max_degree, max_weight))

@@ -7,14 +7,15 @@ Rendering is deterministic: identical configs give byte-identical output.
 Exit codes: 0 success, 1 a check suite found a mismatch, 2 unparseable
 config (bad JSON, unknown key, a schema_version other than the int 1),
 an unreadable --config or unwritable --output or stdout, 3 violated
-input hypothesis, 4 internal integrity failure: a broken identity or
-mismatched caps inside the engine.
+input hypothesis or caps past memory, 4 internal integrity failure: a
+broken identity or mismatched caps inside the engine.
 
-Exit 3 is every InvalidInputError.  The library refuses wrong values
-itself, each count through ``loops.require_int`` (an int, never a bool,
-at or above its minimum); this module checks only the JSON shape (value
-types, the keys each object may carry, no Betti degree given twice) and
-that the ``generators`` listing's label space is connected.
+Exit 3 is every InvalidInputError, and a MemoryError from the run.  The
+library refuses wrong values itself, each count through
+``loops.require_int`` (an int, never a bool, at or above its minimum);
+this module checks only the JSON shape (value types, the keys each object
+may carry, no Betti degree given twice) and that the ``generators``
+listing's label space is connected.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ EXIT_PARSE = 2
 EXIT_INPUT = 3
 EXIT_INTEGRITY = 4
 
-MODES = (
-    "theorem_a",
-    "theorem_b",
-    "dk_table",
-    "generators",
-    "check:ab",
-    "check:hilton_milnor",
-)
-
 _COMMON_KEYS = ("mode", "format", "seed", "schema_version")
 _TABLE_KEYS = ("field", "manifold", "n", "label_space", "max_degree", "max_weight")
 
@@ -80,6 +72,7 @@ _MODE_KEYS = {
     + ("field", "manifold", "label_spaces", "max_degree", "orientable"),
 }
 
+MODES = tuple(_MODE_KEYS)
 _CONFIG_KEYS = set().union(*_MODE_KEYS.values())
 
 
@@ -518,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTEGRITY
     except CalculatorError as exc:
         _complain(f"error: {exc}")
+        return EXIT_INPUT
+    except MemoryError:
+        _complain("error: the table does not fit in memory; lower the caps")
         return EXIT_INPUT
     try:
         if args.output:

@@ -30,14 +30,14 @@ for every q, so its basic products are those of y at j raised by q
 degrees.
 
 Per factor plan the engine (``assemble.plan_generators``) calls
-:func:`atom_census` once, its one Witt solve, and then
-:func:`raised_generators` once per factor on the atoms' entries: raise,
-close under operations and tag on a plain ``(degree, weight) -> count``
-dict, sorted once.  No table is built per factor.
-:func:`generator_census`, :func:`factor_generators` and
-:func:`factor_series` are wrappers over the same census for the tracer
-and the tests; the engine calls none of them.  Nothing here keeps state
-between calls.
+:func:`atom_census` once, its one Witt solve, which returns the atoms as
+a plain ``(degree, length) -> count`` dict, and then
+:func:`raised_generators` once per factor on that dict: raise, close
+under operations and tag, sorted once.  The only table on this path is
+the Witt solve's own.  :func:`generator_census` (the census as a table)
+and :func:`factor_series` (its free algebra) are wrappers over the same
+census for the tracer and the tests; the engine calls neither.  Nothing
+here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -200,10 +200,11 @@ def atom_census(
     char: FieldChar,
     max_degree: int,
     max_weight: int,
-) -> DegreeWeightTable:
-    """Counts of basic bracket products, by (actual degree, bracket
-    length), for the degree-(j-1) bracket on ``y``, degree-0 classes
-    included (the free E_j-algebra theorem_b needs).
+) -> dict[tuple[int, int], int]:
+    """Counts of basic bracket products, as a new ``(actual degree,
+    bracket length) -> count`` dict of the nonzero counts, for the
+    degree-(j-1) bracket on ``y``, degree-0 classes included (the free
+    E_j-algebra theorem_b needs).
 
     Computed by regrading every generator up by j-1, running the Witt count
     in that shifted grading (signed unless char is 2, where the self
@@ -223,11 +224,7 @@ def atom_census(
         max_degree + shift,
         max_weight,
     )
-    return DegreeWeightTable(
-        max_degree,
-        max_weight,
-        {(d - shift, l): c for (d, l), c in shifted.entries.items()},
-    )
+    return {(d - shift, l): c for (d, l), c in shifted.entries.items()}
 
 
 def _closed_census(
@@ -295,14 +292,14 @@ def raised_generators(
 ) -> list[tuple[int, int, int, str]]:
     """Generators ``(degree, weight, count, kind)``, in increasing (degree,
     weight), of the free E_j-algebra whose basic products are ``atoms`` (a
-    ``(degree, length) -> count`` map, such as an :func:`atom_census`'s
-    entries) raised by ``rise`` degrees, as a free graded-commutative
-    algebra, j >= 1: their census, each entry tagged polynomial in
-    characteristic 2 or in even degree, exterior otherwise.
+    ``(degree, length) -> count`` map, such as an :func:`atom_census`)
+    raised by ``rise`` degrees, as a free graded-commutative algebra,
+    j >= 1: their census, each entry tagged polynomial in characteristic
+    2 or in even degree, exterior otherwise.
 
     This is what ``assemble`` calls per factor, on one atom census per
-    plan; it builds no table.  :func:`generator_census` and
-    :func:`factor_generators` are the same census on a table."""
+    plan, and :func:`factor_series` at rise 0; it builds no table.
+    :func:`generator_census` is the same census, untagged, as a table."""
     polynomial_only = char.is_two
     return [
         (d, k, c, POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR)
@@ -313,31 +310,20 @@ def raised_generators(
 
 
 def generator_census(
-    atoms: DegreeWeightTable,
+    atoms: Mapping[tuple[int, int], int],
     j: int,
     char: FieldChar,
     max_degree: int,
     max_weight: int,
 ) -> DegreeWeightTable:
-    """Close the atoms under admissible operation words, as a table: the
+    """Close ``atoms`` (a ``(degree, length) -> count`` map, such as an
+    :func:`atom_census`) under admissible operation words, as a table: the
     census :func:`raised_generators` tags, at rise 0."""
     return DegreeWeightTable(
         max_degree,
         max_weight,
-        _closed_census(atoms.entries, 0, j, char, max_degree, max_weight),
+        _closed_census(atoms, 0, j, char, max_degree, max_weight),
     )
-
-
-def factor_generators(
-    atoms: DegreeWeightTable,
-    j: int,
-    char: FieldChar,
-    max_degree: int,
-    max_weight: int,
-) -> tuple[tuple[int, int, int, str], ...]:
-    """:func:`raised_generators` of the table ``atoms`` (an
-    :func:`atom_census`) at rise 0, as a tuple."""
-    return tuple(raised_generators(atoms.entries, 0, j, char, max_degree, max_weight))
 
 
 def factor_series(
@@ -348,11 +334,12 @@ def factor_series(
     max_weight: int,
 ) -> BiSeries:
     """Poincare series of H_*(Omega^j Sigma^j Y), Y connected with reduced
-    Betti data ``y``, j >= 1: the free graded-commutative algebra on
-    :func:`factor_generators` (for j = 1 the tensor algebra, by PBW), solved
-    by :func:`~confighom.series.free_commutative` from k A_k = sum_i
-    B_i A_{k-i} with B = u d/du log A, which raises IntegrityError naming
-    the cell (d, k) whose residual is negative or not a multiple of k.
+    Betti data ``y``, j >= 1: the free graded-commutative algebra on the
+    :func:`raised_generators` of its :func:`atom_census` at rise 0 (for
+    j = 1 the tensor algebra, by PBW), solved by
+    :func:`~confighom.series.free_commutative` from k A_k = sum_i B_i
+    A_{k-i} with B = u d/du log A, which raises IntegrityError naming the
+    cell (d, k) whose residual is negative or not a multiple of k.
     """
     if j < 1:
         raise InvalidInputError("loop count j must be >= 1")
@@ -361,5 +348,5 @@ def factor_series(
     return free_commutative(
         max_degree,
         max_weight,
-        factor_generators(atoms, j, char, max_degree, max_weight),
+        raised_generators(atoms, 0, j, char, max_degree, max_weight),
     )

@@ -362,9 +362,13 @@ def free_commutative(
     after reading), from the top slot down, to find the lowest degree
     whose residual breaks the gate; it raises IntegrityError naming that
     cell.  The table is kept by weight and transposed once at the end.
+    A cap of ``sys.maxsize`` or more cannot index a row, and is refused
+    with InvalidInputError.
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
+    if max_degree >= sys.maxsize or max_weight >= sys.maxsize:
+        raise InvalidInputError(f"caps must be below {sys.maxsize}")
     D, K = max_degree, max_weight
     chains: dict[int, list[tuple[int, int, list]]] = {}
     direct: dict[int, dict[int, int]] = {}  # B_i as degree -> value, by weight i

@@ -31,7 +31,7 @@ from confighom import (
     weight_one_slice_expected,
 )
 from confighom.assemble import factor_plan, plan_generators, product_generators
-from confighom.loops import atom_census, factor_generators, generator_census
+from confighom.loops import atom_census, generator_census, raised_generators
 from confighom.witt import DegreeWeightTable
 from confighom.oracle import classical_series
 
@@ -469,8 +469,8 @@ def test_property_one_census_serves_every_factor_of_a_plan(data):
     per_factor = [
         (d, k, c * copies, kind)
         for _q, j, y, copies in factor_plan(m_dim, rel, n, x)
-        for d, k, c, kind in factor_generators(
-            atom_census(y, j, char, D, K), j, char, D, K
+        for d, k, c, kind in raised_generators(
+            atom_census(y, j, char, D, K), 0, j, char, D, K
         )
     ]
     assert product_generators(m_dim, rel, n, x, char, D, K) == per_factor
@@ -479,8 +479,9 @@ def test_property_one_census_serves_every_factor_of_a_plan(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_property_the_engine_census_is_the_per_factor_route_through_tables(data):
-    # plan_generators raises, closes and tags on plain dicts; the public
-    # wrappers do it on a raised DegreeWeightTable per factor
+    # plan_generators raises, closes and tags in one call per factor; the
+    # public wrappers raise first and close the raised atoms at rise 0, as a
+    # table and as tagged generators
     m_dim = data.draw(st.integers(0, 3))
     n = data.draw(st.integers(1, 2))
     rel = data.draw(
@@ -496,13 +497,13 @@ def test_property_the_engine_census_is_the_per_factor_route_through_tables(data)
     atoms = atom_census(y0, j0, char, D, K)
     expected = []
     for q, j, y, copies in plan:
-        raised = DegreeWeightTable(D, K, {
-            (d + q - q0, l): c for d, l, c in atoms.items() if d + q - q0 <= D
-        })
+        raised = {
+            (d + q - q0, l): c for (d, l), c in atoms.items() if d + q - q0 <= D
+        }
         census = generator_census(raised, j, char, D, K)
-        generators = factor_generators(raised, j, char, D, K)
+        generators = raised_generators(raised, 0, j, char, D, K)
         assert [(d, k, c) for d, k, c, _kind in generators] == list(census.items())
-        expected.append((q, j, y, copies, list(generators)))
+        expected.append((q, j, y, copies, generators))
     assert plan_generators(m_dim, rel, n, x, char, D, K) == expected
 
 
@@ -516,11 +517,11 @@ def test_a_multi_factor_plan_builds_no_table_per_factor(monkeypatch):
 
     monkeypatch.setattr(DegreeWeightTable, "__init__", spy)
     # torus m = 6 over F3: seven factors, j = 7 down to 1; the Witt table
-    # at the shifted cap 30 + 6 and the atom census are the only tables
+    # at the shifted cap 30 + 6 is the only table, the atoms a plain dict
     m_dim, rel = preset("torus", m=6)
     assert len(factor_plan(m_dim, rel, 1, {2: 1})) == 7
     theorem_a(ProblemSpec(m_dim, rel, 1, {2: 1}, F3, 30))
-    assert tables == [(36, 15), (30, 15)]
+    assert tables == [(36, 15)]
 
 
 def test_a_table_is_one_free_algebra_on_one_census_and_a_repeat_solves_again(

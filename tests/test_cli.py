@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confighom.assemble as assemble
+import confighom.cli as cli
 import confighom.hilton as hilton
 from confighom.cli import (
     EXIT_CHECK_FAILED,
@@ -370,6 +371,42 @@ def _main_on(config, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     return main(["--config", str(path)])
+
+
+def test_a_cap_past_memory_exits_3_with_a_message(monkeypatch, tmp_path, capsys):
+    # point x R with S^2 labels: a cap no row can index is refused before
+    # any allocation, and a MemoryError from the run is an input error too
+    config = base_config(
+        manifold={"preset": "point"},
+        mode="theorem_b",
+        max_degree=10**21,
+        max_weight=1,
+    )
+    assert _main_on(config, tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: caps must be below ")
+
+    def out_of_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "theorem_b", out_of_memory)
+    assert _main_on(dict(config, max_degree=10), tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: the table does not fit")
+
+
+def test_the_mode_list_is_the_modes_config_keys_in_order():
+    modes = (
+        "theorem_a", "theorem_b", "dk_table", "generators",
+        "check:ab", "check:hilton_milnor",
+    )
+    assert cli.MODES == modes
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "mode"]
+    assert action.choices == modes
+    with pytest.raises(InvalidInputError) as caught:
+        run({"mode": "theorem_c"})
+    assert str(caught.value) == (
+        "mode must be one of theorem_a, theorem_b, dk_table, generators, "
+        "check:ab, check:hilton_milnor; got 'theorem_c'"
+    )
 
 
 def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, capsys):

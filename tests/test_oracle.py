@@ -307,6 +307,31 @@ def test_every_solve_goes_through_the_one_cap_checked_solve():
     assert not named & PLAN_WALK, named & PLAN_WALK
 
 
+def test_the_plan_atoms_stay_a_plain_dict():
+    # in loops only generator_census builds a DegreeWeightTable, so the
+    # plan's census path holds no table but the Witt solve's, and assemble
+    # unwraps no table's entries
+    tree = ast.parse((SRC / "loops.py").read_text())
+    builders = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "DegreeWeightTable"
+            for call in ast.walk(node)
+        )
+    }
+    assert builders == {"generator_census"}
+    tree = ast.parse((SRC / "assemble.py").read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert reads == []
+
+
 def _is_bool_test(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)

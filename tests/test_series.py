@@ -415,6 +415,10 @@ def test_free_commutative_rejects_bad_generators():
         free_commutative(4, 4, [(2, 1, 1, "divided_power")])
     with pytest.raises(InvalidInputError):
         free_commutative(-1, 4, [])
+    # a cap no row can index is refused before any allocation
+    for caps in ((sys.maxsize, 1), (4, sys.maxsize), (10**21, 1)):
+        with pytest.raises(InvalidInputError, match="caps must be below"):
+            free_commutative(*caps, [])
 
 
 # -- the kernel reads its generators only through beta -----------------------
