@@ -150,6 +150,25 @@ def plan_generators(
     ]
 
 
+def listed_plan(
+    m_dim: int,
+    rel_betti: GradedBetti,
+    n: int,
+    x_betti: GradedBetti,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> list[tuple[int, int, GradedBetti, int, Generators | None]]:
+    """The factors as generators mode lists them: :func:`plan_generators`,
+    unless every factor has j = 1.  A j = 1 factor is listed by its letters,
+    not its basic products, so such a plan is :func:`factor_plan` with
+    None for generators, and makes no Witt solve."""
+    plan = factor_plan(m_dim, rel_betti, n, x_betti)
+    if all(j == 1 for _q, j, _y, _copies in plan):
+        return [(*factor, None) for factor in plan]
+    return plan_generators(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
+
+
 def product_generators(
     m_dim: int,
     rel_betti: GradedBetti,

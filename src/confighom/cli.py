@@ -34,7 +34,7 @@ from .assemble import (
     ProblemSpec,
     ab_coherence_report,
     describe_spec,
-    plan_generators,
+    listed_plan,
     preset,
     preset_parameters,
     theorem_a,
@@ -271,11 +271,12 @@ def _generator_rows(spec: ProblemSpec) -> list[dict]:
             "the generator census needs a connected label space "
             "(reduced classes in degrees >= 1)"
         )
-    rows = []
-    for q, j, y, copies, generators in plan_generators(
+    plan = listed_plan(
         spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char,
         spec.max_degree, spec.effective_max_weight(),
-    ):
+    )
+    rows = []
+    for q, j, y, copies, generators in plan:
         if j == 1:
             kind = "free_associative"
             gens = [

@@ -15,10 +15,18 @@ sides genuinely differ.  The factors of (M_w, M0_w) with the smash are
 those of (M, M0) with its Thom-shifted module Sigma^((l-1)*m_dim) smash,
 one for one (j = m_dim + 1 - q loops on Sigma^(q + (l-1)*m_dim) smash), so
 every word goes through the wedge side's one factor plan.  The words fall
-into classes keyed by that module: each class's factors are built once and
-counted by the sum of its words' ``word.count``.  Each side is one free
-algebra (see ``assemble``), whose degree totals one single-graded
-``assemble._solve`` call gives.
+into classes keyed by that module, each counted by the sum of its words'
+``word.count``.  The modules fall in turn into suspension classes: modules
+equal up to a uniform degree shift Delta >= 0, with Delta even unless the
+field is F2.  A generator of weight k is built from k letters, so the
+census of Sigma^Delta Y is that of Y with each weight-k generator raised
+by k*Delta, its weight and kind unchanged; an odd Delta over Q swaps the
+parity of every letter, and with it which brackets and squares survive,
+so there the parity of the lowest degree is part of the class.  Each
+suspension class is solved once, on its lowest module, and the rest of
+the class raises that census (``check:ab`` checks the case Delta = 2).
+Each side is one free algebra (see ``assemble``), whose degree totals one
+single-graded ``assemble._solve`` call gives.
 """
 
 from __future__ import annotations
@@ -83,19 +91,30 @@ def basic_words(r: int, max_length: int) -> list[BasicWord]:
     return words
 
 
-def _smash_betti(x_list: list[GradedBetti], mult: tuple[int, ...]) -> GradedBetti:
+def _smash_betti(
+    x_list: list[GradedBetti],
+    mult: tuple[int, ...],
+    smashes: dict[tuple[int, ...], GradedBetti] | None = None,
+) -> GradedBetti:
     """Reduced Betti numbers of the smash of mult[i] copies of each X_i:
-    the convolution of the reduced tables."""
-    acc: GradedBetti = {0: 1}
-    for x, a in zip(x_list, mult):
-        for _ in range(a):
-            nxt: GradedBetti = {}
-            for d1, c1 in acc.items():
-                for d2, c2 in x.items():
-                    key = d1 + d2
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            acc = nxt
-    return acc
+    the convolution of the reduced tables.
+
+    ``smashes`` keeps the smash of every multiplicity vector met so far, so
+    a word's smash is a shorter word's convolved with one letter."""
+    if not any(mult):
+        return {0: 1}
+    if smashes is None:
+        smashes = {}
+    out = smashes.get(mult)
+    if out is None:
+        i = max(i for i, a in enumerate(mult) if a)
+        shorter = _smash_betti(x_list, mult[:i] + (mult[i] - 1,) + mult[i + 1:], smashes)
+        out = {}
+        for d1, c1 in shorter.items():
+            for d2, c2 in x_list[i].items():
+                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+        smashes[mult] = out
+    return out
 
 
 class HiltonReport(Record):
@@ -153,6 +172,12 @@ def hilton_milnor_check(
     run the same comparison rationally.  n is fixed at 1 (the decomposition
     concerns a single Euclidean factor).
 
+    One ``product_generators`` call serves each suspension class of the
+    words' modules (equal up to a shift Delta >= 0, even unless over F2),
+    on its lowest module; a module Delta above it raises each weight-k
+    generator by k*Delta (``check:ab`` checks Delta = 2).  With sphere
+    labels that is two calls: the wedge's and the one class's.
+
     The basic-product side is solved only when its regraded
     :func:`weight_log_derivative` differs from the wedge side's; equal
     dicts give equal tables, so every report is the one that solving both
@@ -194,6 +219,7 @@ def hilton_milnor_check(
     # (l-1)m + min_rel + l * min(bottoms), which must be at most D
     max_len = (D + m_dim - min_rel) // (min(bottoms) + m_dim)
     modules: dict[tuple, int] = {}
+    smashes: dict[tuple[int, ...], GradedBetti] = {}
     summary = []
     for word in basic_words(len(x_list), max_len):
         shift = (word.length - 1) * m_dim
@@ -201,7 +227,7 @@ def hilton_milnor_check(
         low = shift + min_rel + sum(a * b for a, b in zip(word.multiplicities, bottoms))
         if low > D:
             continue
-        module = suspend_betti(_smash_betti(x_list, word.multiplicities), shift)
+        module = suspend_betti(_smash_betti(x_list, word.multiplicities, smashes), shift)
         key = tuple(sorted(module.items()))
         modules[key] = modules.get(key, 0) + word.count
         summary.append(
@@ -213,21 +239,39 @@ def hilton_milnor_check(
             }
         )
 
+    # suspension classes: a module's shape above its lowest degree, and over
+    # Q that degree's parity, since only an even shift raises a census
+    classes: dict[tuple, list[tuple[int, int]]] = {}
+    for key, count in modules.items():
+        low = key[0][0]
+        shape = tuple((d - low, c) for d, c in key)
+        parity = 0 if char.is_two else low % 2
+        classes.setdefault((shape, parity), []).append((low, count))
+
     # both sides over the one factor plan of (m_dim, rel); weights are not
     # compared, and degree >= weight holds throughout, so K = D.  Each
     # generator (d, k) is regraded to (0, d), so the weight carries the
     # degree; with 1 <= k <= d the weight cap D cuts only products beyond
-    # the degree cap, so the degree totals are the one row of the table
-    lhs_generators, rhs_generators = (
-        [
-            (0, d, c * count, kind)
-            for module, count in side.items()
-            for d, _k, c, kind in product_generators(
-                m_dim, rel, 1, dict(module), char, D, D
-            )
-        ]
-        for side in ({tuple(wedge.items()): 1}, modules)
-    )
+    # the degree cap, so the degree totals are the one row of the table.
+    # A class's census is solved on its lowest module, and a module Delta
+    # above it raises each weight-k generator by k * Delta
+    lhs_generators = [
+        (0, d, c, kind)
+        for d, _k, c, kind in product_generators(m_dim, rel, 1, wedge, char, D, D)
+    ]
+    rhs_generators = []
+    for (shape, _parity), members in classes.items():
+        base = min(low for low, _count in members)
+        census = product_generators(
+            m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
+        )
+        for low, count in members:
+            delta = low - base
+            rhs_generators += [
+                (0, d + k * delta, c * count, kind)
+                for d, k, c, kind in census
+                if d + k * delta <= D
+            ]
     lhs_totals = _solve(0, D, lhs_generators).rows()[0]
     if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
         0, D, rhs_generators

@@ -507,6 +507,48 @@ def test_property_the_engine_census_is_the_per_factor_route_through_tables(data)
     assert plan_generators(m_dim, rel, n, x, char, D, K) == expected
 
 
+def raised(census, delta, D):
+    """``census`` with each weight-k generator raised by k * delta, cut at D."""
+    return sorted(
+        (d + k * delta, k, c, kind) for d, k, c, kind in census if d + k * delta <= D
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_a_suspended_label_raises_the_census_by_weight(data):
+    # a weight-k generator is built from k letters, so Sigma^delta y raises
+    # it by k * delta; over Q only an even delta keeps every letter's parity
+    m_dim = data.draw(st.integers(0, 3))
+    rel = data.draw(
+        st.dictionaries(st.integers(0, m_dim), st.integers(1, 3), min_size=1, max_size=3)
+    )
+    y = data.draw(
+        st.dictionaries(st.integers(1, 5), st.integers(1, 2), min_size=1, max_size=2)
+    )
+    char = data.draw(st.sampled_from((F2, Q)))
+    delta = data.draw(st.integers(0, 3)) * (1 if char.is_two else 2)
+    D = data.draw(st.integers(0, 24))
+    census = product_generators(m_dim, rel, 1, y, char, D, D)
+    suspended = product_generators(m_dim, rel, 1, suspend_betti(y, delta), char, D, D)
+    assert sorted(suspended) == raised(census, delta, D)
+
+
+def test_an_odd_suspension_over_q_is_not_a_raise():
+    # over Q the bracket [x, x] of the bottom class lives on S^2 (degree 5,
+    # exterior) and vanishes on S^3, and x itself turns exterior: the class
+    # key of ``hilton_milnor_check`` therefore carries the lowest degree's parity
+    census = product_generators(1, {0: 1}, 1, {2: 1}, Q, 12, 12)
+    assert census == [(2, 1, 1, "polynomial"), (5, 2, 1, "exterior")]
+    suspended = product_generators(1, {0: 1}, 1, {3: 1}, Q, 12, 12)
+    assert suspended == [(3, 1, 1, "exterior")]
+    assert sorted(suspended) != raised(census, 1, 12)
+    # over F2 the same odd suspension is a raise
+    census = product_generators(1, {0: 1}, 1, {2: 1}, F2, 12, 12)
+    suspended = product_generators(1, {0: 1}, 1, {3: 1}, F2, 12, 12)
+    assert sorted(suspended) == raised(census, 1, 12)
+
+
 def test_a_multi_factor_plan_builds_no_table_per_factor(monkeypatch):
     tables = []
     real = DegreeWeightTable.__init__

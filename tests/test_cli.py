@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import confighom.assemble as assemble
 import confighom.cli as cli
 import confighom.hilton as hilton
+import confighom.loops as loops
 from confighom.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -106,6 +107,50 @@ def test_generators_mode_accepts_circle_labels():
     assert "0,2,1,1,1,polynomial,1" in text
     assert "0,2,1,3,2,polynomial,1" in text
     assert "0,2,1,7,4,polynomial,1" in text
+
+
+@pytest.mark.parametrize(
+    "manifold, solves",
+    [
+        # one j = 1 factor: the listing shows its letters, so nothing is solved
+        ({"preset": "point"}, 0),
+        # the circle mixes a j = 2 factor with a j = 1 one: one Witt solve
+        ({"dim": 1, "rel_betti": {"0": 1, "1": 1}}, 1),
+    ],
+)
+def test_generators_mode_solves_a_census_only_for_a_factor_that_lists_one(
+    monkeypatch, manifold, solves
+):
+    calls = []
+    real = loops.lie_atom_counts
+
+    def spy(*call):
+        calls.append(call)
+        return real(*call)
+
+    monkeypatch.setattr(loops, "lie_atom_counts", spy)
+    config = base_config(
+        mode="generators",
+        format="json",
+        manifold=manifold,
+        label_space={"preset": "wedge", "spheres": [1, 2]},
+        max_degree=120,
+    )
+    status, text = run(config)
+    assert status == EXIT_OK and len(calls) == solves
+    # the top relative class (q = m_dim) lists its letters Sigma^q (S^1 v S^2)
+    top = json.loads(text)["generators"][-1]
+    q = top["q"]
+    assert top == {
+        "q": q,
+        "j": 1,
+        "copies": 1,
+        "kind": "free_associative",
+        "generators": [
+            {"degree": 1 + q, "weight": 1, "count": 1},
+            {"degree": 2 + q, "weight": 1, "count": 1},
+        ],
+    }
 
 
 def test_generators_mode_rejects_disconnected_labels():

@@ -1,6 +1,7 @@
 """Basic-product counting and the wedge-label decomposition identity."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +165,9 @@ SHARED_MODULE_CASES = [
 
 def test_each_word_class_is_solved_once(monkeypatch):
     # every census runs over the one factor plan of (m_dim, rel), the wedge
-    # side's first, then one per distinct Thom-shifted module of the words
+    # side's first, then one per suspension class of the words' Thom-shifted
+    # modules, on the class's lowest module; over Q a class also keeps the
+    # parity of its lowest degree
     calls = []
     real = hilton.product_generators
 
@@ -173,9 +176,13 @@ def test_each_word_class_is_solved_once(monkeypatch):
         return real(*call)
 
     monkeypatch.setattr(hilton, "product_generators", spy)
-    for m_dim, rel, labels, D, shared, module in SHARED_MODULE_CASES:
+    cases = product(SHARED_MODULE_CASES, ("F2", "Q"))
+    for (m_dim, rel, labels, D, shared, module), field in cases:
+        char = FieldChar.from_name(field)
         calls.clear()
-        report = hilton_milnor_check(m_dim, rel, labels, D)
+        report = hilton_milnor_check(
+            m_dim, rel, labels, D, char=char, orientable=field == "Q"
+        )
         assert report.passed
         assert all(call[:3] == (m_dim, rel, 1) for call in calls)
         wedge, *classes = calls
@@ -187,8 +194,21 @@ def test_each_word_class_is_solved_once(monkeypatch):
             smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
             key = tuple(sorted((d + shift, c) for d, c in smash.items()))
             modules.setdefault(key, []).append(tuple(word["multiplicities"]))
-        assert sorted(tuple(sorted(call[3].items())) for call in classes) == sorted(modules)
         assert modules[tuple(module.items())] == shared
+
+        lowest = {}
+        for key in modules:
+            low = key[0][0]
+            shape = tuple((d - low, c) for d, c in key)
+            parity = low % 2 if field == "Q" else 0
+            lowest[shape, parity] = min(lowest.get((shape, parity), low), low)
+        assert sorted(tuple(sorted(call[3].items())) for call in classes) == sorted(
+            tuple((low + d, c) for d, c in shape) for (shape, _), low in lowest.items()
+        )
+        # the labels are spheres, so each module is one sphere: one class
+        # over F2, and over Q one per parity of the sphere's degree
+        parities = {key[0][0] % 2 for key in modules}
+        assert len(classes) == (len(parities) if field == "Q" else 1)
 
         # the right-hand side built word by word, as the identity states it
         generators = []
@@ -198,7 +218,7 @@ def test_each_word_class_is_solved_once(monkeypatch):
             smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
             generators += [
                 (d, k, c * word["count"], kind)
-                for d, k, c, kind in real(l * m_dim, shifted_rel, 1, smash, F2, D, D)
+                for d, k, c, kind in real(l * m_dim, shifted_rel, 1, smash, char, D, D)
             ]
         assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
 

@@ -74,6 +74,24 @@ MUTANTS = {
         "{(d, l): c for (d, l), c in shifted.entries.items()}",
         "atoms left in the Witt solve's shifted grading",
     ),
+    "hilton_length_short": (
+        "src/confighom/hilton.py",
+        "max_len = (D + m_dim - min_rel) // (min(bottoms) + m_dim)",
+        "max_len = (D + m_dim - min_rel) // (min(bottoms) + m_dim) - 1",
+        "the Hilton word-length bound one shorter",
+    ),
+    "thom_shift_dropped": (
+        "src/confighom/hilton.py",
+        "suspend_betti(_smash_betti(x_list, word.multiplicities, smashes), shift)",
+        "suspend_betti(_smash_betti(x_list, word.multiplicities, smashes), 0)",
+        "a word's module without the (l - 1) * m_dim Thom shift",
+    ),
+    "raise_by_delta": (
+        "src/confighom/hilton.py",
+        "(0, d + k * delta, c * count, kind)",
+        "(0, d + delta, c * count, kind)",
+        "a suspension class's census raised by Delta, not k * Delta",
+    ),
 }
 
 TIER1 = [
