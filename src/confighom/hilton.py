@@ -16,30 +16,32 @@ those of (M, M0) with its Thom-shifted module Sigma^((l-1)*m_dim) smash,
 one for one (j = m_dim + 1 - q loops on Sigma^(q + (l-1)*m_dim) smash), so
 every word goes through the wedge side's one factor plan.  The words fall
 into classes keyed by that module, each counted by the sum of its words'
-``word.count``.  The modules fall in turn into suspension classes: modules
-equal up to a uniform degree shift Delta >= 0, with Delta even unless the
-field is F2.  A generator of weight k is built from k letters, so the
-census of Sigma^Delta Y is that of Y with each weight-k generator raised
-by k*Delta, its weight and kind unchanged; an odd Delta over Q swaps the
-parity of every letter, and with it which brackets and squares survive,
-so there the parity of the lowest degree is part of the class.  Each
-suspension class is solved once, on its lowest module, and the rest of
-the class raises that census (``check:ab`` checks the case Delta = 2).
+``word.count``; the wedge is one more module, of the left-hand side, with
+count 1.  The modules of both sides fall in turn into suspension classes:
+modules equal up to a uniform degree shift Delta >= 0, with Delta even
+unless the field is F2.  A generator of weight k is built from k letters,
+so the census of Sigma^Delta Y is that of Y with each weight-k generator
+raised by k*Delta, its weight and kind unchanged; an odd Delta over Q
+swaps the parity of every letter, and with it which brackets and squares
+survive, so there the parity of the lowest degree is part of the class.
+Each suspension class is solved once, on its lowest module, and the rest
+of the class raises that census (``check:ab`` checks the case Delta = 2).
 Each side is one free algebra (see ``assemble``), whose degree totals one
 single-graded ``assemble._solve`` call gives.
+
+The basic words themselves come from the engine's one Witt kernel: one
+unsigned ``witt.lie_atom_counts`` solve on letters whose degrees spell
+multiplicity vectors in a base above the longest word.
 """
 
 from __future__ import annotations
-
-import math
-from itertools import combinations_with_replacement
 
 from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
 from .assemble import _solve, product_generators
 from .record import FrozenRecord, Record
 from .series import weight_log_derivative
-from .witt import _divisor_sieve, _solve_cell
+from .witt import lie_atom_counts
 
 
 class BasicWord(FrozenRecord):
@@ -55,40 +57,27 @@ class BasicWord(FrozenRecord):
         object.__setattr__(self, "count", count)
 
 
-def _multinomial(total: int, parts: tuple[int, ...]) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 def basic_words(r: int, max_length: int) -> list[BasicWord]:
     """All multiplicity vectors of basic products on r letters, with counts,
-    for lengths 1..max_length.
+    for lengths 1..max_length, by length and then by decreasing vector.
 
-    The counts solve the Witt recurrence with the multinomial word counts
-    (periodic vectors come out as zero)."""
-    if r < 1:
-        raise InvalidInputError("need at least one letter")
-    counts: dict[tuple[int, ...], int] = {}
-    divisors = _divisor_sieve(max_length)
-    words = []
-    for length in range(1, max_length + 1):
-        for slots in combinations_with_replacement(range(r), length):
-            mult = tuple(slots.count(i) for i in range(r))
-            count = _solve_cell(
-                mult,
-                _multinomial(length, mult),
-                length,
-                [
-                    (k, counts.get(tuple(a // k for a in mult), 0))
-                    for k in divisors[math.gcd(*mult)]
-                ],
-            )
-            if count:
-                counts[mult] = count
-                words.append(BasicWord(mult, length, count))
-    return words
+    One unsigned :func:`~confighom.witt.lie_atom_counts` solve on letters
+    in degrees B^(r-1-i), B = max_length + 1: a word's degree spells its
+    multiplicity vector in base B, with no carries since no multiplicity
+    reaches B, and r*a spells r times the vector a spells, so every divisor
+    term of the Witt recurrence lands on its own vector (periodic vectors
+    come out as zero)."""
+    require_int(r, "letter count", minimum=1)
+    require_int(max_length, "max_length")
+    base = max_length + 1
+    digits = [base ** (r - 1 - i) for i in range(r)]
+    atoms = lie_atom_counts(
+        {b: 1 for b in digits}, False, max_length * digits[0], max_length
+    ).entries
+    return [
+        BasicWord(tuple(d // b % base for b in digits), length, atoms[d, length])
+        for d, length in sorted(atoms, key=lambda cell: (cell[1], -cell[0]))
+    ]
 
 
 def _smash_betti(
@@ -172,11 +161,12 @@ def hilton_milnor_check(
     run the same comparison rationally.  n is fixed at 1 (the decomposition
     concerns a single Euclidean factor).
 
-    One ``product_generators`` call serves each suspension class of the
-    words' modules (equal up to a shift Delta >= 0, even unless over F2),
-    on its lowest module; a module Delta above it raises each weight-k
-    generator by k*Delta (``check:ab`` checks Delta = 2).  With sphere
-    labels that is two calls: the wedge's and the one class's.
+    Both sides are multisets of modules: the wedge once on the left, and
+    each word's Thom-shifted smash, weighted by its count, on the right.
+    One ``product_generators`` call serves each suspension class of all of
+    them.  Over F2 sphere labels need two calls, the wedge's class and the
+    one sphere class, and a single label one, since the wedge is then the
+    module of its only word.
 
     The basic-product side is solved only when its regraded
     :func:`weight_log_derivative` differs from the wedge side's; equal
@@ -239,14 +229,16 @@ def hilton_milnor_check(
             }
         )
 
-    # suspension classes: a module's shape above its lowest degree, and over
-    # Q that degree's parity, since only an even shift raises a census
-    classes: dict[tuple, list[tuple[int, int]]] = {}
-    for key, count in modules.items():
-        low = key[0][0]
-        shape = tuple((d - low, c) for d, c in key)
-        parity = 0 if char.is_two else low % 2
-        classes.setdefault((shape, parity), []).append((low, count))
+    # suspension classes of both sides' modules: a module's shape above its
+    # lowest degree, and over Q that degree's parity, since only an even
+    # shift raises a census
+    classes: dict[tuple, list[tuple[int, int, int]]] = {}
+    for side, counted in enumerate([{tuple(sorted(wedge.items())): 1}, modules]):
+        for key, count in counted.items():
+            low = key[0][0]
+            shape = tuple((d - low, c) for d, c in key)
+            parity = 0 if char.is_two else low % 2
+            classes.setdefault((shape, parity), []).append((side, low, count))
 
     # both sides over the one factor plan of (m_dim, rel); weights are not
     # compared, and degree >= weight holds throughout, so K = D.  Each
@@ -255,23 +247,20 @@ def hilton_milnor_check(
     # the degree cap, so the degree totals are the one row of the table.
     # A class's census is solved on its lowest module, and a module Delta
     # above it raises each weight-k generator by k * Delta
-    lhs_generators = [
-        (0, d, c, kind)
-        for d, _k, c, kind in product_generators(m_dim, rel, 1, wedge, char, D, D)
-    ]
-    rhs_generators = []
+    sides: tuple[list, list] = ([], [])
     for (shape, _parity), members in classes.items():
-        base = min(low for low, _count in members)
+        base = min(low for _side, low, _count in members)
         census = product_generators(
             m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
         )
-        for low, count in members:
+        for side, low, count in members:
             delta = low - base
-            rhs_generators += [
+            sides[side].extend(
                 (0, d + k * delta, c * count, kind)
                 for d, k, c, kind in census
                 if d + k * delta <= D
-            ]
+            )
+    lhs_generators, rhs_generators = sides
     lhs_totals = _solve(0, D, lhs_generators).rows()[0]
     if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
         0, D, rhs_generators

@@ -23,8 +23,7 @@ J. Algebra 1996)::
 
 with s = (-1)^(r+1) for an exterior factor (signed, d/r odd) and s = 1
 otherwise.  Each cell needs only cells of smaller length, so one pass in
-increasing length solves the table.  ``hilton`` runs the same recurrence
-over letter multiplicity vectors.  Parity refers to the degree grading of
+increasing length solves the table.  Parity refers to the degree grading of
 the letters handed in; callers working with a degree-shifted bracket pass
 shifted degrees.
 
@@ -34,13 +33,14 @@ over the nonzero cells only, and the recurrence runs on the cells that
 have words or a nonzero divisor term; every other cell has residual 0
 and no basic products.  The divisor terms are scattered from the nonzero
 cells of the shorter lengths, whose divisors come from one sieve per
-call, and :func:`_solve_cell` is the one recurrence step, shared with
-``hilton``.
+call, and :func:`_solve_cell` is the one recurrence step.
 
 The engine solves one such table per factor plan, through
 ``loops.atom_census``: every factor of a plan sees the same shifted
-letters.  :func:`lie_atom_counts` is also the entry point the
-benchmark's tracer wraps and the tests call.
+letters.  ``hilton`` counts basic words by multiplicity vector with one
+unsigned solve, on letters whose degrees spell those vectors.
+:func:`lie_atom_counts` is also the entry point the benchmark's tracer
+wraps and the tests call.
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ def _divisor_sieve(n: int) -> list[list[int]]:
 def _solve_cell(
     cell: object, words: int, length: int, lowers: Iterable[tuple[int, int]]
 ) -> int:
-    """One step of the Witt recurrence: the number of basic products in
-    ``cell`` from its word count, its length and ``lowers``, the pairs
-    (r, s * L(cell / r)) over the divisors r >= 2 of the gcd of its
-    grading (a pair whose count is 0 may be left out).
+    """One step of the Witt recurrence, for :func:`lie_atom_counts` alone:
+    the number of basic products in ``cell`` from its word count, its
+    length and ``lowers``, the pairs (r, s * L(cell / r)) over the divisors
+    r >= 2 of the gcd of its grading (a pair whose count is 0 may be left
+    out).
 
     A residual that is negative or not a multiple of ``length`` cannot come
     from a genuine word series and raises IntegrityError.

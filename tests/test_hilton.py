@@ -1,5 +1,6 @@
 """Basic-product counting and the wedge-label decomposition identity."""
 
+import math
 from collections import Counter
 from itertools import product
 
@@ -74,6 +75,48 @@ def test_generating_identity_in_two_commuting_variables():
             rhs = mul(rhs, geom)
 
     assert lhs == rhs
+
+
+def mobius(n):
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def necklace_count(a):
+    """The closed form M(a) = (1/l) sum_{d | gcd a} mu(d) (l/d)! / prod
+    (a_i/d)! of basic products with multiplicity vector a, length l."""
+    l, g = sum(a), math.gcd(*a)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            term = math.factorial(l // d)
+            for x in a:
+                term //= math.factorial(x // d)
+            total += mobius(d) * term
+    assert total % l == 0
+    return total // l
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_basic_words_are_the_closed_form_in_order(r):
+    # every nonzero vector of length <= max_length is present, none other,
+    # by length and then by decreasing multiplicity vector
+    for max_length in range(10):
+        vectors = product(range(max_length + 1), repeat=r)
+        expected = [
+            (a, sum(a), necklace_count(a))
+            for a in sorted(vectors, key=lambda a: (sum(a), [-x for x in a]))
+            if 0 < sum(a) <= max_length and necklace_count(a)
+        ]
+        got = basic_words(r, max_length)
+        assert [(w.multiplicities, w.length, w.count) for w in got] == expected
 
 
 def test_single_label_space_is_trivially_consistent():
@@ -164,10 +207,10 @@ SHARED_MODULE_CASES = [
 
 
 def test_each_word_class_is_solved_once(monkeypatch):
-    # every census runs over the one factor plan of (m_dim, rel), the wedge
-    # side's first, then one per suspension class of the words' Thom-shifted
-    # modules, on the class's lowest module; over Q a class also keeps the
-    # parity of its lowest degree
+    # every census runs over the one factor plan of (m_dim, rel), one per
+    # suspension class of both sides' modules, on the class's lowest module;
+    # over Q a class also keeps the parity of its lowest degree.  The wedge's
+    # class is formed first, and here it holds no word's module
     calls = []
     real = hilton.product_generators
 
@@ -221,6 +264,32 @@ def test_each_word_class_is_solved_once(monkeypatch):
                 for d, k, c, kind in real(l * m_dim, shifted_rel, 1, smash, char, D, D)
             ]
         assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
+
+
+@pytest.mark.parametrize(
+    "labels, expected",
+    [
+        # a single label is the module of its only word, so the wedge's
+        # census serves both sides
+        ([{2: 1}], [{2: 1}]),
+        ([{2: 1, 3: 1}], [{2: 1, 3: 1}]),
+        # sphere labels: the wedge's class and the one sphere class
+        ([{2: 1}, {3: 1}], [{2: 1, 3: 1}, {2: 1}]),
+    ],
+)
+def test_both_sides_take_their_censuses_from_one_class_route(
+    monkeypatch, labels, expected
+):
+    calls = []
+    real = hilton.product_generators
+
+    def spy(*call):
+        calls.append(call[3])
+        return real(*call)
+
+    monkeypatch.setattr(hilton, "product_generators", spy)
+    assert hilton_milnor_check(1, {0: 1}, labels, 20).passed
+    assert calls == expected
 
 
 def test_negative_max_degree_is_refused_before_any_census(monkeypatch):

@@ -13,6 +13,7 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
+    basic_words,
     factor_product,
     hilton_milnor_check,
     preset,
@@ -136,6 +137,11 @@ PROBES = {
     "hilton orientable='no'": lambda: hilton_milnor_check(
         1, {0: 1}, WEDGE, 5, orientable="no"
     ),
+    "basic_words r=True": lambda: basic_words(True, 2),
+    "basic_words r=0": lambda: basic_words(0, 2),
+    "basic_words max_length='3'": lambda: basic_words(2, "3"),
+    "basic_words max_length=3.0": lambda: basic_words(2, 3.0),
+    "basic_words max_length=-1": lambda: basic_words(2, -1),
     "ab trials=2.5": lambda: ab_coherence_report(0, 2.5, 10),
     "ab max_degree='x'": lambda: ab_coherence_report(0, 2, "x"),
     "ab seed='x'": lambda: ab_coherence_report("x", 2, 10),

@@ -307,6 +307,18 @@ def test_every_solve_goes_through_the_one_cap_checked_solve():
     assert not named & PLAN_WALK, named & PLAN_WALK
 
 
+WITT_PRIVATE = {"_solve_cell", "_divisor_sieve"}
+
+
+def test_only_witt_names_its_recurrence_step_and_sieve():
+    # one Witt kernel: every other module, hilton's basic words included,
+    # reaches the recurrence through lie_atom_counts
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "witt":
+            named = _named(ast.parse(path.read_text()))
+            assert not named & WITT_PRIVATE, (path.stem, named & WITT_PRIVATE)
+
+
 def test_the_plan_atoms_stay_a_plain_dict():
     # in loops only generator_census builds a DegreeWeightTable, so the
     # plan's census path holds no table but the Witt solve's, and assemble

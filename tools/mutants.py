@@ -92,6 +92,42 @@ MUTANTS = {
         "(0, d + delta, c * count, kind)",
         "a suspension class's census raised by Delta, not k * Delta",
     ),
+    "witt_cell_dropped": (
+        "src/confighom/witt.py",
+        "sorted(words.keys() | lowers.keys())",
+        "sorted(words.keys() | lowers.keys())[:-1]",
+        "the top Witt cell of each length with divisor terms never solved",
+    ),
+    "exterior_tag_dropped": (
+        "src/confighom/loops.py",
+        "POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR",
+        "POLYNOMIAL",
+        "every generator tagged polynomial, odd degrees included",
+    ),
+    "tag_by_unraised_degree": (
+        "src/confighom/loops.py",
+        "polynomial_only or d % 2 == 0",
+        "polynomial_only or (d - rise) % 2 == 0",
+        "a generator's kind taken from its degree before the raise",
+    ),
+    "raise_by_half": (
+        "src/confighom/assemble.py",
+        "raised_generators(atoms, q - q0, j, char, max_degree, max_weight)",
+        "raised_generators(atoms, (q - q0) // 2, j, char, max_degree, max_weight)",
+        "a factor's atoms raised by (q - q0) // 2, not q - q0",
+    ),
+    "degree_zero_labels_dropped": (
+        "src/confighom/assemble.py",
+        "plan.append((q, j, suspend_betti(x, q), rel[q]))",
+        "plan.append((q, j, suspend_betti({d: c for d, c in x.items() if d}, q), rel[q]))",
+        "degree-0 label classes dropped from the factor plan",
+    ),
+    "spelling_base_short": (
+        "src/confighom/hilton.py",
+        "base = max_length + 1",
+        "base = max_length",
+        "basic words spelled in base max_length, so the longest ones carry",
+    ),
 }
 
 TIER1 = [
