@@ -34,8 +34,10 @@ running sum over its multiples (a chain); every other bidegree enters as
 one shifted scalar multiple per multiple, and a row step visits only the
 weights with such terms.  Every residual must be a nonnegative multiple
 of k.  Each row is gated by one big-int test, a division by k whose
-quotient must leave the top bits of every slot clear, and unpacked from
-the quotient at once; a row that fails is read cell by cell, to raise
+quotient must leave the top bits of every slot clear, and the quotient
+stays packed: one AND with a mask of the top bits of every slot tells
+whether the slots must grow, and the whole table is unpacked once, after
+its last row.  A row that fails is read cell by cell, to raise
 IntegrityError naming its lowest broken cell (d, k) in the message and
 as its ``cell``.
 :func:`power_factor`, one generator's factor, is the independent
@@ -55,6 +57,7 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import compress
 
 from .errors import (
     ConfigurationError,
@@ -340,9 +343,14 @@ def free_commutative(
     A_{k-rw}(x - rd), whose terms need r*w <= k <= K and r*d <= x <= D,
     so r <= rmax.  A_j + S_{j-w}, before its shift, has at most rmax + 1
     rows in a slot, so its slots stay below 2^(s-1) and none carries.
-    When the width no longer fits, the slot doubles until it does, and
-    every packed row and running sum is re-slotted in place at the new
-    width.
+    Only a new widest row can break that width, and it is found by one
+    AND: with t = s - bits(S) - 2, an accepted row needs a wider slot iff
+    one of its slots is at least 2^t, that is, iff it meets the mask of
+    the top bits(S) + 2 bits of every slot.  Every earlier row is below
+    2^t, so a row that meets the mask is the widest so far; it alone is
+    unpacked, before the next row, and the slot doubles until it fits
+    that row's largest value.  Every packed row and running sum is then
+    re-slotted in place at the new width, and the mask rebuilt.
 
     A residual that is negative or not a multiple of k cannot come from a
     genuine algebra.  The whole row is gated by one test: with
@@ -357,11 +365,14 @@ def free_commutative(
     [-2^(s-1), 2^(s-1)) write an integer in base 2^s in one way only, so
     r_d = k q_d: no digit can carry into the next or hide a borrow from
     a negative residual.  An accepted row's values are then the slots of
-    q, unpacked in C, top slot first.  Only a row that fails is read back
-    cell by cell, signed (half a slot added to every slot and subtracted
-    after reading), from the top slot down, to find the lowest degree
-    whose residual breaks the gate; it raises IntegrityError naming that
-    cell.  The table is kept by weight and transposed once at the end.
+    q, top slot first, and q stays packed.  Only a row that fails is read
+    back cell by cell, signed (half a slot added to every slot and
+    subtracted after reading), from the top slot down, to find the lowest
+    degree whose residual breaks the gate; it raises IntegrityError naming
+    that cell.  A widening re-slots every row, so after the last row all
+    of them share one width: the table is read by one unpack of all the
+    rows, weight after weight, and each degree's row of the table is one
+    strided slice of it.
     A cap of ``sys.maxsize`` or more cannot index a row, and is refused
     with InvalidInputError.
     """
@@ -391,15 +402,14 @@ def free_commutative(
     chains = {w: sorted(chains[w], key=operator.itemgetter(0)) for w in sorted(chains)}
     b_bits = b_sum.bit_length()
 
-    # the rows A_k, indexed [weight][degree]; zero rows share one list
-    table = [[1] + [0] * D] + [[0] * (D + 1)] * K
     cell = 1  # slot width in bytes
     rows = [1 << (8 * D)]  # the packed rows; A_0 = 1 is degree 0, the top slot
     guards = _guards(cell, D + 1, K)
-    peak = 1
+    mask = _slot_tops(cell, D + 1, b_bits + 2)
     for k in range(1, K + 1):
-        if b_bits + peak.bit_length() + 2 > 8 * cell:
-            wider = cell
+        if rows[-1] & mask:  # the last row is the widest so far and outgrew the slots
+            peak = max(_unpack([rows[-1]], cell, D + 1))
+            wider = 2 * cell
             while b_bits + peak.bit_length() + 2 > 8 * wider:
                 wider *= 2
             rows = [_widen(row, cell, wider) for row in rows]
@@ -408,6 +418,7 @@ def free_commutative(
                     ring[:] = [(j, _widen(sum_j, cell, wider)) for j, sum_j in ring]
             cell = wider
             guards = _guards(cell, D + 1, K)
+            mask = _slot_tops(cell, D + 1, b_bits + 2)
         slot = 8 * cell
         total = 0
         for w, weight_chains in chains.items():  # by weight, each by degree
@@ -429,20 +440,26 @@ def free_commutative(
         q = _quotient(total, k, guards)
         if q is None:
             raise _broken_cell(total, k, cell, D)
-        table[k] = _unpack(q, cell, D + 1)[::-1]
-        peak = max(peak, max(table[k]))
         rows.append(q)
-    rows = chains = None  # free the packed rows before the transpose
-    return BiSeries(D, K, list(map(list, zip(*table))), is_algebra=True)
+    chains = None  # free the running sums before the unpack
+    # slot i of row k, degree D - i, is flat[k * (D + 1) + i]
+    flat = _unpack(rows, cell, D + 1)
+    return BiSeries(D, K, [flat[D - d :: D + 1] for d in range(D + 1)], is_algebra=True)
+
+
+def _slot_tops(cell: int, slots: int, bits: int) -> int:
+    """The top ``bits`` bits of each of ``slots`` ``cell``-byte slots (the
+    whole slot when it is narrower)."""
+    s = 8 * cell
+    top = (1 << s) - (1 << max(s - bits, 0))
+    return int.from_bytes(top.to_bytes(cell, "little") * slots, "little")
 
 
 def _guards(cell: int, slots: int, K: int) -> list[int]:
     """Entry b, for b from 0 to bits(K): the top b + 1 bits of each of
     ``slots`` ``cell``-byte slots (the whole slot when it is narrower),
-    the guard of a row k with bits(k) = b.  Entry 0 is half of every slot."""
-    s = 8 * cell
-    tops = [(1 << s) - (1 << max(s - b - 1, 0)) for b in range(K.bit_length() + 1)]
-    return [int.from_bytes(top.to_bytes(cell, "little") * slots, "little") for top in tops]
+    the guard of a row k with bits(k) = b."""
+    return [_slot_tops(cell, slots, b + 1) for b in range(K.bit_length() + 1)]
 
 
 def _quotient(total: int, k: int, guards: list[int]) -> int | None:
@@ -461,7 +478,7 @@ def _broken_cell(total: int, k: int, cell: int, D: int) -> IntegrityError:
     always has one.  The residuals are signed, so the slots are read with
     half a slot added to each, less half after reading, from the top."""
     half = 1 << (8 * cell - 1)
-    signed = _unpack(total + _guards(cell, D + 1, 0)[0], cell, D + 1)
+    signed = _unpack([total + _slot_tops(cell, D + 1, 1)], cell, D + 1)
     for d, v in enumerate(reversed(signed)):
         if v < half or (v - half) % k:
             return IntegrityError(
@@ -471,20 +488,28 @@ def _broken_cell(total: int, k: int, cell: int, D: int) -> IntegrityError:
             )
 
 
-def _unpack(packed: int, cell: int, n: int) -> list[int]:
-    """The ``n`` nonnegative ``cell``-byte slots of ``packed``, lowest
-    first.  Slots of 1, 2, 4 and 8 bytes are read in C as the native
-    unsigned words B, H, I and Q, 16-byte slots join two Q words (or are
-    their low words when every high word is 0), and wider slots (or any
-    slot on a big-endian host) are read one by one."""
-    raw = packed.to_bytes(n * cell, "little")
+def _unpack(rows: list[int], cell: int, n: int) -> list[int]:
+    """The ``n`` nonnegative ``cell``-byte slots of each of ``rows``, lowest
+    first, row after row, in one list.  The rows are joined into one
+    buffer, each freed from ``rows`` once copied, and the buffer is read at
+    once: slots of 1, 2, 4 and 8 bytes in C as the native unsigned words
+    B, H, I and Q, 16-byte slots as their low Q words, with the high word
+    joined only where it is nonzero, and wider slots (or any slot on a
+    big-endian host) one by one."""
+    size = n * cell
+    raw = bytearray(len(rows) * size)
+    for i, row in enumerate(rows):
+        raw[i * size : (i + 1) * size] = row.to_bytes(size, "little")
+        rows[i] = 0
     if cell > 16 or sys.byteorder == "big":
         return [int.from_bytes(raw[i : i + cell], "little") for i in range(0, len(raw), cell)]
-    words = memoryview(raw).cast("BHIQ"[min(cell, 8).bit_length() - 1]).tolist()
+    words = memoryview(raw).cast("BHIQ"[min(cell, 8).bit_length() - 1])
     if cell < 16:
-        return words
-    low, high = words[::2], words[1::2]
-    return [lo | hi << 64 for lo, hi in zip(low, high)] if any(high) else low
+        return words.tolist()
+    low, high = words[::2].tolist(), words[1::2]
+    for i in compress(range(len(low)), high):
+        low[i] |= high[i] << 64
+    return low
 
 
 def _extend_chains(

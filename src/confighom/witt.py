@@ -30,10 +30,12 @@ shifted degrees.
 The table is sparse: a sphere or a wedge of a few spheres has words in
 few degrees of each length.  :func:`word_rows` builds T_l = f T_{l-1}
 over the nonzero cells only, and the recurrence runs on the cells that
-have words or a nonzero divisor term; every other cell has residual 0
-and no basic products.  The divisor terms are scattered from the nonzero
-cells of the shorter lengths, whose divisors come from one sieve per
-call, and :func:`_solve_cell` is the one recurrence step.
+have words; every other cell has residual 0 and no basic products.  The
+divisor terms are scattered from the nonzero cells of the shorter
+lengths, whose divisors come from one sieve per call, and each lands on
+a cell with words: a basic product of degree d and length l/r, repeated
+r times, is a word at (r d, l).  :func:`_solve_cell` is the one
+recurrence step.
 
 The engine solves one such table per factor plan, through
 ``loops.atom_census``: every factor of a plan sees the same shifted
@@ -163,10 +165,12 @@ def lie_atom_counts(
     exact divisibility in the Witt recurrence raises IntegrityError, since
     that cannot occur for a genuine generating set.
 
-    Only cells that can be nonzero are solved, in increasing degree at
-    each length l: the degrees of :func:`word_rows` row l and every r*d'
-    (r >= 2 dividing l) with L(d', l/r) != 0.  Any other cell has no
-    words and no divisor term, so its residual and its count are 0.
+    Only the cells with words are solved, in increasing degree at each
+    length l: the degrees of :func:`word_rows` row l.  Any other cell has
+    no words and no divisor term, so its residual and its count are 0.  A
+    divisor term r*d' (r >= 2 dividing l, L(d', l/r) != 0) always lands
+    on a cell with words, the r-th power of a basic product; one that
+    lands elsewhere raises IntegrityError naming the lowest such cell.
     """
     D, K = max_degree, max_weight
     if any(d < 0 for d in letters):
@@ -185,9 +189,15 @@ def lie_atom_counts(
                 if r * d <= D:
                     term = (r, -c if flip and d % 2 else c)
                     lowers.setdefault(r * d, []).append(term)
+        if not lowers.keys() <= words.keys():
+            stray = (min(lowers.keys() - words.keys()), length)
+            raise IntegrityError(
+                f"Witt recurrence broke at {stray}: a divisor term reaches it, "
+                "but no word of that degree and length does"
+            )
         row: dict[int, int] = {}
-        for d in sorted(words.keys() | lowers.keys()) if lowers else sorted(words):
-            c = _solve_cell((d, length), words.get(d, 0), length, lowers.get(d, ()))
+        for d in sorted(words):
+            c = _solve_cell((d, length), words[d], length, lowers.get(d, ()))
             if c:
                 row[d] = c
         solved.append(row)

@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confighom import (
@@ -702,26 +702,117 @@ def test_property_widening_equals_packing_at_the_new_width(cell, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 2000), st.data())
-def test_property_unpacking_equals_reading_each_slot(cell, k, data):
-    # the largest digit the guard admits at this k, among random slots;
-    # one-slot rows included, and rows whose slots all fit in 64 bits,
-    # which at 16 bytes leave every high word 0
-    largest = (1 << max(8 * cell - 1 - k.bit_length(), 0)) - 1
-    bits = data.draw(st.sampled_from([8 * cell, min(8 * cell, 64)]))
-    values = data.draw(
+@given(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 6), st.data())
+def test_property_unpacking_equals_reading_each_slot(cell, n, data):
+    # lists of rows of n slots, zero rows and the empty list included, read
+    # in one call; slots that fit in 64 bits leave every high word of a
+    # 16-byte slot 0, and a row may mix those with full-width slots
+    full = st.integers(0, (1 << (8 * cell)) - 1)
+    slot = st.one_of(st.just(0), full, full.map(lambda v: v % (1 << 64)))
+    rows = data.draw(
         st.lists(
-            st.one_of(st.just(largest), st.integers(0, (1 << (8 * cell)) - 1)).map(
-                lambda v: v % (1 << bits)
-            ),
-            min_size=1,
-            max_size=12,
+            st.one_of(st.just([0] * n), st.lists(slot, min_size=n, max_size=n)), max_size=6
         )
     )
-    packed = pack_slots(values, cell)
-    raw = packed.to_bytes(len(values) * cell, "little")
+    packed = [pack_slots(values, cell) for values in rows]
+    raw = b"".join(row.to_bytes(n * cell, "little") for row in packed)
     slots = [int.from_bytes(raw[i : i + cell], "little") for i in range(0, len(raw), cell)]
-    assert series._unpack(packed, cell, len(values)) == slots == values
+    assert series._unpack(packed, cell, n) == slots == [v for values in rows for v in values]
+    assert packed == [0] * len(rows)  # each row is freed once copied
+
+
+def width_rule(D: int, K: int, gens, table: BiSeries) -> list[tuple[int, int]]:
+    """The widenings (cell, wider) that the slot-width rule asks for, from
+    the returned table: before row k a slot of ``cell`` bytes must hold
+    bits(S) + bits(peak) + 2 bits, where peak is the largest value of the
+    rows below k and S sums |beta| * rmax over the chains and |B(e, i)|
+    over the direct terms, and it doubles until it does."""
+    S, direct = 0, {}
+    for (d, w), v in series.weight_log_derivative(D, K, gens).items():
+        rmax = multiples_inside(D, K, d, w)
+        if rmax >= series.CHAIN_MULTIPLES:
+            S += abs(v) * rmax
+            continue
+        for r in range(1, rmax + 1):
+            direct[r * d, r * w] = direct.get((r * d, r * w), 0) + v
+    S += sum(map(abs, direct.values()))
+    widenings, cell, peak = [], 1, 0
+    for k in range(1, K + 1):
+        peak = max(peak, *table.weight_slice(k - 1))
+        wider = cell
+        while S.bit_length() + peak.bit_length() + 2 > 8 * wider:
+            wider *= 2
+        if wider > cell:
+            widenings.append((cell, wider))
+            cell = wider
+    return widenings
+
+
+def widening_spy(patch) -> list[tuple[int, int]]:
+    """Spy on ``series._widen``: the list of its (cell, wider) widenings,
+    each once however many rows and running sums it re-slots."""
+    widenings = []
+    real = series._widen
+
+    def spy(packed, cell, wider):
+        if not widenings or widenings[-1] != (cell, wider):
+            widenings.append((cell, wider))
+        return real(packed, cell, wider)
+
+    patch.setattr(series, "_widen", spy)
+    return widenings
+
+
+# counts of up to 40 digits widen the slots to 16, 32 bytes and beyond
+wide_generator_lists = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.one_of(st.integers(0, 4), st.integers(0, 10**12), st.integers(0, 10**40)),
+        st.sampled_from(KINDS),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_generator_lists, st.integers(0, 30), st.integers(0, 30))
+@example([(1, 1, 1000, "polynomial"), (2, 1, 5, "exterior")], 30, 12)  # slots up to 16 bytes
+@example([(1, 1, 10**12, "polynomial"), (2, 1, 10**12, "exterior")], 24, 12)  # slots up to 64 bytes
+def test_property_widenings_follow_the_peak_of_the_accepted_rows(gens, D, K):
+    # a row widens the slots only if it meets the mask of each slot's top
+    # bits, so the widenings must be those of the rule that takes the peak
+    # over every accepted row
+    with pytest.MonkeyPatch.context() as patch:
+        widenings = widening_spy(patch)
+        table = free_commutative(D, K, gens)
+    assert widenings == width_rule(D, K, gens, table)
+
+
+@pytest.mark.parametrize(
+    "D, K, gens",
+    [
+        (6, 0, [(1, 1, 1, "polynomial")]),
+        (12, 12, []),
+        (80, 80, census_generators({1: 1}, 2, FieldChar(2), 80, 80)),
+        (60, 60, census_generators({0: 1}, 2, FieldChar(3), 60, 60)),
+        (24, 12, [(1, 1, 10**30, "polynomial"), (2, 1, 10**30 + 1, "exterior")]),
+    ],
+)
+def test_an_accepted_table_is_unpacked_once_plus_once_per_widening(monkeypatch, D, K, gens):
+    # the rows stay packed: a widening reads the one row that set it off,
+    # and the table is read once, all K + 1 rows in one call
+    unpacked = []
+    real = series._unpack
+
+    def spy(rows, cell, n):
+        unpacked.append(len(rows))
+        return real(rows, cell, n)
+
+    widenings = widening_spy(monkeypatch)
+    monkeypatch.setattr(series, "_unpack", spy)
+    assert free_commutative(D, K, gens) == power_chain(D, K, gens)
+    assert unpacked == [1] * len(widenings) + [K + 1]
 
 
 @pytest.mark.parametrize("cell", [1, 2, 4, 8, 16, 32, 64])

@@ -241,10 +241,8 @@ def test_corrupted_word_count_raises_integrity_error(monkeypatch, tmp_path):
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_a_word_row_that_lost_a_cell_raises(monkeypatch, degree):
-    # the square of the letter has no words left, but its divisor term
-    # L(degree, 1) = 1 still reaches the cell, so its residual is -1 or 1
+def drop_square_words(monkeypatch, degree):
+    """Patch ``witt.word_rows`` to lose the length-2 cell at 2 * degree."""
     real = witt.word_rows
 
     def dropped(degrees, max_degree, max_weight):
@@ -253,9 +251,27 @@ def test_a_word_row_that_lost_a_cell_raises(monkeypatch, degree):
         return rows
 
     monkeypatch.setattr(witt, "word_rows", dropped)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_a_word_row_that_lost_a_cell_raises(monkeypatch, degree):
+    # the square of the letter has no words left, but its divisor term
+    # L(degree, 1) = 1 still reaches the cell, which names it
+    drop_square_words(monkeypatch, degree)
     for signed in (True, False):
-        with pytest.raises(IntegrityError, match=rf"\({2 * degree}, 2\)"):
+        with pytest.raises(
+            IntegrityError, match=rf"\({2 * degree}, 2\): a divisor term reaches it, but no word"
+        ):
             lie_atom_counts({degree: 1}, signed, 4 * degree, 4)
+
+
+def test_a_divisor_term_on_a_cell_without_words_is_not_solved(monkeypatch):
+    # for two odd letters, signed, the divisor term of L(3, 1) = 2 alone
+    # leaves the residual 2 at (6, 2), a multiple of the length: solved,
+    # the cell would pass as one basic product
+    drop_square_words(monkeypatch, 3)
+    with pytest.raises(IntegrityError, match=r"\(6, 2\): a divisor term reaches it"):
+        lie_atom_counts({3: 2}, True, 12, 4)
 
 
 def test_integrity_gate_holds_without_asserts():

@@ -94,9 +94,9 @@ MUTANTS = {
     ),
     "witt_cell_dropped": (
         "src/confighom/witt.py",
-        "sorted(words.keys() | lowers.keys())",
-        "sorted(words.keys() | lowers.keys())[:-1]",
-        "the top Witt cell of each length with divisor terms never solved",
+        "for d in sorted(words):",
+        "for d in sorted(words)[:-1]:",
+        "the top Witt cell of each length never solved",
     ),
     "exterior_tag_dropped": (
         "src/confighom/loops.py",
