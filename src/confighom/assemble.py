@@ -36,7 +36,13 @@ from .loops import (
     suspend_betti,
 )
 from .record import Record
-from .series import BiSeries, free_commutative, require_caps, weight_log_derivative
+from .series import (
+    BiSeries,
+    free_commutative,
+    require_caps,
+    require_indexable_caps,
+    weight_log_derivative,
+)
 
 
 class ProblemSpec(Record):
@@ -74,7 +80,7 @@ class ProblemSpec(Record):
     def validate(self) -> None:
         require_int(self.m_dim, "manifold dim")
         require_int(self.n, "n", minimum=1)
-        require_int(self.max_degree, "max_degree")
+        require_indexable_caps(require_int(self.max_degree, "max_degree"))
         rel = normalize_betti(self.rel_betti)
         if any(q > self.m_dim for q in rel):
             raise InvalidInputError(
@@ -82,7 +88,7 @@ class ProblemSpec(Record):
             )
         normalize_betti(self.x_betti)
         if self.max_weight is not None:
-            require_int(self.max_weight, "max_weight")
+            require_indexable_caps(require_int(self.max_weight, "max_weight"))
         if not isinstance(self.char, FieldChar):
             raise InvalidInputError(f"char must be a FieldChar; got {self.char!r}")
 
@@ -430,6 +436,7 @@ def ab_coherence_report(
     """
     for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
         require_int(v, name)
+    require_indexable_caps(max_degree)
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
         D, K, a_generators = _theorem_a_generators(spec)

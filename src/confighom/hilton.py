@@ -40,7 +40,7 @@ from .errors import InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
 from .assemble import _solve, product_generators
 from .record import FrozenRecord, Record
-from .series import weight_log_derivative
+from .series import require_indexable_caps, weight_log_derivative
 from .witt import lie_atom_counts
 
 
@@ -173,7 +173,7 @@ def hilton_milnor_check(
     dicts give equal tables, so every report is the one that solving both
     sides gives.
     """
-    require_int(max_degree, "max_degree")
+    require_indexable_caps(require_int(max_degree, "max_degree"))
     require_int(m_dim, "manifold dim")
     if not isinstance(orientable, bool):
         raise InvalidInputError("orientable must be a boolean")

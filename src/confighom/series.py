@@ -204,6 +204,13 @@ class BiSeries:
         )
 
 
+def require_indexable_caps(*caps: int) -> None:
+    """InvalidInputError unless every cap is below ``sys.maxsize``: a larger
+    cap cannot index a row.  The one test of it, made before any work."""
+    if max(caps) >= sys.maxsize:
+        raise InvalidInputError(f"caps must be below {sys.maxsize}")
+
+
 def require_caps(s: BiSeries, max_degree: int, max_weight: int) -> BiSeries:
     """``s``, once checked to have the caps that were asked for."""
     if s.caps() != (max_degree, max_weight):
@@ -378,8 +385,7 @@ def free_commutative(
     """
     if max_degree < 0 or max_weight < 0:
         raise InvalidInputError("caps must be nonnegative")
-    if max_degree >= sys.maxsize or max_weight >= sys.maxsize:
-        raise InvalidInputError(f"caps must be below {sys.maxsize}")
+    require_indexable_caps(max_degree, max_weight)
     D, K = max_degree, max_weight
     chains: dict[int, list[tuple[int, int, list]]] = {}
     direct: dict[int, dict[int, int]] = {}  # B_i as degree -> value, by weight i

@@ -31,11 +31,14 @@ The table is sparse: a sphere or a wedge of a few spheres has words in
 few degrees of each length.  :func:`word_rows` builds T_l = f T_{l-1}
 over the nonzero cells only, and the recurrence runs on the cells that
 have words; every other cell has residual 0 and no basic products.  The
-divisor terms are scattered from the nonzero cells of the shorter
-lengths, whose divisors come from one sieve per call, and each lands on
-a cell with words: a basic product of degree d and length l/r, repeated
-r times, is a word at (r d, l).  :func:`_solve_cell` is the one
-recurrence step.
+solve is one forward pass over the lengths: once length l is solved,
+each nonzero L(d, l) is scattered once, as l s L(d, l) with the sign s
+of its r-th power, onto the pending divisor sum of (r d, r l) for every
+r >= 2 inside the caps.  Every proper divisor of a length is shorter
+than it, so by the time a length is reached every term of its pending
+sums has been scattered, and each of its cells is one division.  Every
+term lands on a cell with words: a basic product of degree d and length
+l, repeated r times, is a word at (r d, r l).
 
 The engine solves one such table per factor plan, through
 ``loops.atom_census``: every factor of a plan sees the same shifted
@@ -47,7 +50,7 @@ wraps and the tests call.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from operator import itemgetter
 
 from .errors import ConfigurationError, IntegrityError, InvalidInputError
@@ -94,40 +97,6 @@ class DegreeWeightTable(FrozenRecord):
             yield d, l, c
 
 
-def _divisor_sieve(n: int) -> list[list[int]]:
-    """Entry m lists the divisors r >= 2 of m in increasing order, for
-    0 <= m <= n (entries 0 and 1 are empty)."""
-    divisors: list[list[int]] = [[] for _ in range(n + 1)]
-    for r in range(2, n + 1):
-        for m in range(r, n + 1, r):
-            divisors[m].append(r)
-    return divisors
-
-
-def _solve_cell(
-    cell: object, words: int, length: int, lowers: Iterable[tuple[int, int]]
-) -> int:
-    """One step of the Witt recurrence, for :func:`lie_atom_counts` alone:
-    the number of basic products in ``cell`` from its word count, its
-    length and ``lowers``, the pairs (r, s * L(cell / r)) over the divisors
-    r >= 2 of the gcd of its grading (a pair whose count is 0 may be left
-    out).
-
-    A residual that is negative or not a multiple of ``length`` cannot come
-    from a genuine word series and raises IntegrityError.
-    """
-    residual = words
-    for r, lower in lowers:
-        residual -= (length // r) * lower
-    count, rem = divmod(residual, length)
-    if residual < 0 or rem:
-        raise IntegrityError(
-            f"Witt recurrence broke at {cell}: residual {residual} is not a "
-            f"nonnegative multiple of the length {length}"
-        )
-    return count
-
-
 def word_rows(
     degrees: Mapping[int, int], max_degree: int, max_weight: int
 ) -> list[dict[int, int]]:
@@ -165,42 +134,53 @@ def lie_atom_counts(
     exact divisibility in the Witt recurrence raises IntegrityError, since
     that cannot occur for a genuine generating set.
 
-    Only the cells with words are solved, in increasing degree at each
-    length l: the degrees of :func:`word_rows` row l.  Any other cell has
-    no words and no divisor term, so its residual and its count are 0.  A
-    divisor term r*d' (r >= 2 dividing l, L(d', l/r) != 0) always lands
-    on a cell with words, the r-th power of a basic product; one that
-    lands elsewhere raises IntegrityError naming the lowest such cell.
+    One pass in increasing length.  Only the cells with words are solved,
+    in increasing degree at each length l: the degrees of
+    :func:`word_rows` row l.  Any other cell has no words and no divisor
+    term, so its residual and its count are 0.  Once length l is solved,
+    each of its nonzero counts L(d, l) adds its divisor term
+    l * s * L(d, l) to the pending sum of (r*d, r*l) for every r >= 2
+    inside the caps, so when a length is reached its pending sums are
+    complete.  A divisor term always lands on a cell with words, the
+    r-th power of a basic product; one that lands elsewhere raises
+    IntegrityError naming the lowest such cell.
     """
     D, K = max_degree, max_weight
     if any(d < 0 for d in letters):
         raise InvalidInputError("generator degrees must be >= 0")
     rows = word_rows(letters, D, K)
-    divisors = _divisor_sieve(len(rows) - 1)
-    # solved[l]: degree -> L(degree, l), nonzero counts only
-    solved: list[dict[int, int]] = [{}]
-    for length in range(1, len(rows)):
-        words = rows[length]
-        # the divisor terms, scattered from the nonzero cells below
-        lowers: dict[int, list[tuple[int, int]]] = {}
-        for r in divisors[length]:
-            flip = signed and r % 2 == 0
-            for d, c in solved[length // r].items():
-                if r * d <= D:
-                    term = (r, -c if flip and d % 2 else c)
-                    lowers.setdefault(r * d, []).append(term)
+    top = len(rows) - 1
+    # pending[l]: degree -> the divisor terms of the lengths solved so far
+    pending: list[dict[int, int]] = [{} for _ in rows]
+    entries: dict[tuple[int, int], int] = {}
+    for length in range(1, top + 1):
+        words, lowers = rows[length], pending[length]
         if not lowers.keys() <= words.keys():
             stray = (min(lowers.keys() - words.keys()), length)
             raise IntegrityError(
                 f"Witt recurrence broke at {stray}: a divisor term reaches it, "
                 "but no word of that degree and length does"
             )
-        row: dict[int, int] = {}
+        solved = []  # (d, L(d, length)), nonzero counts in increasing degree
         for d in sorted(words):
-            c = _solve_cell((d, length), words[d], length, lowers.get(d, ()))
-            if c:
-                row[d] = c
-        solved.append(row)
-    return DegreeWeightTable(
-        D, K, {(d, l): c for l, row in enumerate(solved) for d, c in row.items()}
-    )
+            residual = words[d] - lowers.get(d, 0)
+            count, rem = divmod(residual, length)
+            if residual < 0 or rem:
+                raise IntegrityError(
+                    f"Witt recurrence broke at {(d, length)}: residual "
+                    f"{residual} is not a nonnegative multiple of the length "
+                    f"{length}"
+                )
+            if count:
+                entries[d, length] = count
+                solved.append((d, count))
+        # s = -1 for an even power of an exterior (signed, odd-degree) factor
+        for r in range(2, top // length + 1):
+            flip = signed and r % 2 == 0
+            into = pending[r * length]
+            for d, c in solved:
+                if r * d > D:
+                    break
+                term = length * (-c if flip and d % 2 else c)
+                into[r * d] = into.get(r * d, 0) + term
+    return DegreeWeightTable(D, K, entries)

@@ -741,3 +741,38 @@ def test_a_huge_loop_count_finishes(tmp_path, overrides):
     config = base_config(max_degree=10, **overrides)
     done = _cli_subprocess(config, tmp_path, timeout=10)
     assert done.returncode == EXIT_OK, done.stderr
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        base_config(max_degree=sys.maxsize),
+        base_config(max_degree=sys.maxsize, mode="generators"),
+        {"mode": "check:hilton_milnor", "max_degree": sys.maxsize},
+        {"mode": "check:ab", "trials": 1, "max_degree": sys.maxsize},
+    ],
+    ids=["theorem_a", "generators", "check:hilton_milnor", "check:ab"],
+)
+def test_a_cap_no_row_can_index_is_refused_before_any_census(tmp_path, config):
+    done = _cli_subprocess(config, tmp_path, timeout=10)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: caps must be below ")
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: assemble.ProblemSpec(
+            1, {0: 1}, 1, {2: 1}, loops.FieldChar.mod2(), sys.maxsize
+        ).validate(),
+        lambda: assemble.ProblemSpec(
+            1, {0: 1}, 1, {2: 1}, loops.FieldChar.mod2(), 8, sys.maxsize
+        ).validate(),
+        lambda: hilton.hilton_milnor_check(1, {0: 1}, [{2: 1}], sys.maxsize),
+        lambda: assemble.ab_coherence_report(trials=1, max_degree=sys.maxsize),
+    ],
+    ids=["spec_max_degree", "spec_max_weight", "hilton_milnor", "ab"],
+)
+def test_every_entry_point_refuses_a_cap_no_row_can_index(probe):
+    with pytest.raises(InvalidInputError, match="caps must be below"):
+        probe()

@@ -306,21 +306,24 @@ except IntegrityError:
 
 
 def dense_atom_counts(degrees: dict, D: int, K: int, signed: bool) -> dict:
-    """The dense Witt recurrence: the word series by ``inverse_one_minus``
-    and ``_solve_cell`` on every cell of the (D+1) x (K+1) grid, each with
-    every divisor r >= 2 of its gcd found by trial division."""
+    """The dense Witt recurrence, apart from the kernel: the word series by
+    ``inverse_one_minus`` and one division on every cell of the
+    (D+1) x (K+1) grid, each with every divisor r >= 2 of its gcd found by
+    trial division."""
     words = tensor_series(degrees, D, K)
     counts = {}
     for length in range(1, K + 1):
         for d in range(D + 1):
             g = math.gcd(d, length)
-            lowers = [
-                (r, (-1 if signed and r % 2 == 0 and (d // r) % 2 else 1)
-                 * counts.get((d // r, length // r), 0))
+            residual = words.get(d, length) - sum(
+                (length // r)
+                * (-1 if signed and r % 2 == 0 and (d // r) % 2 else 1)
+                * counts.get((d // r, length // r), 0)
                 for r in range(2, g + 1)
                 if g % r == 0
-            ]
-            c = witt._solve_cell((d, length), words.get(d, length), length, lowers)
+            )
+            c, rem = divmod(residual, length)
+            assert residual >= 0 and rem == 0, ((d, length), residual)
             if c:
                 counts[(d, length)] = c
     return counts

@@ -98,6 +98,18 @@ MUTANTS = {
         "for d in sorted(words)[:-1]:",
         "the top Witt cell of each length never solved",
     ),
+    "witt_flip_dropped": (
+        "src/confighom/witt.py",
+        "flip = signed and r % 2 == 0",
+        "flip = False",
+        "the sign of an even power of an odd-degree product dropped",
+    ),
+    "witt_top_multiple_dropped": (
+        "src/confighom/witt.py",
+        "for r in range(2, top // length + 1):",
+        "for r in range(2, top // length):",
+        "the top multiple of each length never scattered onto",
+    ),
     "exterior_tag_dropped": (
         "src/confighom/loops.py",
         "POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR",
