@@ -10,26 +10,32 @@ with the configuration-length filtration as weight grading
 (:func:`theorem_a`; X must be simply connected, reduced classes in degrees
 >= 2).  Each factor is a free graded-commutative algebra (for j = 1 by
 Poincare-Birkhoff-Witt), so the product is one, on all factors'
-generators counted b_q times each: one ``series.free_commutative`` call.
-Those generators come from :func:`plan_generators`, one atom census per
-factor plan; it is the engine's one route to them, and the ``generators``
-mode lists what it returns.
+generators counted b_q times each: one kernel call.
 :func:`theorem_b` lifts the restriction on X (degree-0 classes allowed):
 the same free algebra's weight-k slice is the reduced homology of the
-filtration quotient D_k.  ``check:ab`` checks theorem_a against the
-product on S^2 X, its generators shifted down by 2k degrees at weight k,
-by comparing Lambert coefficients; it solves tables only on a mismatch.
+filtration quotient D_k.
+
+The kernel reads the algebra only through its Lambert coefficients, so
+both theorems build those, :func:`product_beta`, straight from one atom
+census per factor plan and solve them with
+``series.free_commutative_from_beta``: no generator is listed on their
+path.  :func:`plan_generators` and :func:`product_generators` list the
+same census as tagged generators, for the ``generators`` mode, the
+Hilton-Milnor check and ``check:ab``'s second route.  ``check:ab`` checks
+theorem_a's coefficients against those of the product on S^2 X, its
+generators shifted down by 2k degrees at weight k and folded by
+``series.weight_log_derivative``: two implementations of the step from
+census to coefficients.  It solves tables only on a mismatch.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import IntegrityError, InvalidInputError
 from .loops import (
     FieldChar,
     GradedBetti,
     atom_census,
+    closed_census,
     normalize_betti,
     raised_generators,
     require_int,
@@ -38,7 +44,7 @@ from .loops import (
 from .record import Record
 from .series import (
     BiSeries,
-    free_commutative,
+    free_commutative_from_beta,
     require_caps,
     require_indexable_caps,
     weight_log_derivative,
@@ -123,6 +129,7 @@ def factor_plan(
 
 
 Generators = list[tuple[int, int, int, str]]
+Beta = dict[tuple[int, int], int]
 
 
 def plan_generators(
@@ -194,6 +201,41 @@ def product_generators(
     ]
 
 
+def product_beta(
+    m_dim: int,
+    rel_betti: GradedBetti,
+    n: int,
+    x_betti: GradedBetti,
+    char: FieldChar,
+    max_degree: int,
+    max_weight: int,
+) -> Beta:
+    """The nonzero Lambert coefficients ``(d, w) -> beta`` of the free
+    algebra on :func:`product_generators`, inside the caps, folded from
+    the plan's censuses with no generator listed: one :func:`atom_census`
+    per plan, each factor's :func:`~confighom.loops.closed_census` raised
+    by q - q0, and each entry (d, w, c) adding c * copies * w at (d, w)
+    and, where d is odd and the field is not F2 (an exterior generator),
+    -2 * c * copies * w at (2d, 2w) inside the caps.  Equal to
+    ``weight_log_derivative`` of :func:`product_generators`, which
+    ``check:ab`` compares it with."""
+    plan = factor_plan(m_dim, rel_betti, n, x_betti)
+    beta: Beta = {}
+    if not plan:
+        return beta
+    q0, j0, y0, _copies = plan[0]
+    atoms = atom_census(y0, j0, char, max_degree, max_weight)
+    exterior = not char.is_two
+    for q, j, _y, copies in plan:
+        census = closed_census(atoms, q - q0, j, char, max_degree, max_weight)
+        for (d, w), c in census.items():
+            step = c * copies * w
+            beta[d, w] = beta.get((d, w), 0) + step
+            if exterior and d % 2 and 2 * d <= max_degree and 2 * w <= max_weight:
+                beta[2 * d, 2 * w] = beta.get((2 * d, 2 * w), 0) - 2 * step
+    return {key: v for key, v in beta.items() if v}
+
+
 def factor_product(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -212,15 +254,16 @@ def factor_product(
     )
 
 
-def _solve(max_degree: int, max_weight: int, generators: Generators) -> BiSeries:
-    """The free algebra on ``generators``, checked to have the caps asked for."""
+def _solve(max_degree: int, max_weight: int, beta: Beta) -> BiSeries:
+    """The free algebra with Lambert coefficients ``beta``, checked to have
+    the caps asked for."""
     return require_caps(
-        free_commutative(max_degree, max_weight, generators), max_degree, max_weight
+        free_commutative_from_beta(max_degree, max_weight, beta), max_degree, max_weight
     )
 
 
-def _theorem_a_generators(spec: ProblemSpec) -> tuple[int, int, Generators]:
-    """The caps and generators of :func:`theorem_a`'s free algebra."""
+def _theorem_a_beta(spec: ProblemSpec) -> tuple[int, int, Beta]:
+    """The caps and Lambert coefficients of :func:`theorem_a`'s free algebra."""
     spec.validate()
     if any(d < 2 for d in normalize_betti(spec.x_betti)):
         raise InvalidInputError(
@@ -228,14 +271,14 @@ def _theorem_a_generators(spec: ProblemSpec) -> tuple[int, int, Generators]:
             "reduced classes in degrees >= 2 (theorem_b handles any X)"
         )
     D, K = spec.max_degree, spec.effective_max_weight()
-    return D, K, product_generators(
+    return D, K, product_beta(
         spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char, D, K
     )
 
 
 def theorem_a(spec: ProblemSpec) -> BiSeries:
     """Filtration series of C((M,M0) x R^n; X) for simply connected X."""
-    return _solve(*_theorem_a_generators(spec))
+    return _solve(*_theorem_a_beta(spec))
 
 
 def theorem_b(spec: ProblemSpec) -> BiSeries:
@@ -244,7 +287,7 @@ def theorem_b(spec: ProblemSpec) -> BiSeries:
     if spec.max_weight is None:
         raise InvalidInputError("theorem_b mode needs an explicit max_weight cap")
     D, K = spec.max_degree, spec.max_weight
-    return _solve(D, K, product_generators(
+    return _solve(D, K, product_beta(
         spec.m_dim, spec.rel_betti, spec.n, spec.x_betti, spec.char, D, K
     ))
 
@@ -309,7 +352,12 @@ def preset(
         return m, {0: 1, m: 1}
     if name == "torus":
         m = need("m")
-        return m, {q: math.comb(m, q) for q in range(m + 1)}
+        # the binomial row by a running product: linear steps in m
+        row, c = {}, 1
+        for q in range(m + 1):
+            row[q] = c
+            c = c * (m - q) // (q + 1)
+        return m, row
     if name == "surface":
         g = need("genus")
         return 2, {0: 1, 1: 2 * g, 2: 1} if g else {0: 1, 2: 1}
@@ -422,30 +470,29 @@ def ab_coherence_report(
 ) -> CheckReport:
     """Check theorem_a == the S^2 X route bigraded-exactly on random specs.
 
-    Each case builds theorem_a's generators, then
-    :func:`_suspended_generators`, and compares their
-    :func:`weight_log_derivative` dicts.  Within the caps a free algebra's
-    table and that dict determine each other (A_0 = 1 recovers B from the
-    table, and Moebius inversion recovers beta from B), so the tables are
-    equal iff the dicts are, and a case whose dicts agree solves nothing.
-    Only a mismatch solves both tables, to report the cells that differ,
-    so every verdict and report is the one that solving both gives.  A
-    passing case thus never runs the kernel's row gate; counts are still
-    checked to be >= 0.  Errors are raised in the order theorem_a, then
-    the route.
+    Each case builds theorem_a's Lambert coefficients, :func:`product_beta`,
+    then those of the route, the :func:`weight_log_derivative` dict of
+    :func:`_suspended_generators`, and compares them: two implementations
+    of the step from census to coefficients.  Within the caps a free
+    algebra's table and that dict determine each other (A_0 = 1 recovers
+    B from the table, and Moebius inversion recovers beta from B), so the
+    tables are equal iff the dicts are, and a case whose dicts agree
+    solves nothing.  Only a mismatch solves both tables, from the dicts
+    already built, to report the cells that differ, so every verdict and
+    report is the one that solving both gives.  A passing case thus never
+    runs the kernel's row gate; the route's counts are still checked to
+    be >= 0.  Errors are raised in the order theorem_a, then the route.
     """
     for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
         require_int(v, name)
     require_indexable_caps(max_degree)
     failures = []
     for idx, spec in enumerate(random_problem_specs(seed, trials, max_degree)):
-        D, K, a_generators = _theorem_a_generators(spec)
-        b_generators = _suspended_generators(spec)
-        if weight_log_derivative(D, K, a_generators) == weight_log_derivative(
-            D, K, b_generators
-        ):
+        D, K, a_beta = _theorem_a_beta(spec)
+        b_beta = weight_log_derivative(D, K, _suspended_generators(spec))
+        if a_beta == b_beta:
             continue
-        a, b = _solve(D, K, a_generators), _solve(D, K, b_generators)
+        a, b = _solve(D, K, a_beta), _solve(D, K, b_beta)
         if a != b:
             mism = sorted(
                 (d, k, a.get(d, k), b.get(d, k))

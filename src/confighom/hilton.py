@@ -27,7 +27,8 @@ survive, so there the parity of the lowest degree is part of the class.
 Each suspension class is solved once, on its lowest module, and the rest
 of the class raises that census (``check:ab`` checks the case Delta = 2).
 Each side is one free algebra (see ``assemble``), whose degree totals one
-single-graded ``assemble._solve`` call gives.
+single-graded ``assemble._solve`` call gives, on the side's Lambert
+coefficients.
 
 The basic words themselves come from the engine's one Witt kernel: one
 unsigned ``witt.lie_atom_counts`` solve on letters whose degrees spell
@@ -168,10 +169,11 @@ def hilton_milnor_check(
     one sphere class, and a single label one, since the wedge is then the
     module of its only word.
 
-    The basic-product side is solved only when its regraded
-    :func:`weight_log_derivative` differs from the wedge side's; equal
-    dicts give equal tables, so every report is the one that solving both
-    sides gives.
+    Each side's regraded generators are folded once by
+    :func:`weight_log_derivative`, and the kernel solves that dict.  The
+    basic-product side is solved only when its dict differs from the
+    wedge side's; equal dicts give equal tables, so every report is the
+    one that solving both sides gives.
     """
     require_indexable_caps(require_int(max_degree, "max_degree"))
     require_int(m_dim, "manifold dim")
@@ -260,14 +262,13 @@ def hilton_milnor_check(
                 for d, k, c, kind in census
                 if d + k * delta <= D
             )
-    lhs_generators, rhs_generators = sides
-    lhs_totals = _solve(0, D, lhs_generators).rows()[0]
-    if weight_log_derivative(0, D, lhs_generators) == weight_log_derivative(
-        0, D, rhs_generators
-    ):
+    lhs_beta = weight_log_derivative(0, D, sides[0])
+    lhs_totals = _solve(0, D, lhs_beta).rows()[0]
+    rhs_beta = weight_log_derivative(0, D, sides[1])
+    if rhs_beta == lhs_beta:
         rhs_totals = lhs_totals[:]
     else:
-        rhs_totals = _solve(0, D, rhs_generators).rows()[0]
+        rhs_totals = _solve(0, D, rhs_beta).rows()[0]
     first = None
     for d, (lv, rv) in enumerate(zip(lhs_totals, rhs_totals)):
         if lv != rv:

@@ -29,13 +29,18 @@ the actual degree.  Sigma^q y at j - q loops has the same shifted letters
 for every q, so its basic products are those of y at j raised by q
 degrees.
 
-Per factor plan the engine (``assemble.plan_generators``) calls
-:func:`atom_census` once, its one Witt solve, which returns the atoms as
-a plain ``(degree, length) -> count`` dict, and then
-:func:`raised_generators` once per factor on that dict: raise, close
-under operations and tag, sorted once.  The only table on this path is
-the Witt solve's own.  :func:`generator_census` (the census as a table)
-and :func:`factor_series` (its free algebra) are wrappers over the same
+Per factor plan the engine calls :func:`atom_census` once, its one Witt
+solve, which returns the atoms as a plain ``(degree, length) -> count``
+dict.  On the theorem path (``assemble.product_beta``) each factor then
+takes :func:`closed_census` of that dict, raised and closed under
+operations, as an untagged ``(degree, weight) -> count`` dict, and folds
+it into the kernel's Lambert coefficients; no generator is listed.  The
+generator lists (``assemble.plan_generators``, for generators mode, the
+Hilton-Milnor check and ``check:ab``'s second route) take
+:func:`raised_generators` of it instead: the same census, tagged and
+sorted once.  The only table on either path is the Witt solve's own.
+:func:`generator_census` (the census as a table) and
+:func:`factor_series` (its free algebra) are wrappers over the same
 census for the tracer and the tests; the engine calls neither.  Nothing
 here keeps state between calls.
 """
@@ -227,7 +232,7 @@ def atom_census(
     return {(d - shift, l): c for (d, l), c in shifted.entries.items()}
 
 
-def _closed_census(
+def closed_census(
     atoms: Mapping[tuple[int, int], int],
     rise: int,
     j: int,
@@ -237,7 +242,8 @@ def _closed_census(
 ) -> dict[tuple[int, int], int]:
     """The ``(degree, weight) -> count`` map of ``atoms`` raised by ``rise``
     degrees, cut to the caps and closed under admissible operation words,
-    as a new dict.
+    as a new dict: the census of the free E_j-algebra whose basic products
+    are ``atoms`` raised.
 
     Characteristic 0 applies no operations.  Otherwise states aggregate by
     (degree, weight, largest index the next operation may use); every
@@ -297,14 +303,15 @@ def raised_generators(
     j >= 1: their census, each entry tagged polynomial in characteristic
     2 or in even degree, exterior otherwise.
 
-    This is what ``assemble`` calls per factor, on one atom census per
-    plan, and :func:`factor_series` at rise 0; it builds no table.
-    :func:`generator_census` is the same census, untagged, as a table."""
+    This is what ``assemble.plan_generators`` calls per factor, on one
+    atom census per plan, and :func:`factor_series` at rise 0; it builds
+    no table.  :func:`closed_census` is the same census untagged, and
+    :func:`generator_census` that as a table."""
     polynomial_only = char.is_two
     return [
         (d, k, c, POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR)
         for (d, k), c in sorted(
-            _closed_census(atoms, rise, j, char, max_degree, max_weight).items()
+            closed_census(atoms, rise, j, char, max_degree, max_weight).items()
         )
     ]
 
@@ -322,7 +329,7 @@ def generator_census(
     return DegreeWeightTable(
         max_degree,
         max_weight,
-        _closed_census(atoms, 0, j, char, max_degree, max_weight),
+        closed_census(atoms, 0, j, char, max_degree, max_weight),
     )
 
 

@@ -12,42 +12,46 @@ evaluated in any order.
 
 :func:`multiply`, the product of two series, is a plain convolution over
 their nonzero cells.  The engine assembles no products with it: a product
-of free algebras is itself free, so it is one :func:`free_commutative`
-call on the union of the generators.
+of free algebras is itself free, so it is one kernel call on the union
+of the generators.
 
 Free graded-commutative algebras, products of (1 - t^d u^w)^(-c) and
 (1 + t^d u^w)^c, are solved by one log-derivative kernel,
-:func:`free_commutative`.  With B = u d/du log A, which has integer
-coefficients, u dA/du = A * B gives the weight recurrence
+:func:`free_commutative_from_beta`.  With B = u d/du log A, which has
+integer coefficients, u dA/du = A * B gives the weight recurrence
 
     k A_k = sum_{i=1..k} B_i A_{k-i}
 
 for the weight-k row A_k, a polynomial in t.  B is a Lambert series,
 B = sum beta(d, w) x/(1 - x) with x = t^d u^w, and the kernel takes its
-coefficients beta (:func:`weight_log_derivative`) as input.  Rows are
-packed big integers, re-slotted in place when their slots must grow,
-with slot i holding degree D - i: t^e times a row, truncated at the
-degree cap D, is one right shift by e slots.  A bidegree with at least
-``CHAIN_MULTIPLES`` multiples inside the caps, such as a degree-0,
-Dyer-Lashof or weight-1 torus generator, enters each row step as one
-running sum over its multiples (a chain); every other bidegree enters as
-one shifted scalar multiple per multiple, and a row step visits only the
-weights with such terms.  Every residual must be a nonnegative multiple
-of k.  Each row is gated by one big-int test, a division by k whose
-quotient must leave the top bits of every slot clear, and the quotient
-stays packed: one AND with a mask of the top bits of every slot tells
-whether the slots must grow, and the whole table is unpacked once, after
-its last row.  A row that fails is read cell by cell, to raise
-IntegrityError naming its lowest broken cell (d, k) in the message and
-as its ``cell``.
+coefficients beta as input, a ``(d, w) -> beta`` dict.  The kernel has
+two entries: :func:`free_commutative_from_beta` takes that dict, which
+``assemble`` builds straight from a factor plan's censuses, and
+:func:`free_commutative` takes a generator list (degree, weight, count,
+kind) and folds it into the dict with :func:`weight_log_derivative`
+first.  Rows are packed big integers, re-slotted in place when their
+slots must grow, with slot i holding degree D - i: t^e times a row,
+truncated at the degree cap D, is one right shift by e slots.  A
+bidegree with at least ``CHAIN_MULTIPLES`` multiples inside the caps,
+such as a degree-0, Dyer-Lashof or weight-1 torus generator, enters each
+row step as one running sum over its multiples (a chain); every other
+bidegree enters as one shifted scalar multiple per multiple, and a row
+step visits only the weights with such terms.  Every residual must be a
+nonnegative multiple of k.  Each row is gated by one big-int test, a
+division by k whose quotient must leave the top bits of every slot
+clear, and the quotient stays packed: one AND with a mask of the top
+bits of every slot tells whether the slots must grow, and the whole
+table is unpacked once, after its last row.  A row that fails is read
+cell by cell, to raise IntegrityError naming its lowest broken cell
+(d, k) in the message and as its ``cell``.
 :func:`power_factor`, one generator's factor, is the independent
 reference.
 
 :func:`inverse_one_minus`, :func:`multiply`, :func:`power_factor` and
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
-sparse word rows itself, every table is one :func:`free_commutative`
-call, and ``check:ab``'s S^2 X route desuspends its generators, not the
-table (a generator may sit in degree 0 at weight >= 1).  They stay as
+sparse word rows itself, every table is one kernel call, and
+``check:ab``'s S^2 X route desuspends its generators, not the table (a
+generator may sit in degree 0 at weight >= 1).  They stay as
 the tests' references, and ``bench/spans.py`` wraps all four by name.
 """
 
@@ -306,16 +310,37 @@ def free_commutative(
     max_degree: int, max_weight: int, generators: Iterable[tuple[int, int, int, str]]
 ) -> BiSeries:
     """Series of the free graded-commutative algebra on ``generators``,
-    given as (degree, weight, count, kind) with degree >= 0, weight >= 1.
+    given as (degree, weight, count, kind) with degree >= 0, weight >= 1:
+    the kernel's generator-list entry, :func:`free_commutative_from_beta`
+    on their :func:`weight_log_derivative`.
 
-    Equal to one :func:`power_factor` per generator applied to the unit,
-    but solved in one pass over the weights from u dA/du = A * B, with B
-    in the Lambert form of :func:`weight_log_derivative`: the weight-k row
-    A_k, a polynomial in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
+    Equal to one :func:`power_factor` per generator applied to the unit.
     The kernel reads ``generators`` only through that dict, and not its
     order, so generator lists with equal coefficients there (reordered,
     with counts split across duplicates, or differing only outside the
-    caps) give the same table, or the same IntegrityError.
+    caps) give the same table, or the same IntegrityError.  The caps are
+    checked before the generators.
+    """
+    if max_degree < 0 or max_weight < 0:
+        raise InvalidInputError("caps must be nonnegative")
+    require_indexable_caps(max_degree, max_weight)
+    return free_commutative_from_beta(
+        max_degree, max_weight, weight_log_derivative(max_degree, max_weight, generators)
+    )
+
+
+def free_commutative_from_beta(
+    max_degree: int, max_weight: int, beta: Mapping[tuple[int, int], int]
+) -> BiSeries:
+    """Series A of the free graded-commutative algebra whose B = u d/du
+    log A has the Lambert coefficients ``beta``, a ``(d, w) -> beta`` map
+    with 0 <= d <= max_degree and 1 <= w <= max_weight (B = sum beta(d, w)
+    x/(1 - x) with x = t^d u^w, as :func:`weight_log_derivative` gives
+    it): the kernel.  A key outside those bounds is refused with
+    InvalidInputError before any row is built.
+
+    Solved in one pass over the weights from u dA/du = A * B: the weight-k
+    row A_k, a polynomial in t, satisfies k A_k = sum_{i=1..k} B_i A_{k-i}.
 
     Each row is one packed big integer with a fixed-width slot per degree,
     packed from the degree cap down: slot i holds degree D - i.  So t^e
@@ -390,7 +415,12 @@ def free_commutative(
     chains: dict[int, list[tuple[int, int, list]]] = {}
     direct: dict[int, dict[int, int]] = {}  # B_i as degree -> value, by weight i
     b_sum = 0
-    for (d, w), v in weight_log_derivative(D, K, generators).items():
+    for (d, w), v in beta.items():
+        if not (0 <= d <= D and 1 <= w <= K):
+            raise InvalidInputError(
+                f"Lambert coefficient at (d, w) = ({d}, {w}) lies outside "
+                f"0 <= d <= {D}, 1 <= w <= {K}"
+            )
         rmax = K // w if d == 0 else min(K // w, D // d)
         if rmax >= CHAIN_MULTIPLES:
             chains.setdefault(w, []).append((d, v, [(None, 0)] * w))
@@ -471,7 +501,7 @@ def _guards(cell: int, slots: int, K: int) -> list[int]:
 def _quotient(total: int, k: int, guards: list[int]) -> int | None:
     """``total`` / k, slot by slot, if every residual of the row sum
     ``total`` is a nonnegative multiple of ``k``, else None: the one test
-    per row of :func:`free_commutative`, with ``guards`` from
+    per row of :func:`free_commutative_from_beta`, with ``guards`` from
     :func:`_guards`."""
     q, rem = divmod(total, k)
     return None if rem or q < 0 or q & guards[k.bit_length()] else q

@@ -295,8 +295,8 @@ def test_property_theorem_b_equals_the_desuspended_table(manifold, x, field, n, 
 def test_generator_below_degree_zero_is_an_integrity_failure(
     monkeypatch, tmp_path, capsys
 ):
-    # only check:ab's S^2 X route shifts generators down; theorem_a, its
-    # first side, takes the stray generator as it is
+    # only check:ab's S^2 X route lists generators and shifts them down;
+    # theorem_a, its first side, lists none
     real = assemble.product_generators
 
     def stray(*args):
@@ -316,7 +316,7 @@ def test_generator_below_degree_zero_is_an_integrity_failure(
 
 def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
     solves, table_ops = [], []
-    real_solve = assemble.free_commutative
+    real_solve = assemble.free_commutative_from_beta
     real_desuspend, real_truncated = series.desuspend_by_weight, BiSeries.truncated
 
     def solve(*args):
@@ -331,7 +331,7 @@ def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
         table_ops.append("truncated")
         return real_truncated(*args)
 
-    monkeypatch.setattr(assemble, "free_commutative", solve)
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", solve)
     for module in (series, assemble):
         monkeypatch.setattr(module, "desuspend_by_weight", desuspend, raising=False)
     monkeypatch.setattr(BiSeries, "truncated", truncated)
@@ -345,13 +345,13 @@ def test_theorem_b_solves_one_free_algebra_at_the_caps_it_returns(monkeypatch):
     # theorem_a and theorem_b share one census, of the label itself, at
     # the caps asked for
     censuses = []
-    real_generators = assemble.product_generators
+    real_beta = assemble.product_beta
 
     def census(*args):
         censuses.append(args)
-        return real_generators(*args)
+        return real_beta(*args)
 
-    monkeypatch.setattr(assemble, "product_generators", census)
+    monkeypatch.setattr(assemble, "product_beta", census)
     a_spec = make_spec(
         m_dim=2, rel_betti={0: 1, 1: 2, 2: 1}, x_betti={2: 1, 3: 1}, char=F3,
         max_degree=9, max_weight=4,
@@ -549,6 +549,65 @@ def test_an_odd_suspension_over_q_is_not_a_raise():
     assert sorted(suspended) == raised(census, 1, 12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_the_census_beta_is_the_listed_generators_log_derivative(data):
+    # the theorems fold each factor's closed census straight into beta;
+    # check:ab's second route tags, lists and copies the generators first
+    theorem = data.draw(st.sampled_from(("theorem_a", "theorem_b")))
+    m_dim = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 3))
+    rel = data.draw(
+        st.dictionaries(st.integers(0, m_dim), st.integers(1, 3), min_size=1, max_size=3)
+    )
+    # theorem_a's labels are simply connected; theorem_b's may sit in degree 0
+    low = 2 if theorem == "theorem_a" else 0
+    x = data.draw(
+        st.dictionaries(st.integers(low, 5), st.integers(1, 2), min_size=1, max_size=3)
+    )
+    char = FieldChar(data.draw(st.sampled_from((0, 2, 3, 5))))
+    D = data.draw(st.integers(0, 24))
+    K = D // 2 if theorem == "theorem_a" else data.draw(st.integers(0, 10))
+    listed = product_generators(m_dim, rel, n, x, char, D, K)
+    assert assemble.product_beta(m_dim, rel, n, x, char, D, K) == (
+        series.weight_log_derivative(D, K, listed)
+    )
+
+
+def test_the_theorems_list_no_generators_and_solve_one_witt_table_per_plan(
+    monkeypatch,
+):
+    listed, witt_solves = [], []
+
+    def spy(name, real):
+        def listing(*args):
+            listed.append(name)
+            return real(*args)
+
+        return listing
+
+    for module, name in (
+        (assemble, "product_generators"),
+        (assemble, "plan_generators"),
+        (assemble, "raised_generators"),
+        (loops, "raised_generators"),
+    ):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    real_witt = loops.lie_atom_counts
+
+    def witt(*args):
+        witt_solves.append(args[2])
+        return real_witt(*args)
+
+    monkeypatch.setattr(loops, "lie_atom_counts", witt)
+    # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1
+    m_dim, rel = preset("surface", genus=1)
+    theorem_a(ProblemSpec(m_dim, rel, 1, {2: 1, 3: 1}, F3, 16))
+    theorem_b(ProblemSpec(m_dim, rel, 1, {0: 1, 2: 1}, F2, 12, 6))
+    assert listed == []
+    assert witt_solves == [18, 14]
+
+
 def test_a_multi_factor_plan_builds_no_table_per_factor(monkeypatch):
     tables = []
     real = DegreeWeightTable.__init__
@@ -570,7 +629,7 @@ def test_a_table_is_one_free_algebra_on_one_census_and_a_repeat_solves_again(
     monkeypatch,
 ):
     solves, censuses, witt_solves = [], [], []
-    real_solve, real_census = assemble.free_commutative, assemble.atom_census
+    real_solve, real_census = assemble.free_commutative_from_beta, assemble.atom_census
     real_witt = loops.lie_atom_counts
 
     def solve(*args):
@@ -585,7 +644,7 @@ def test_a_table_is_one_free_algebra_on_one_census_and_a_repeat_solves_again(
         witt_solves.append(max_degree)
         return real_witt(letters, signed, max_degree, max_weight)
 
-    monkeypatch.setattr(assemble, "free_commutative", solve)
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", solve)
     monkeypatch.setattr(assemble, "atom_census", census)
     monkeypatch.setattr(loops, "lie_atom_counts", witt)
     # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1; the
@@ -611,6 +670,11 @@ def test_preset_catalog():
     assert preset("cube", m=2) == (2, {0: 1})
     assert preset("point") == (0, {0: 1})
     assert preset("rp", char=F2, m=3) == (3, {0: 1, 1: 1, 2: 1, 3: 1})
+
+
+def test_the_torus_row_is_the_binomial_row():
+    for m in range(65):
+        assert preset("torus", m=m) == (m, {q: math.comb(m, q) for q in range(m + 1)})
 
 
 def test_preset_errors():
@@ -679,13 +743,13 @@ def test_check_ab_solves_only_on_a_mismatch(monkeypatch):
     # equal Lambert coefficients decide a passing case without the kernel;
     # a case whose route is perturbed solves both tables
     solves = []
-    real = assemble.free_commutative
+    real = assemble.free_commutative_from_beta
 
-    def solve(max_degree, max_weight, generators):
+    def solve(max_degree, max_weight, beta):
         solves.append((max_degree, max_weight))
-        return real(max_degree, max_weight, generators)
+        return real(max_degree, max_weight, beta)
 
-    monkeypatch.setattr(assemble, "free_commutative", solve)
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", solve)
     config = {"mode": "check:ab", "seed": 0, "trials": 10, "max_degree": 36}
     assert cli.run(config)[0] == cli.EXIT_OK
     assert solves == []

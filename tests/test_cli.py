@@ -456,13 +456,16 @@ def test_the_mode_list_is_the_modes_config_keys_in_order():
 
 def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, capsys):
     def drifting(real, degree_step, weight_step):
-        def solve(max_degree, max_weight, generators):
-            return real(max_degree + degree_step, max_weight + weight_step, generators)
+        # a kernel that solves at drifted caps, its coefficients cut to them
+        def solve(max_degree, max_weight, beta):
+            D, K = max_degree + degree_step, max_weight + weight_step
+            kept = {(d, w): v for (d, w), v in beta.items() if d <= D and w <= K}
+            return real(D, K, kept)
 
         return solve
 
-    real = assemble.free_commutative
-    monkeypatch.setattr(assemble, "free_commutative", drifting(real, 0, -1))
+    real = assemble.free_commutative_from_beta
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", drifting(real, 0, -1))
     config = base_config(
         manifold={"preset": "surface", "genus": 0},
         mode="theorem_b",
@@ -478,7 +481,7 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
     # weight cap carries the degree (a negative degree cap would be an
     # input error instead)
     hilton_config = {"mode": "check:hilton_milnor", "max_degree": 8}
-    monkeypatch.setattr(assemble, "free_commutative", drifting(real, 0, -1))
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", drifting(real, 0, -1))
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert capsys.readouterr().err.startswith(
         "integrity error: cap mismatch: got (0, 7), asked for (0, 8)"
@@ -493,10 +496,10 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
     )
     solves = []
 
-    def second_drifts(max_degree, max_weight, generators):
+    def second_drifts(max_degree, max_weight, beta):
         solves.append(max_weight)
         solve = real if len(solves) == 1 else drifting(real, 0, -1)
-        return solve(max_degree, max_weight, generators)
+        return solve(max_degree, max_weight, beta)
 
     words = hilton.basic_words
     monkeypatch.setattr(
@@ -507,7 +510,7 @@ def test_engine_cap_mismatch_is_an_integrity_failure(monkeypatch, tmp_path, caps
             for w in words(*args)
         ],
     )
-    monkeypatch.setattr(assemble, "free_commutative", second_drifts)
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", second_drifts)
     assert _main_on(hilton_config, tmp_path) == EXIT_INTEGRITY
     assert solves == [8, 8]
     assert capsys.readouterr().err.startswith(
@@ -605,6 +608,23 @@ def test_an_int_in_text_is_an_optional_minus_and_ascii_digits(
     # int() would also take these, reading "1_0" as 10 and "Fp:1_1" as 11
     assert _main_on(config, tmp_path) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_large_torus_runs_in_linear_binomial_steps(tmp_path):
+    # the preset's binomial row is built before any cap applies; one
+    # math.comb per entry took seconds at m = 8000
+    path = tmp_path / "run.json"
+    config = base_config(manifold={"preset": "torus", "m": 8000}, max_degree=10)
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(assemble.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "confighom", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import confighom.assemble as assemble
 import confighom.hilton as hilton
+from confighom.series import weight_log_derivative
 from confighom import (
     FieldChar,
     InvalidInputError,
@@ -178,13 +179,13 @@ def test_each_side_is_one_free_algebra(monkeypatch):
     # a passing case solves one single-graded table, whose totals serve
     # both sides; a perturbed basic-product side is solved as well
     calls = []
-    real = assemble.free_commutative
+    real = assemble.free_commutative_from_beta
 
-    def solve(max_degree, max_weight, generators):
+    def solve(max_degree, max_weight, beta):
         calls.append((assemble.__name__, max_degree, max_weight))
-        return real(max_degree, max_weight, generators)
+        return real(max_degree, max_weight, beta)
 
-    monkeypatch.setattr(assemble, "free_commutative", solve)
+    monkeypatch.setattr(assemble, "free_commutative_from_beta", solve)
     problem = (1, {0: 1, 1: 1}, [{2: 1}, {3: 1}], 14)
     report = hilton_milnor_check(*problem)
     assert report.passed and report.words_used > 1
@@ -318,7 +319,7 @@ KINDS = ("polynomial", "exterior")
 def test_property_regraded_totals_equal_the_degree_totals(gens, D):
     # with 1 <= k <= d, a product inside the degree cap D has weight <= D
     regraded = [(0, d, c, kind) for d, _k, c, kind in gens]
-    totals = assemble._solve(0, D, regraded).rows()[0]
+    totals = assemble._solve(0, D, weight_log_derivative(0, D, regraded)).rows()[0]
     assert totals == free_commutative(D, D, gens).degree_totals()
 
 

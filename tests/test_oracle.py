@@ -273,7 +273,7 @@ def test_oracle_borrows_nothing_from_the_engine():
         assert not named & REFERENCES, (module, named & REFERENCES)
 
 
-CAP_CHECKED_SOLVE = {"free_commutative", "require_caps"}
+CAP_CHECKED_SOLVE = {"free_commutative", "free_commutative_from_beta", "require_caps"}
 PLAN_WALK = {
     "factor_plan", "atom_census", "factor_generators", "generator_census",
     "lie_atom_counts",

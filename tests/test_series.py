@@ -437,6 +437,8 @@ def kernel_outcome(D: int, K: int, generators, corrupt):
             return free_commutative(D, K, generators)
         except IntegrityError as failure:
             return failure.cell
+        except InvalidInputError as refusal:  # the kernel refuses a key past the caps
+            return str(refusal)
 
 
 kernel_inputs = st.tuples(
@@ -953,10 +955,24 @@ def bump_beta(real, key, amount=1):
     return bumped
 
 
+def corrupt_kernel(monkeypatch, key=None, amount=1):
+    """Make the kernel entry that takes beta, as ``series`` and ``assemble``
+    call it, raise beta by ``amount`` at ``key``, by default at
+    (max_degree, 2), before solving: every mode's table goes through it."""
+    real = series.free_commutative_from_beta
+
+    def bumped(max_degree, max_weight, beta):
+        beta = dict(beta)
+        at = (max_degree, 2) if key is None else key
+        beta[at] = beta.get(at, 0) + amount
+        return real(max_degree, max_weight, beta)
+
+    for module in (series, assemble):
+        monkeypatch.setattr(module, "free_commutative_from_beta", bumped)
+
+
 def test_corrupted_log_derivative_raises_integrity_error(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative)
-    )
+    corrupt_kernel(monkeypatch)
     with pytest.raises(IntegrityError, match=r"\(d, k\) = \(8, 2\)") as failure:
         free_commutative(8, 4, [(2, 1, 1, "polynomial"), (3, 1, 2, "exterior")])
     assert failure.value.cell == (8, 2)
@@ -986,9 +1002,7 @@ def test_gate_names_the_absolute_degree_of_an_offset_row(monkeypatch):
 
 
 def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(
-        series, "weight_log_derivative", bump_weight_two(series.weight_log_derivative)
-    )
+    corrupt_kernel(monkeypatch)
     config = {
         "field": "F2",
         "manifold": {"preset": "surface", "genus": 1},
@@ -1004,6 +1018,50 @@ def test_one_gate_covers_every_factor_of_the_product(monkeypatch, tmp_path, caps
     path.write_text(json.dumps(config))
     assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
     assert "free-algebra recurrence broke at (d, k) = (10, 2)" in capsys.readouterr().err
+
+
+TABLE = {
+    "field": "F2",
+    "manifold": {"preset": "surface", "genus": 1},
+    "n": 1,
+    "label_space": {"preset": "sphere", "d": 2},
+    "max_degree": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(TABLE, mode="theorem_a"),
+        dict(TABLE, mode="theorem_b", max_weight=5),
+        dict(
+            TABLE, mode="dk_table", label_space={"preset": "sphere", "d": 0}, max_weight=5
+        ),
+        {"mode": "check:hilton_milnor", "max_degree": 10},
+        {"mode": "check:ab", "seed": 0, "trials": 3, "max_degree": 10},
+    ],
+    ids=lambda config: config["mode"],
+)
+def test_a_corrupted_coefficient_exits_4_from_every_solving_mode(
+    config, monkeypatch, tmp_path, capsys
+):
+    # generators mode solves nothing.  check:ab solves only when its two
+    # routes' coefficients differ, so there theorem_a's own are corrupted
+    if config["mode"] == "check:ab":
+        real = assemble.product_beta
+
+        def bumped(*args):
+            beta = real(*args)
+            beta[args[-2], 2] = beta.get((args[-2], 2), 0) + 1
+            return beta
+
+        monkeypatch.setattr(assemble, "product_beta", bumped)
+    else:
+        corrupt_kernel(monkeypatch)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == cli.EXIT_INTEGRITY
+    assert "free-algebra recurrence broke at (d, k)" in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)
@@ -1058,7 +1116,7 @@ def test_corrupted_chain_raises_at_the_first_broken_residual(monkeypatch, tmp_pa
     bumped = bump_beta(series.weight_log_derivative, (1, 2))
     expected = first_broken_cell(D, K, lambert_expansion(D, K, bumped(D, K, BRAID_F2)))
     assert expected is not None
-    monkeypatch.setattr(series, "weight_log_derivative", bumped)
+    corrupt_kernel(monkeypatch, (1, 2))
     chains = []
     real_extend = series._extend_chains
 
@@ -1089,15 +1147,15 @@ def test_corrupted_chain_raises_at_the_first_broken_residual(monkeypatch, tmp_pa
 def test_free_algebra_gate_holds_without_asserts(tmp_path):
     script = """
 import json, sys
-import confighom.series as series
+import confighom.assemble as assemble
 from confighom import cli
 assert False  # stripped by -O
-real = series.weight_log_derivative
-def bumped(max_degree, max_weight, generators):
-    b = real(max_degree, max_weight, generators)
-    b[(max_degree, 2)] = b.get((max_degree, 2), 0) + 1
-    return b
-series.weight_log_derivative = bumped
+real = assemble.free_commutative_from_beta
+def bumped(max_degree, max_weight, beta):
+    beta = dict(beta)
+    beta[(max_degree, 2)] = beta.get((max_degree, 2), 0) + 1
+    return real(max_degree, max_weight, beta)
+assemble.free_commutative_from_beta = bumped
 sys.exit(cli.main(["--config", sys.argv[1]]))
 """
     path = tmp_path / "run.json"

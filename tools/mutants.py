@@ -134,6 +134,24 @@ MUTANTS = {
         "plan.append((q, j, suspend_betti({d: c for d, c in x.items() if d}, q), rel[q]))",
         "degree-0 label classes dropped from the factor plan",
     ),
+    "beta_copies_dropped": (
+        "src/confighom/assemble.py",
+        "step = c * copies * w",
+        "step = c * w",
+        "the theorems' coefficients count a factor with several classes once",
+    ),
+    "beta_raise_by_half": (
+        "src/confighom/assemble.py",
+        "closed_census(atoms, q - q0, j, char, max_degree, max_weight)",
+        "closed_census(atoms, (q - q0) // 2, j, char, max_degree, max_weight)",
+        "the theorems' factor census raised by (q - q0) // 2, not q - q0",
+    ),
+    "beta_exterior_dropped": (
+        "src/confighom/assemble.py",
+        "exterior = not char.is_two",
+        "exterior = False",
+        "the theorems' coefficients without the exterior term of an odd degree",
+    ),
     "spelling_base_short": (
         "src/confighom/hilton.py",
         "base = max_length + 1",
