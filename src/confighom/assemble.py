@@ -19,11 +19,11 @@ The kernel reads the algebra only through its Lambert coefficients, so
 both theorems build those, :func:`product_beta`, straight from one atom
 census per factor plan and solve them with
 ``series.free_commutative_from_beta``: no generator is listed on their
-path.  :func:`plan_generators` and :func:`product_generators` list the
-same census as tagged generators, for the ``generators`` mode, the
-Hilton-Milnor check and ``check:ab``'s second route.  ``check:ab`` checks
-theorem_a's coefficients against those of the product on S^2 X, its
-generators shifted down by 2k degrees at weight k and folded by
+path, nor on the Hilton-Milnor check's.  :func:`plan_generators` and
+:func:`product_generators` list the same census as tagged generators,
+for the ``generators`` mode and ``check:ab``'s second route, which
+checks theorem_a's coefficients against those of the product on S^2 X,
+its generators shifted down by 2k degrees at weight k and folded by
 ``series.weight_log_derivative``: two implementations of the step from
 census to coefficients.  It solves tables only on a mismatch.
 """

@@ -309,31 +309,36 @@ def _render(
 
     json lays out the spec echo, the check reports, any generator rows and
     a marker where the series cells go in by :func:`_json_text`, then puts
-    the cells in place of the marker.  csv joins the view's
-    ``lines``; table puts two header lines before them.  ``lines`` is a
-    generator, so no view is built for json.
+    the cells in place of the marker.  csv joins the view's ``lines``;
+    table puts two header lines before them.  ``lines`` is a generator, so
+    no view is built for json.  An int past Python's int-to-str limit,
+    which load_config relies on, raises InvalidInputError.
     """
-    if fmt == "json":
-        marker = "\0series"  # no other string of the envelope holds a NUL
-        fields: dict[str, object] = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": echo,
-            "checks": checks or [],
-            "series": marker,
-        }
-        if generators is not None:
-            fields["generators"] = generators
-        text = _json_text(fields)
-        head, _, tail = text.partition(json.dumps(marker))
-        return "".join([head, *_json_cells(series), tail, "\n"])
-    if fmt == "table":
-        parts = " ".join(
-            f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
-        )
-        title = f"# confighom {__version__} schema_version={SCHEMA_VERSION}"
-        lines = itertools.chain((title, f"# {parts}"), lines)
-    # the empty last line ends the text with a newline
-    return "\n".join(itertools.chain(lines, ("",)))
+    try:
+        if fmt == "json":
+            marker = "\0series"  # no other string of the envelope holds a NUL
+            fields: dict[str, object] = {
+                "schema_version": SCHEMA_VERSION,
+                "spec": echo,
+                "checks": checks or [],
+                "series": marker,
+            }
+            if generators is not None:
+                fields["generators"] = generators
+            text = _json_text(fields)
+            head, _, tail = text.partition(json.dumps(marker))
+            return "".join([head, *_json_cells(series), tail, "\n"])
+        if fmt == "table":
+            parts = " ".join(
+                f"{k}={json.dumps(echo[k], sort_keys=True)}" for k in sorted(echo)
+            )
+            title = f"# confighom {__version__} schema_version={SCHEMA_VERSION}"
+            lines = itertools.chain((title, f"# {parts}"), lines)
+        # the empty last line ends the text with a newline
+        return "\n".join(itertools.chain(lines, ("",)))
+    except ValueError as exc:  # an int past Python's int-to-str limit
+        limit = f"Python's {sys.get_int_max_str_digits()}-digit int-to-str limit"
+        raise InvalidInputError(f"an output integer exceeds {limit}") from exc
 
 
 def _json_text(value: object, pad: str = "\n") -> str:

@@ -24,11 +24,11 @@ so the census of Sigma^Delta Y is that of Y with each weight-k generator
 raised by k*Delta, its weight and kind unchanged; an odd Delta over Q
 swaps the parity of every letter, and with it which brackets and squares
 survive, so there the parity of the lowest degree is part of the class.
-Each suspension class is solved once, on its lowest module, and the rest
-of the class raises that census (``check:ab`` checks the case Delta = 2).
-Each side is one free algebra (see ``assemble``), whose degree totals one
-single-graded ``assemble._solve`` call gives, on the side's Lambert
-coefficients.
+Each suspension class is solved once, on its lowest module, by the
+theorems' own census-to-coefficients fold, ``assemble.product_beta``; the
+rest of the class raises those Lambert coefficients (``check:ab`` checks
+the case Delta = 2).  Each side is one free algebra (see ``assemble``),
+whose degree totals one single-graded ``assemble._solve`` call gives.
 
 The basic words themselves come from the engine's one Witt kernel: one
 unsigned ``witt.lie_atom_counts`` solve on letters whose degrees spell
@@ -37,11 +37,11 @@ multiplicity vectors in a base above the longest word.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError
+from .errors import IntegrityError, InvalidInputError
 from .loops import FieldChar, GradedBetti, normalize_betti, require_int, suspend_betti
-from .assemble import _solve, product_generators
+from .assemble import Beta, _solve, product_beta
 from .record import FrozenRecord, Record
-from .series import require_indexable_caps, weight_log_derivative
+from .series import require_indexable_caps
 from .witt import lie_atom_counts
 
 
@@ -164,16 +164,16 @@ def hilton_milnor_check(
 
     Both sides are multisets of modules: the wedge once on the left, and
     each word's Thom-shifted smash, weighted by its count, on the right.
-    One ``product_generators`` call serves each suspension class of all of
-    them.  Over F2 sphere labels need two calls, the wedge's class and the
-    one sphere class, and a single label one, since the wedge is then the
+    One ``product_beta`` call serves each suspension class of all of them.
+    Over F2 sphere labels need two calls, the wedge's class and the one
+    sphere class, and a single label one, since the wedge is then the
     module of its only word.
 
-    Each side's regraded generators are folded once by
-    :func:`weight_log_derivative`, and the kernel solves that dict.  The
-    basic-product side is solved only when its dict differs from the
-    wedge side's; equal dicts give equal tables, so every report is the
-    one that solving both sides gives.
+    Each class's coefficients are regraded linearly into one single-graded
+    dict per side (one not a multiple of its weight raises IntegrityError),
+    and the kernel solves that dict.  The basic-product side is solved
+    only when its dict differs from the wedge side's; equal dicts give
+    equal tables, so every report is the one that solving both gives.
     """
     require_indexable_caps(require_int(max_degree, "max_degree"))
     require_int(m_dim, "manifold dim")
@@ -247,33 +247,28 @@ def hilton_milnor_check(
     # generator (d, k) is regraded to (0, d), so the weight carries the
     # degree; with 1 <= k <= d the weight cap D cuts only products beyond
     # the degree cap, so the degree totals are the one row of the table.
-    # A class's census is solved on its lowest module, and a module Delta
-    # above it raises each weight-k generator by k * Delta
-    sides: tuple[list, list] = ([], [])
+    # A module Delta above its class's lowest raises each weight-k
+    # generator by k * Delta.  The fold is linear and b / k is the net
+    # generator count at (d, k), so b adds count * (b / k) * w at (0, w),
+    # w = d + k * Delta; an exterior correction at (2d, 2k) lands on (0, 2w)
+    sides: tuple[Beta, Beta] = ({}, {})
     for (shape, _parity), members in classes.items():
         base = min(low for _side, low, _count in members)
-        census = product_generators(
-            m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
-        )
-        for side, low, count in members:
-            delta = low - base
-            sides[side].extend(
-                (0, d + k * delta, c * count, kind)
-                for d, k, c, kind in census
-                if d + k * delta <= D
-            )
-    lhs_beta = weight_log_derivative(0, D, sides[0])
+        beta = product_beta(m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D)
+        for (d, k), b in beta.items():
+            net, rest = divmod(b, k)
+            if rest:
+                message = f"coefficient {b} at ({d}, {k}) is not k times a count"
+                raise IntegrityError(message, cell=(d, k))
+            for side, low, count in members:
+                w = d + k * (low - base)
+                if w <= D:
+                    sides[side][0, w] = sides[side].get((0, w), 0) + count * net * w
+    lhs_beta, rhs_beta = ({key: v for key, v in side.items() if v} for side in sides)
     lhs_totals = _solve(0, D, lhs_beta).rows()[0]
-    rhs_beta = weight_log_derivative(0, D, sides[1])
-    if rhs_beta == lhs_beta:
-        rhs_totals = lhs_totals[:]
-    else:
-        rhs_totals = _solve(0, D, rhs_beta).rows()[0]
-    first = None
-    for d, (lv, rv) in enumerate(zip(lhs_totals, rhs_totals)):
-        if lv != rv:
-            first = (d, lv, rv)
-            break
+    rhs_totals = lhs_totals[:] if rhs_beta == lhs_beta else _solve(0, D, rhs_beta).rows()[0]
+    pairs = enumerate(zip(lhs_totals, rhs_totals))
+    first = next(((d, lv, rv) for d, (lv, rv) in pairs if lv != rv), None)
     return HiltonReport(
         passed=first is None,
         max_degree=D,

@@ -35,14 +35,13 @@ dict.  On the theorem path (``assemble.product_beta``) each factor then
 takes :func:`closed_census` of that dict, raised and closed under
 operations, as an untagged ``(degree, weight) -> count`` dict, and folds
 it into the kernel's Lambert coefficients; no generator is listed.  The
-generator lists (``assemble.plan_generators``, for generators mode, the
-Hilton-Milnor check and ``check:ab``'s second route) take
-:func:`raised_generators` of it instead: the same census, tagged and
-sorted once.  The only table on either path is the Witt solve's own.
-:func:`generator_census` (the census as a table) and
-:func:`factor_series` (its free algebra) are wrappers over the same
-census for the tracer and the tests; the engine calls neither.  Nothing
-here keeps state between calls.
+generator lists (``assemble.plan_generators``, for generators mode and
+``check:ab``'s second route) take :func:`raised_generators` of it
+instead: the same census, tagged and sorted once.  The only table on
+either path is the Witt solve's own.  :func:`generator_census` (the
+census as a table) and :func:`factor_series` (its free algebra) are
+wrappers over the same census for the tracer and the tests; the engine
+calls neither.  Nothing here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -245,7 +244,7 @@ def closed_census(
     as a new dict: the census of the free E_j-algebra whose basic products
     are ``atoms`` raised.
 
-    Characteristic 0 applies no operations.  Otherwise states aggregate by
+    Characteristic 0 and j = 1 apply none.  Otherwise states aggregate by
     (degree, weight, largest index the next operation may use); every
     operation strictly raises degree, so the frontier dies within caps.
     """
@@ -256,7 +255,7 @@ def closed_census(
         for (d, k), c in atoms.items()
         if d + rise <= max_degree and k <= max_weight
     }
-    if char.is_zero:
+    if char.is_zero or j == 1:
         return census
 
     p = char.p

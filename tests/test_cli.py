@@ -13,6 +13,7 @@ import confighom.assemble as assemble
 import confighom.cli as cli
 import confighom.hilton as hilton
 import confighom.loops as loops
+import confighom.series as series
 from confighom.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -723,6 +724,64 @@ def test_starting_the_cli_does_not_import_the_oracle():
     assert done.returncode == 0, done.stderr
 
 
+LISTING = ("product_generators", "plan_generators", "weight_log_derivative")
+
+
+@pytest.mark.parametrize(
+    "config, listed",
+    [
+        (base_config(field="Fp:3", manifold={"preset": "surface", "genus": 1}), False),
+        (base_config(mode="theorem_b", label_space={"betti": {"0": 1, "2": 1}},
+                     max_weight=4), False),
+        (base_config(mode="dk_table", label_space={"betti": {"0": 1, "2": 1}},
+                     max_weight=4), False),
+        ({"mode": "check:hilton_milnor", "max_degree": 14}, False),
+        ({"mode": "check:hilton_milnor", "field": "Q", "orientable": True,
+          "max_degree": 14}, False),
+        ({"mode": "check:ab", "seed": 3, "trials": 3, "max_degree": 12}, True),
+    ],
+    ids=["theorem_a", "theorem_b", "dk_table", "hilton_F2", "hilton_Q", "check:ab"],
+)
+def test_only_check_abs_second_route_lists_generators(monkeypatch, config, listed):
+    # every table is solved from product_beta's coefficients; check:ab's
+    # S^2 X route lists generators and folds exactly the list it returns
+    calls, inside, routes = [], [], []
+    real_route = assemble._suspended_generators
+
+    def route(spec):
+        inside.append(spec)
+        try:
+            routes.append(real_route(spec))
+        finally:
+            inside.pop()
+        return routes[-1]
+
+    def spy(name, real):
+        def listing(*args):
+            if name == "weight_log_derivative":
+                routed = any(args[-1] is r for r in routes)
+            else:
+                routed = bool(inside)
+            calls.append((name, routed))
+            return real(*args)
+
+        return listing
+
+    monkeypatch.setattr(assemble, "_suspended_generators", route)
+    for module in (assemble, cli, hilton, loops, series):
+        for name in LISTING:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    status, _ = run(config)
+    assert status == EXIT_OK
+    assert all(routed for _name, routed in calls)
+    assert bool(calls) == listed
+    if listed:
+        # one listing and one fold per case
+        assert {name for name, _ in calls} == set(LISTING)
+        assert len(routes) == config["trials"]
+
+
 def _cli_subprocess(config, tmp_path, timeout):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
@@ -747,6 +806,38 @@ def test_a_field_past_two_to_the_64_is_refused_fast(tmp_path):
     done = _cli_subprocess(config, tmp_path, timeout=10)
     assert done.returncode == EXIT_INPUT
     assert done.stderr.startswith("error:") and "2**64" in done.stderr
+
+
+# the torus's binomial row, which the table and json headers echo, has
+# middle entries of about 4,800 digits; csv echoes no header
+TORUS_PAST_THE_STR_LIMIT = {
+    "manifold": {"preset": "torus", "m": 16000},
+    "label_space": {"preset": "sphere", "d": 2},
+    "field": "F2",
+    "n": 1,
+    "mode": "theorem_a",
+    "max_degree": 4,
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_an_output_integer_past_the_str_limit_exits_3(tmp_path, fmt):
+    config = dict(TORUS_PAST_THE_STR_LIMIT, format=fmt)
+    limit = f"{sys.get_int_max_str_digits()}-digit int-to-str limit"
+    with pytest.raises(InvalidInputError, match=limit):
+        run(config)
+    done = _cli_subprocess(config, tmp_path, timeout=20)
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error:") and limit in line
+
+
+def test_the_torus_past_the_str_limit_renders_as_csv(tmp_path):
+    config = dict(TORUS_PAST_THE_STR_LIMIT, format="csv")
+    done = _cli_subprocess(config, tmp_path, timeout=20)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("degree,w0,")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import confighom.hilton as hilton
 from confighom.series import weight_log_derivative
 from confighom import (
     FieldChar,
+    IntegrityError,
     InvalidInputError,
     basic_words,
     free_commutative,
@@ -213,13 +214,13 @@ def test_each_word_class_is_solved_once(monkeypatch):
     # over Q a class also keeps the parity of its lowest degree.  The wedge's
     # class is formed first, and here it holds no word's module
     calls = []
-    real = hilton.product_generators
+    real = hilton.product_beta
 
     def spy(*call):
         calls.append(call)
         return real(*call)
 
-    monkeypatch.setattr(hilton, "product_generators", spy)
+    monkeypatch.setattr(hilton, "product_beta", spy)
     cases = product(SHARED_MODULE_CASES, ("F2", "Q"))
     for (m_dim, rel, labels, D, shared, module), field in cases:
         char = FieldChar.from_name(field)
@@ -262,7 +263,9 @@ def test_each_word_class_is_solved_once(monkeypatch):
             smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
             generators += [
                 (d, k, c * word["count"], kind)
-                for d, k, c, kind in real(l * m_dim, shifted_rel, 1, smash, char, D, D)
+                for d, k, c, kind in assemble.product_generators(
+                    l * m_dim, shifted_rel, 1, smash, char, D, D
+                )
             ]
         assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
 
@@ -282,20 +285,36 @@ def test_both_sides_take_their_censuses_from_one_class_route(
     monkeypatch, labels, expected
 ):
     calls = []
-    real = hilton.product_generators
+    real = hilton.product_beta
 
     def spy(*call):
         calls.append(call[3])
         return real(*call)
 
-    monkeypatch.setattr(hilton, "product_generators", spy)
+    monkeypatch.setattr(hilton, "product_beta", spy)
     assert hilton_milnor_check(1, {0: 1}, labels, 20).passed
     assert calls == expected
 
 
+def test_a_coefficient_not_k_times_a_count_is_an_integrity_failure(monkeypatch):
+    # b / k is the net generator count the regrade multiplies; it is never
+    # floored
+    real = hilton.product_beta
+
+    def corrupt(*call):
+        beta = real(*call)
+        beta[4, 2] = beta.get((4, 2), 0) + 1
+        return beta
+
+    monkeypatch.setattr(hilton, "product_beta", corrupt)
+    with pytest.raises(IntegrityError, match=r"at \(4, 2\) is not k times") as caught:
+        hilton_milnor_check(1, {0: 1}, [{2: 1}, {3: 1}], 12)
+    assert caught.value.cell == (4, 2)
+
+
 def test_negative_max_degree_is_refused_before_any_census(monkeypatch):
     calls = []
-    monkeypatch.setattr(hilton, "product_generators", lambda *call: calls.append(call))
+    monkeypatch.setattr(hilton, "product_beta", lambda *call: calls.append(call))
     with pytest.raises(InvalidInputError, match="max_degree must be an int >= 0"):
         hilton_milnor_check(1, {0: 1}, [{2: 1}, {3: 1}], -1)
     assert calls == []
@@ -368,6 +387,67 @@ def both_sides_report(m_dim, rel, labels, D, char, words):
     rhs = free_commutative(D, D, generators).degree_totals()
     first = next(((d, a, b) for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
     return hilton.HiltonReport(first is None, D, len(words), first, lhs, rhs, words)
+
+
+def regraded_sides(m_dim, rel, labels, D, char, words):
+    """Both sides' generators regraded to (0, degree), as listed before the
+    check folded each class with ``product_beta``: one ``product_generators``
+    call per suspension class, on its lowest module, and each member's
+    weight-k generators raised by k * Delta."""
+    wedge = Counter()
+    for x in labels:
+        wedge.update(x)
+    modules = Counter()
+    for word in words:
+        shift = (word["length"] - 1) * m_dim
+        smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
+        modules[tuple(sorted((d + shift, c) for d, c in smash.items()))] += word["count"]
+    classes = {}
+    for side, counted in enumerate([{tuple(sorted(wedge.items())): 1}, modules]):
+        for key, count in counted.items():
+            low = key[0][0]
+            shape = tuple((d - low, c) for d, c in key)
+            parity = 0 if char.is_two else low % 2
+            classes.setdefault((shape, parity), []).append((side, low, count))
+    sides = ([], [])
+    for (shape, _parity), members in classes.items():
+        base = min(low for _side, low, _count in members)
+        census = assemble.product_generators(
+            m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
+        )
+        for side, low, count in members:
+            delta = low - base
+            sides[side].extend(
+                (0, d + k * delta, c * count, kind)
+                for d, k, c, kind in census
+                if d + k * delta <= D
+            )
+    return sides
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_problems(), st.sampled_from(("F2", "Q")), st.booleans())
+def test_property_each_side_folds_to_its_regraded_generators(problem, field, bumped):
+    # a perturbed basic-product side differs from the wedge's, so both
+    # sides' dicts reach the kernel
+    m_dim, rel, labels, D = problem
+    char = FieldChar.from_name(field)
+    solved = []
+    real = hilton._solve
+    with pytest.MonkeyPatch.context() as patch:
+        if bumped:
+            patch.setattr(hilton, "basic_words", bumped_words)
+        patch.setattr(hilton, "_solve", lambda *args: solved.append(args) or real(*args))
+        report = hilton_milnor_check(m_dim, rel, labels, D, char=char, orientable=field == "Q")
+    expected = [
+        (0, D, weight_log_derivative(0, D, side))
+        for side in regraded_sides(m_dim, rel, labels, D, char, report.word_summary)
+    ]
+    # the basic-product side is solved only when its dict differs
+    if expected[0] == expected[1]:
+        expected.pop()
+    assert solved == expected
+    assert len(solved) == 2 - report.passed
 
 
 @settings(max_examples=40, deadline=None)

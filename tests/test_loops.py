@@ -287,6 +287,26 @@ def test_one_loop_census_is_the_basic_products():
         generator_census({}, 0, F2, 5, 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1, 12), st.integers(1, 6)), st.integers(1, 5), max_size=8
+    ),
+    st.integers(0, 4),
+    st.sampled_from((0, 2, 3, 5)),
+    st.integers(0, 16),
+    st.integers(0, 7),
+)
+def test_property_a_one_loop_closed_census_is_the_raised_atoms_cut(atoms, rise, p, D, K):
+    # over every field j = 1 applies no operation: its census is the atoms
+    # raised by rise and cut to the caps, as a new dict
+    census = loops.closed_census(atoms, rise, 1, FieldChar(p), D, K)
+    assert census == {
+        (d + rise, k): c for (d, k), c in atoms.items() if d + rise <= D and k <= K
+    }
+    assert census is not atoms
+
+
 def test_j_one_is_characteristic_independent():
     y = {1: 2, 4: 1}
     series = [factor_series(y, 1, char, 10, 10) for char in (Q, F2, F3)]

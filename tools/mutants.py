@@ -88,9 +88,9 @@ MUTANTS = {
     ),
     "raise_by_delta": (
         "src/confighom/hilton.py",
-        "(0, d + k * delta, c * count, kind)",
-        "(0, d + delta, c * count, kind)",
-        "a suspension class's census raised by Delta, not k * Delta",
+        "w = d + k * (low - base)",
+        "w = d + (low - base)",
+        "a suspension class's coefficients raised by Delta, not k * Delta",
     ),
     "witt_cell_dropped": (
         "src/confighom/witt.py",
