@@ -55,10 +55,13 @@ class ProblemSpec(Record):
     """One full problem instance, for :func:`theorem_a` or :func:`theorem_b`.
 
     ``max_weight`` is mandatory for theorem_b (for disconnected X
-    arbitrarily many weights land in each low degree); theorem_a derives
-    max_degree // 2 when it is omitted, which loses nothing because weight
-    k then only contributes from degree 2k upward.  The fields are checked
-    by :meth:`validate`, which the modes call, not on construction.
+    arbitrarily many weights land in each low degree).  When it is omitted
+    :meth:`effective_max_weight` derives a cap that loses nothing: weight k
+    only contributes from degree k upward when X has a class in degree 1,
+    as the ``generators`` listing allows, and from degree 2k upward when
+    every class of X sits in degree >= 2, as theorem_a requires.  The
+    fields are checked by :meth:`validate`, which the modes call, not on
+    construction.
     """
 
     __slots__ = (
@@ -99,8 +102,12 @@ class ProblemSpec(Record):
             raise InvalidInputError(f"char must be a FieldChar; got {self.char!r}")
 
     def effective_max_weight(self) -> int:
+        """``max_weight``, or when it is omitted max_degree if the lowest
+        class of X sits in degree 1, else max_degree // 2."""
         if self.max_weight is not None:
             return self.max_weight
+        if min((d for d, c in self.x_betti.items() if c), default=None) == 1:
+            return self.max_degree
         return self.max_degree // 2
 
 
@@ -478,10 +485,11 @@ def ab_coherence_report(
     B from the table, and Moebius inversion recovers beta from B), so the
     tables are equal iff the dicts are, and a case whose dicts agree
     solves nothing.  Only a mismatch solves both tables, from the dicts
-    already built, to report the cells that differ, so every verdict and
-    report is the one that solving both gives.  A passing case thus never
-    runs the kernel's row gate; the route's counts are still checked to
-    be >= 0.  Errors are raised in the order theorem_a, then the route.
+    already built, and fails the case with its first five differing cells
+    (d, k, a value, b value), once each in (d, k) order, so every verdict
+    and report is the one that solving both gives.  A passing case thus
+    never runs the kernel's row gate; the route's counts are still checked
+    to be >= 0.  Errors are raised in the order theorem_a, then the route.
     """
     for name, v in (("seed", seed), ("trials", trials), ("max_degree", max_degree)):
         require_int(v, name)
@@ -493,18 +501,15 @@ def ab_coherence_report(
         if a_beta == b_beta:
             continue
         a, b = _solve(D, K, a_beta), _solve(D, K, b_beta)
-        if a != b:
-            mism = sorted(
-                (d, k, a.get(d, k), b.get(d, k))
-                for d, k, _ in set(a.items()) ^ set(b.items())
-            )[:5]
-            failures.append(
-                {
-                    "case": idx,
-                    "spec": describe_spec(spec),
-                    "first_mismatches": mism,
-                }
-            )
+        cells = [
+            (d, k, va, vb)
+            for d, (row_a, row_b) in enumerate(zip(a.rows(), b.rows()))
+            for k, (va, vb) in enumerate(zip(row_a, row_b))
+            if va != vb
+        ]
+        failures.append(
+            {"case": idx, "spec": describe_spec(spec), "first_mismatches": cells[:5]}
+        )
     return CheckReport(
         name="ab_coherence",
         passed=not failures,

@@ -467,12 +467,16 @@ def _check_lines(reports: list[dict], fmt: str) -> Iterator[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each add_argument checks its action with a help formatter, and the
+    # default one reads the terminal's width through shutil: build with a
+    # fixed width, then fit --help and usage errors to the terminal again
     parser = argparse.ArgumentParser(
         prog="confighom",
         description=(
             "Exact Betti-number tables for labeled configuration spaces on "
             "manifolds thickened by a Euclidean factor."
         ),
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
     parser.add_argument("--config", help="JSON problem description")
     parser.add_argument("--mode", choices=MODES)
@@ -484,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("table", "csv", "json"))
     parser.add_argument("--output", help="write the rendering to this file")
     parser.add_argument("--seed", type=int)
+    parser.formatter_class = argparse.HelpFormatter
     return parser
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy for the calculator.
 
-Every failure mode maps to one of four classes so the CLI can translate
-them into distinct exit codes.
+Every failure raises one of the three subclasses of CalculatorError, so
+the CLI can translate them into distinct exit codes.
 """
 
 
@@ -15,11 +15,6 @@ class ConfigurationError(CalculatorError):
 
 class InvalidInputError(CalculatorError):
     """Input violates a documented precondition (bad Betti data, bad mode, ...)."""
-
-
-class DivergentSeriesError(InvalidInputError):
-    """A closed form was requested whose truncation would not be finite,
-    e.g. a polynomial generator in degree 0."""
 
 
 class IntegrityError(CalculatorError):

@@ -51,8 +51,9 @@ reference.
 :func:`desuspend_by_weight` have no engine caller: ``witt`` builds its
 sparse word rows itself, every table is one kernel call, and
 ``check:ab``'s S^2 X route desuspends its generators, not the table (a
-generator may sit in degree 0 at weight >= 1).  They stay as
-the tests' references, and ``bench/spans.py`` wraps all four by name.
+generator may sit in degree 0 at weight >= 1).  They stay here as the
+tests' references, imported from this module (the package does not
+export them), and ``bench/spans.py`` wraps all four by name.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress
 
-from .errors import (
-    ConfigurationError,
-    DivergentSeriesError,
-    IntegrityError,
-    InvalidInputError,
-)
+from .errors import ConfigurationError, IntegrityError, InvalidInputError
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -250,11 +246,14 @@ def power_factor(
 
     * polynomial: (1 - t^degree u^weight)^(-count)
     * exterior:   (1 + t^degree u^weight)^(count)
+
+    A polynomial generator in degree 0, whose truncation diverges, is
+    refused with InvalidInputError.
     """
     if kind not in (POLYNOMIAL, EXTERIOR):
         raise InvalidInputError(f"unknown generator kind {kind!r}")
     if degree == 0 and kind == POLYNOMIAL:
-        raise DivergentSeriesError(
+        raise InvalidInputError(
             "polynomial generator in degree 0 gives a divergent truncation"
         )
     if degree < 1:
@@ -318,12 +317,8 @@ def free_commutative(
     The kernel reads ``generators`` only through that dict, and not its
     order, so generator lists with equal coefficients there (reordered,
     with counts split across duplicates, or differing only outside the
-    caps) give the same table, or the same IntegrityError.  The caps are
-    checked before the generators.
+    caps) give the same table, or the same IntegrityError.
     """
-    if max_degree < 0 or max_weight < 0:
-        raise InvalidInputError("caps must be nonnegative")
-    require_indexable_caps(max_degree, max_weight)
     return free_commutative_from_beta(
         max_degree, max_weight, weight_log_derivative(max_degree, max_weight, generators)
     )

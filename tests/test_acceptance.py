@@ -11,15 +11,13 @@ from confighom import (
     ProblemSpec,
     ab_coherence_report,
     atom_census,
-    factor_series,
     filtration_table,
-    generator_census,
     hilton_milnor_check,
-    random_problem_specs,
     theorem_a,
     theorem_b,
-    weight_one_slice_expected,
 )
+from confighom.assemble import random_problem_specs, weight_one_slice_expected
+from confighom.loops import factor_series, generator_census
 from confighom.oracle import (
     census_from_descriptors,
     classical_series,

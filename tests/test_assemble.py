@@ -19,21 +19,23 @@ from confighom import (
     InvalidInputError,
     ProblemSpec,
     ab_coherence_report,
-    desuspend_by_weight,
     factor_product,
-    factor_series,
     filtration_table,
-    multiply,
     preset,
     suspend_betti,
     theorem_a,
     theorem_b,
+)
+from confighom.assemble import (
+    factor_plan,
+    plan_generators,
+    product_generators,
     weight_one_slice_expected,
 )
-from confighom.assemble import factor_plan, plan_generators, product_generators
-from confighom.loops import atom_census, generator_census, raised_generators
+from confighom.loops import atom_census, factor_series, generator_census, raised_generators
+from confighom.series import desuspend_by_weight, multiply
 from confighom.witt import DegreeWeightTable
-from confighom.oracle import classical_series
+from confighom.oracle import classical_series, diff_report
 
 Q = FieldChar.rational()
 F2 = FieldChar.mod2()
@@ -721,10 +723,9 @@ def both_tables_report(seed, trials, max_degree):
             spec.max_degree, spec.max_weight, assemble._suspended_generators(spec)
         )
         if a != b:
-            cells = set(a.items()) ^ set(b.items())
-            mism = sorted((d, k, a.get(d, k), b.get(d, k)) for d, k, _ in cells)[:5]
             report.failures.append(
-                {"case": idx, "spec": assemble.describe_spec(spec), "first_mismatches": mism}
+                {"case": idx, "spec": assemble.describe_spec(spec),
+                 "first_mismatches": diff_report(a, b)[:5]}
             )
     report.passed = not report.failures
     return report
@@ -780,6 +781,27 @@ def test_check_ab_fails_when_theorem_b_generators_change(monkeypatch, perturb):
     status, text = cli.run(config)
     assert status == cli.EXIT_CHECK_FAILED
     assert json.loads(text)["checks"] == [json.loads(json.dumps(expected))]
+
+
+def test_check_ab_names_each_differing_cell_once(monkeypatch):
+    # a stray generator changes cells that are nonzero in both tables; each
+    # is one mismatch, reported once with both values
+    route = assemble._suspended_generators
+    monkeypatch.setattr(
+        assemble, "_suspended_generators",
+        lambda spec: route(spec) + [(4, 1, 1, "polynomial")],
+    )
+    seed, trials, D = 0, 3, 8
+    report = ab_coherence_report(seed, trials, D)
+    assert not report.passed and report.failures
+    specs = assemble.random_problem_specs(seed, trials, D)
+    for failure in report.failures:
+        spec = specs[failure["case"]]
+        a = theorem_a(spec)
+        b = series.free_commutative(D, D // 2, assemble._suspended_generators(spec))
+        cells = [(d, k) for d, k, _va, _vb in failure["first_mismatches"]]
+        assert len(set(cells)) == len(cells)
+        assert failure["first_mismatches"] == diff_report(a, b)[:5]
 
 
 def test_factor_product_rejects_class_beyond_loop_range():

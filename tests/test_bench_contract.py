@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import confighom
-from confighom import FieldChar, atom_census, cli, generator_census, hilton_milnor_check
+from confighom import FieldChar, atom_census, cli, hilton_milnor_check
+from confighom.loops import generator_census
 from confighom.assemble import preset
 
 ROOT = Path(__file__).resolve().parents[1]

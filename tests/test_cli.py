@@ -110,6 +110,23 @@ def test_generators_mode_accepts_circle_labels():
     assert "0,2,1,7,4,polynomial,1" in text
 
 
+def test_generators_mode_default_weight_cap_keeps_degree_one_towers():
+    # Omega^2 S^3 = C(R^2; S^1) mod 2: a degree-1 class puts weight 4 at
+    # degree 7, so the default weight cap must reach past max_degree // 2
+    config = {
+        "mode": "generators", "field": "F2", "manifold": {"preset": "point"},
+        "n": 2, "label_space": {"preset": "sphere", "d": 1}, "max_degree": 7,
+        "format": "json",
+    }
+    (status, text), (_, capped) = run(config), run(dict(config, max_weight=8))
+    assert status == EXIT_OK
+    default = json.loads(text)
+    assert default["spec"]["max_weight"] == 7
+    assert default["generators"] == json.loads(capped)["generators"]
+    listed = [(g["degree"], g["weight"]) for g in default["generators"][0]["generators"]]
+    assert listed == [(1, 1), (3, 2), (7, 4)]
+
+
 @pytest.mark.parametrize(
     "manifold, solves",
     [

@@ -19,11 +19,10 @@ from confighom import (
     FieldChar,
     InvalidInputError,
     atom_census,
-    factor_series,
-    generator_census,
-    inverse_one_minus,
     suspend_betti,
 )
+from confighom.loops import factor_series, generator_census
+from confighom.series import inverse_one_minus
 
 Q = FieldChar.rational()
 F2 = FieldChar.mod2()

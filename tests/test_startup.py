@@ -14,7 +14,7 @@ from pathlib import Path
 import confighom
 
 SRC = Path(confighom.__file__).resolve().parent
-NOT_AT_START = ["dataclasses", "inspect", "typing", "random"]
+NOT_AT_START = ["dataclasses", "inspect", "typing", "random", "shutil"]
 
 
 def test_starting_the_cli_leaves_out_dataclasses_inspect_typing_and_random():

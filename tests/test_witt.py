@@ -25,15 +25,14 @@ from confighom import (
     ProblemSpec,
     basic_words,
     cli,
-    inverse_one_minus,
     lie_atom_counts,
     loops,
-    power_factor,
     preset,
     theorem_a,
     witt,
 )
 from confighom.assemble import factor_plan
+from confighom.series import inverse_one_minus, power_factor
 
 
 def reconstruct(L: DegreeWeightTable, signed: bool) -> BiSeries:

@@ -158,6 +158,12 @@ MUTANTS = {
         "base = max_length",
         "basic words spelled in base max_length, so the longest ones carry",
     ),
+    "degree_one_cap_halved": (
+        "src/confighom/assemble.py",
+        "min((d for d, c in self.x_betti.items() if c), default=None) == 1",
+        "False",
+        "the default weight cap max_degree // 2 for labels with a degree-1 class",
+    ),
 }
 
 TIER1 = [
