@@ -19,13 +19,14 @@ The kernel reads the algebra only through its Lambert coefficients, so
 both theorems build those, :func:`product_beta`, straight from one atom
 census per factor plan and solve them with
 ``series.free_commutative_from_beta``: no generator is listed on their
-path, nor on the Hilton-Milnor check's.  :func:`plan_generators` and
-:func:`product_generators` list the same census as tagged generators,
-for the ``generators`` mode and ``check:ab``'s second route, which
-checks theorem_a's coefficients against those of the product on S^2 X,
-its generators shifted down by 2k degrees at weight k and folded by
-``series.weight_log_derivative``: two implementations of the step from
-census to coefficients.  It solves tables only on a mismatch.
+path, nor on the Hilton-Milnor check's.  :func:`plan_generators` lists
+the same census as tagged generators, factor by factor, for the
+``generators`` mode and ``check:ab``'s second route, which checks
+theorem_a's coefficients against those of the product on S^2 X, its
+generators counted ``copies`` times, shifted down by 2k degrees at weight
+k and folded by ``series.weight_log_derivative``: two implementations of
+the step from census to coefficients.  It solves tables only on a
+mismatch.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .loops import (
     atom_census,
     closed_census,
     normalize_betti,
-    raised_generators,
     require_int,
     suspend_betti,
 )
 from .record import Record
 from .series import (
+    EXTERIOR,
+    POLYNOMIAL,
     BiSeries,
     free_commutative_from_beta,
     require_caps,
@@ -155,19 +157,26 @@ def plan_generators(
     - q, so a length-l basic product x_1 ... x_l has degree |x_1| + ... +
     |x_l| + (l-1)(m_dim + n - 1) + q.  Factor q's atoms are therefore the
     first factor's raised by q - q0: one :func:`atom_census`, and one Witt
-    solve, serves the whole plan.  Each factor's census is raised, closed
-    and tagged by one ``loops.raised_generators`` call on the atoms' dict,
-    so the plan's one table is its Witt solve's."""
+    solve, serves the whole plan.  Each factor's census is the atoms'
+    :func:`~confighom.loops.closed_census`, raised by q - q0, in
+    increasing (degree, weight), each entry tagged polynomial over F2 or
+    in even degree and exterior otherwise: the engine's one tag site.  The
+    plan's one table is its Witt solve's."""
     plan = factor_plan(m_dim, rel_betti, n, x_betti)
     if not plan:
         return []
     q0, j0, y0, _copies = plan[0]
     atoms = atom_census(y0, j0, char, max_degree, max_weight)
-    return [
-        (q, j, y, copies,
-         raised_generators(atoms, q - q0, j, char, max_degree, max_weight))
-        for q, j, y, copies in plan
-    ]
+    polynomial_only = char.is_two
+    listed = []
+    for q, j, y, copies in plan:
+        rise = q - q0
+        census = closed_census(atoms, rise, j, char, max_degree, max_weight)
+        listed.append((q, j, y, copies, [
+            (d, k, c, POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR)
+            for (d, k), c in sorted(census.items())
+        ]))
+    return listed
 
 
 def listed_plan(
@@ -189,25 +198,6 @@ def listed_plan(
     return plan_generators(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
 
 
-def product_generators(
-    m_dim: int,
-    rel_betti: GradedBetti,
-    n: int,
-    x_betti: GradedBetti,
-    char: FieldChar,
-    max_degree: int,
-    max_weight: int,
-) -> Generators:
-    """Generators ``(degree, weight, count, kind)`` of the whole product:
-    those of each factor of :func:`plan_generators`, ``copies`` times."""
-    plan = plan_generators(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
-    return [
-        (d, k, c * copies, kind)
-        for _q, _j, _y, copies, generators in plan
-        for d, k, c, kind in generators
-    ]
-
-
 def product_beta(
     m_dim: int,
     rel_betti: GradedBetti,
@@ -218,14 +208,15 @@ def product_beta(
     max_weight: int,
 ) -> Beta:
     """The nonzero Lambert coefficients ``(d, w) -> beta`` of the free
-    algebra on :func:`product_generators`, inside the caps, folded from
-    the plan's censuses with no generator listed: one :func:`atom_census`
-    per plan, each factor's :func:`~confighom.loops.closed_census` raised
+    algebra on the generators of :func:`plan_generators`, each factor's
+    ``copies`` times, inside the caps, folded from the plan's censuses
+    with no generator listed: one :func:`atom_census` per plan, each
+    factor's :func:`~confighom.loops.closed_census` raised
     by q - q0, and each entry (d, w, c) adding c * copies * w at (d, w)
     and, where d is odd and the field is not F2 (an exterior generator),
     -2 * c * copies * w at (2d, 2w) inside the caps.  Equal to
-    ``weight_log_derivative`` of :func:`product_generators`, which
-    ``check:ab`` compares it with."""
+    ``weight_log_derivative`` of those generators, which ``check:ab``
+    compares it with."""
     plan = factor_plan(m_dim, rel_betti, n, x_betti)
     beta: Beta = {}
     if not plan:
@@ -253,8 +244,8 @@ def factor_product(
     max_weight: int,
 ) -> BiSeries:
     """The tensor product of the loop-space factors of :func:`factor_plan`,
-    the free algebra on :func:`product_generators`: :func:`theorem_b` on
-    plain arguments, refusing what it refuses."""
+    the free algebra with :func:`product_beta`'s coefficients:
+    :func:`theorem_b` on plain arguments, refusing what it refuses."""
     require_int(max_weight, "max_weight")
     return theorem_b(
         ProblemSpec(m_dim, rel_betti, n, x_betti, char, max_degree, max_weight)
@@ -451,24 +442,26 @@ def random_problem_specs(
 
 def _suspended_generators(spec: ProblemSpec) -> Generators:
     """The check's second side, independent of theorem_a's census: the
-    generators of the product on S^2 X at degree cap D + 2K, shifted down
+    generators of the product on S^2 X at degree cap D + 2K, those of each
+    factor of :func:`plan_generators` ``copies`` times, shifted down
     by 2k degrees at weight k (t^d u^k -> t^(d-2k) u^k is a ring
     homomorphism), those landing within D kept.  A generator shifted
     below degree 0 raises IntegrityError naming it."""
     D, K = spec.max_degree, spec.effective_max_weight()
     y = suspend_betti(normalize_betti(spec.x_betti), 2)
     generators = []
-    for d, k, c, kind in product_generators(
+    for _q, _j, _y, copies, listed in plan_generators(
         spec.m_dim, spec.rel_betti, spec.n, y, spec.char, D + 2 * K, K
     ):
-        if d < 2 * k:
-            raise IntegrityError(
-                "desuspension by 2 per weight sends the generator at "
-                f"(d, k) = ({d}, {k}) below degree 0",
-                cell=(d, k),
-            )
-        if d - 2 * k <= D:
-            generators.append((d - 2 * k, k, c, kind))
+        for d, k, c, kind in listed:
+            if d < 2 * k:
+                raise IntegrityError(
+                    "desuspension by 2 per weight sends the generator at "
+                    f"(d, k) = ({d}, {k}) below degree 0",
+                    cell=(d, k),
+                )
+            if d - 2 * k <= D:
+                generators.append((d - 2 * k, k, c * copies, kind))
     return generators
 
 

@@ -16,10 +16,10 @@ at odd p b is congruent to the current degree mod 2.  Atoms carry no
 standalone Bockstein (inputs behave like wedges of spheres).
 
 For j >= 1 the series is that of the free graded-commutative algebra on
-the census, solved by ``series.free_commutative``.  At j = 1 the census is
-the basic products alone (no operation index lies in 1..j-1), and by
-Poincare-Birkhoff-Witt the tensor algebra has the series of the free
-commutative algebra on them.
+the census, solved by the kernel from its Lambert coefficients.  At j = 1
+the census is the basic products alone (no operation index lies in
+1..j-1), and by Poincare-Birkhoff-Witt the tensor algebra has the series
+of the free commutative algebra on them.
 
 Basic products are counted by the Witt inversion in a shifted grading
 where every letter is raised by j-1 (making the degree-(j-1) bracket
@@ -31,17 +31,15 @@ degrees.
 
 Per factor plan the engine calls :func:`atom_census` once, its one Witt
 solve, which returns the atoms as a plain ``(degree, length) -> count``
-dict.  On the theorem path (``assemble.product_beta``) each factor then
-takes :func:`closed_census` of that dict, raised and closed under
-operations, as an untagged ``(degree, weight) -> count`` dict, and folds
-it into the kernel's Lambert coefficients; no generator is listed.  The
-generator lists (``assemble.plan_generators``, for generators mode and
-``check:ab``'s second route) take :func:`raised_generators` of it
-instead: the same census, tagged and sorted once.  The only table on
-either path is the Witt solve's own.  :func:`generator_census` (the
-census as a table) and :func:`factor_series` (its free algebra) are
-wrappers over the same census for the tracer and the tests; the engine
-calls neither.  Nothing here keeps state between calls.
+dict.  Each factor then takes :func:`closed_census` of that dict, raised
+and closed under operations, as an untagged ``(degree, weight) -> count``
+dict: the theorems (``assemble.product_beta``) fold it into the kernel's
+Lambert coefficients, and the generator lists (``assemble.plan_generators``,
+for generators mode and ``check:ab``'s second route) tag and sort it.  The
+only table on either path is the Witt solve's own.
+:func:`generator_census` (the census as a table) and :func:`factor_series`
+(its free algebra, the theorems' one-factor plan) serve the tracer and the
+tests; the engine calls neither.  Nothing here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from collections.abc import Mapping
 
 from .errors import InvalidInputError
 from .record import FrozenRecord
-from .series import BiSeries, EXTERIOR, POLYNOMIAL, free_commutative
+from .series import BiSeries
 from .witt import DegreeWeightTable, lie_atom_counts
 
 GradedBetti = dict[int, int]
@@ -287,34 +285,6 @@ def closed_census(
     return census
 
 
-def raised_generators(
-    atoms: Mapping[tuple[int, int], int],
-    rise: int,
-    j: int,
-    char: FieldChar,
-    max_degree: int,
-    max_weight: int,
-) -> list[tuple[int, int, int, str]]:
-    """Generators ``(degree, weight, count, kind)``, in increasing (degree,
-    weight), of the free E_j-algebra whose basic products are ``atoms`` (a
-    ``(degree, length) -> count`` map, such as an :func:`atom_census`)
-    raised by ``rise`` degrees, as a free graded-commutative algebra,
-    j >= 1: their census, each entry tagged polynomial in characteristic
-    2 or in even degree, exterior otherwise.
-
-    This is what ``assemble.plan_generators`` calls per factor, on one
-    atom census per plan, and :func:`factor_series` at rise 0; it builds
-    no table.  :func:`closed_census` is the same census untagged, and
-    :func:`generator_census` that as a table."""
-    polynomial_only = char.is_two
-    return [
-        (d, k, c, POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR)
-        for (d, k), c in sorted(
-            closed_census(atoms, rise, j, char, max_degree, max_weight).items()
-        )
-    ]
-
-
 def generator_census(
     atoms: Mapping[tuple[int, int], int],
     j: int,
@@ -323,8 +293,8 @@ def generator_census(
     max_weight: int,
 ) -> DegreeWeightTable:
     """Close ``atoms`` (a ``(degree, length) -> count`` map, such as an
-    :func:`atom_census`) under admissible operation words, as a table: the
-    census :func:`raised_generators` tags, at rise 0."""
+    :func:`atom_census`) under admissible operation words, as a table:
+    :func:`closed_census` at rise 0."""
     return DegreeWeightTable(
         max_degree,
         max_weight,
@@ -341,18 +311,15 @@ def factor_series(
 ) -> BiSeries:
     """Poincare series of H_*(Omega^j Sigma^j Y), Y connected with reduced
     Betti data ``y``, j >= 1: the free graded-commutative algebra on the
-    :func:`raised_generators` of its :func:`atom_census` at rise 0 (for
-    j = 1 the tensor algebra, by PBW), solved by
-    :func:`~confighom.series.free_commutative` from k A_k = sum_i B_i
-    A_{k-i} with B = u d/du log A, which raises IntegrityError naming the
-    cell (d, k) whose residual is negative or not a multiple of k.
+    closed census of its :func:`atom_census` (for j = 1 the tensor
+    algebra, by PBW).  It is the one-factor plan of the theorems, a point
+    with one class in degree 0 and n = j, solved as they solve any plan:
+    ``assemble.factor_product``, whose kernel raises IntegrityError naming
+    the cell (d, k) whose residual is negative or not a multiple of k.
     """
+    from .assemble import factor_product  # assemble imports this module
+
     if j < 1:
         raise InvalidInputError("loop count j must be >= 1")
     y = normalize_betti(y, min_degree=1)
-    atoms = atom_census(y, j, char, max_degree, max_weight)
-    return free_commutative(
-        max_degree,
-        max_weight,
-        raised_generators(atoms, 0, j, char, max_degree, max_weight),
-    )
+    return factor_product(0, {0: 1}, j, y, char, max_degree, max_weight)

@@ -26,14 +26,9 @@ from confighom import (
     theorem_a,
     theorem_b,
 )
-from confighom.assemble import (
-    factor_plan,
-    plan_generators,
-    product_generators,
-    weight_one_slice_expected,
-)
-from confighom.loops import atom_census, factor_series, generator_census, raised_generators
-from confighom.series import desuspend_by_weight, multiply
+from confighom.assemble import factor_plan, plan_generators, weight_one_slice_expected
+from confighom.loops import atom_census, factor_series, generator_census
+from confighom.series import EXTERIOR, POLYNOMIAL, desuspend_by_weight, multiply
 from confighom.witt import DegreeWeightTable
 from confighom.oracle import classical_series, diff_report
 
@@ -156,6 +151,20 @@ def test_braid_rows_equal_the_catalog_through_sixty_strands(field):
         k, d, v = map(int, line.split(","))
         cells[(d, k)] = v
     assert status == 0 and cells == expected.to_dict()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rational_s0_rows_of_euclidean_space(n):
+    # C(R^n; S^0) over Q (F. Cohen, LNM 533): row k is the rational
+    # homology of the unordered configurations of k points in R^n, Q in
+    # degree 0 for k <= 1, and for k >= 2 also Q in degree n - 1 when n
+    # is even
+    spec = make_spec(
+        m_dim=0, rel_betti={0: 1}, n=n, x_betti={0: 1}, char=Q,
+        max_degree=12, max_weight=8,
+    )
+    row = {0: 1} if n % 2 else {0: 1, n - 1: 1}
+    assert filtration_table(theorem_b(spec)) == [{0: 1}, {0: 1}] + [row] * 7
 
 
 def binomial(a: int, k: int) -> int:
@@ -299,12 +308,12 @@ def test_generator_below_degree_zero_is_an_integrity_failure(
 ):
     # only check:ab's S^2 X route lists generators and shifts them down;
     # theorem_a, its first side, lists none
-    real = assemble.product_generators
+    real = assemble.plan_generators
 
     def stray(*args):
-        return real(*args) + [(1, 1, 1, "polynomial")]
+        return real(*args) + [(0, 1, {}, 1, [(1, 1, 1, "polynomial")])]
 
-    monkeypatch.setattr(assemble, "product_generators", stray)
+    monkeypatch.setattr(assemble, "plan_generators", stray)
     with pytest.raises(IntegrityError, match=r"\(d, k\) = \(1, 1\)") as failure:
         ab_coherence_report(seed=0, trials=2, max_degree=8)
     assert failure.value.cell == (1, 1)
@@ -469,21 +478,20 @@ def test_property_one_census_serves_every_factor_of_a_plan(data):
     char = FieldChar(data.draw(st.sampled_from((0, 2, 3, 5))))
     D, K = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 7))
     per_factor = [
-        (d, k, c * copies, kind)
+        (d, k, c * copies, tag(d, char))
         for _q, j, y, copies in factor_plan(m_dim, rel, n, x)
-        for d, k, c, kind in raised_generators(
-            atom_census(y, j, char, D, K), 0, j, char, D, K
-        )
+        for d, k, c in generator_census(
+            atom_census(y, j, char, D, K), j, char, D, K
+        ).items()
     ]
-    assert product_generators(m_dim, rel, n, x, char, D, K) == per_factor
+    assert flattened(m_dim, rel, n, x, char, D, K) == per_factor
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_property_the_engine_census_is_the_per_factor_route_through_tables(data):
-    # plan_generators raises, closes and tags in one call per factor; the
-    # public wrappers raise first and close the raised atoms at rise 0, as a
-    # table and as tagged generators
+    # plan_generators raises, closes and tags each factor's census; the
+    # reference raises the atoms first and closes them at rise 0, as a table
     m_dim = data.draw(st.integers(0, 3))
     n = data.draw(st.integers(1, 2))
     rel = data.draw(
@@ -503,10 +511,30 @@ def test_property_the_engine_census_is_the_per_factor_route_through_tables(data)
             (d + q - q0, l): c for (d, l), c in atoms.items() if d + q - q0 <= D
         }
         census = generator_census(raised, j, char, D, K)
-        generators = raised_generators(raised, 0, j, char, D, K)
+        expected.append((q, j, y, copies, census))
+    listed = plan_generators(m_dim, rel, n, x, char, D, K)
+    assert [factor[:4] for factor in listed] == [factor[:4] for factor in expected]
+    for (*_factor, generators), (*_, census) in zip(listed, expected):
         assert [(d, k, c) for d, k, c, _kind in generators] == list(census.items())
-        expected.append((q, j, y, copies, generators))
-    assert plan_generators(m_dim, rel, n, x, char, D, K) == expected
+        assert [kind for d, _k, _c, kind in generators] == [
+            tag(d, char) for d, _k, _c in census.items()
+        ]
+
+
+def tag(d, char):
+    """The kind of a generator in degree ``d``: polynomial over F2 or in
+    even degree, exterior otherwise."""
+    return POLYNOMIAL if char.is_two or d % 2 == 0 else EXTERIOR
+
+
+def flattened(m_dim, rel, n, x, char, D, K):
+    """The generators of the whole product: each factor's of
+    :func:`plan_generators`, ``copies`` times."""
+    return [
+        (d, k, c * copies, kind)
+        for _q, _j, _y, copies, generators in plan_generators(m_dim, rel, n, x, char, D, K)
+        for d, k, c, kind in generators
+    ]
 
 
 def raised(census, delta, D):
@@ -531,8 +559,8 @@ def test_property_a_suspended_label_raises_the_census_by_weight(data):
     char = data.draw(st.sampled_from((F2, Q)))
     delta = data.draw(st.integers(0, 3)) * (1 if char.is_two else 2)
     D = data.draw(st.integers(0, 24))
-    census = product_generators(m_dim, rel, 1, y, char, D, D)
-    suspended = product_generators(m_dim, rel, 1, suspend_betti(y, delta), char, D, D)
+    census = flattened(m_dim, rel, 1, y, char, D, D)
+    suspended = flattened(m_dim, rel, 1, suspend_betti(y, delta), char, D, D)
     assert sorted(suspended) == raised(census, delta, D)
 
 
@@ -540,14 +568,14 @@ def test_an_odd_suspension_over_q_is_not_a_raise():
     # over Q the bracket [x, x] of the bottom class lives on S^2 (degree 5,
     # exterior) and vanishes on S^3, and x itself turns exterior: the class
     # key of ``hilton_milnor_check`` therefore carries the lowest degree's parity
-    census = product_generators(1, {0: 1}, 1, {2: 1}, Q, 12, 12)
+    census = flattened(1, {0: 1}, 1, {2: 1}, Q, 12, 12)
     assert census == [(2, 1, 1, "polynomial"), (5, 2, 1, "exterior")]
-    suspended = product_generators(1, {0: 1}, 1, {3: 1}, Q, 12, 12)
+    suspended = flattened(1, {0: 1}, 1, {3: 1}, Q, 12, 12)
     assert suspended == [(3, 1, 1, "exterior")]
     assert sorted(suspended) != raised(census, 1, 12)
     # over F2 the same odd suspension is a raise
-    census = product_generators(1, {0: 1}, 1, {2: 1}, F2, 12, 12)
-    suspended = product_generators(1, {0: 1}, 1, {3: 1}, F2, 12, 12)
+    census = flattened(1, {0: 1}, 1, {2: 1}, F2, 12, 12)
+    suspended = flattened(1, {0: 1}, 1, {3: 1}, F2, 12, 12)
     assert sorted(suspended) == raised(census, 1, 12)
 
 
@@ -570,7 +598,7 @@ def test_property_the_census_beta_is_the_listed_generators_log_derivative(data):
     char = FieldChar(data.draw(st.sampled_from((0, 2, 3, 5))))
     D = data.draw(st.integers(0, 24))
     K = D // 2 if theorem == "theorem_a" else data.draw(st.integers(0, 10))
-    listed = product_generators(m_dim, rel, n, x, char, D, K)
+    listed = flattened(m_dim, rel, n, x, char, D, K)
     assert assemble.product_beta(m_dim, rel, n, x, char, D, K) == (
         series.weight_log_derivative(D, K, listed)
     )
@@ -579,22 +607,24 @@ def test_property_the_census_beta_is_the_listed_generators_log_derivative(data):
 def test_the_theorems_list_no_generators_and_solve_one_witt_table_per_plan(
     monkeypatch,
 ):
-    listed, witt_solves = [], []
+    # the theorems and the per-factor entries (factor_series is the
+    # one-factor plan) fold each census once into product_beta's
+    # coefficients: no generator list, no fold of one
+    calls, witt_solves = [], []
 
     def spy(name, real):
-        def listing(*args):
-            listed.append(name)
+        def called(*args):
+            calls.append(name)
             return real(*args)
 
-        return listing
+        return called
 
-    for module, name in (
-        (assemble, "product_generators"),
-        (assemble, "plan_generators"),
-        (assemble, "raised_generators"),
-        (loops, "raised_generators"),
-    ):
-        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for module in (assemble, loops, series):
+        for name in (
+            "plan_generators", "product_beta", "weight_log_derivative", "free_commutative"
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     real_witt = loops.lie_atom_counts
 
     def witt(*args):
@@ -604,10 +634,18 @@ def test_the_theorems_list_no_generators_and_solve_one_witt_table_per_plan(
     monkeypatch.setattr(loops, "lie_atom_counts", witt)
     # genus-1 surface, n = 1: factors with j = 3, 2 (two copies) and 1
     m_dim, rel = preset("surface", genus=1)
-    theorem_a(ProblemSpec(m_dim, rel, 1, {2: 1, 3: 1}, F3, 16))
-    theorem_b(ProblemSpec(m_dim, rel, 1, {0: 1, 2: 1}, F2, 12, 6))
-    assert listed == []
-    assert witt_solves == [18, 14]
+    for solve, shifted_cap in (
+        (lambda: theorem_a(ProblemSpec(m_dim, rel, 1, {2: 1, 3: 1}, F3, 16)), 18),
+        (lambda: theorem_b(ProblemSpec(m_dim, rel, 1, {0: 1, 2: 1}, F2, 12, 6)), 14),
+        (lambda: factor_product(m_dim, rel, 1, {0: 1, 2: 1}, F3, 12, 6), 14),
+        (lambda: factor_series({2: 1, 3: 1}, 3, F3, 16, 8), 18),
+        (lambda: factor_series({1: 1}, 1, Q, 10, 10), 10),
+    ):
+        calls.clear()
+        witt_solves.clear()
+        solve()
+        assert calls == ["product_beta"]
+        assert witt_solves == [shifted_cap]
 
 
 def test_a_multi_factor_plan_builds_no_table_per_factor(monkeypatch):

@@ -9,6 +9,7 @@ engine edit that breaks ``bench/run.py --trace 1`` fails here first.
 import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 
 import confighom
 from confighom import FieldChar, atom_census, cli, hilton_milnor_check
-from confighom.loops import generator_census
+from confighom.loops import factor_series, generator_census
 from confighom.assemble import preset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,6 +85,13 @@ def test_traced_results_carry_the_fields_the_tracer_reads():
     m_dim, rel = preset("surface", genus=1)
     report = hilton_milnor_check(m_dim, rel, [{2: 1}, {3: 1}], 6, char=char)
     assert report.words_used > 0
+
+
+def test_the_tracer_reads_the_loop_count_where_factor_series_takes_it():
+    # _loop_count reads a traced factor_series call's j as args[1], or as
+    # the keyword j
+    assert "factor_series" in traced_names()["confighom.loops"]
+    assert list(inspect.signature(factor_series).parameters)[:2] == ["y", "j"]
 
 
 def bench_workloads():

@@ -741,7 +741,7 @@ def test_starting_the_cli_does_not_import_the_oracle():
     assert done.returncode == 0, done.stderr
 
 
-LISTING = ("product_generators", "plan_generators", "weight_log_derivative")
+LISTING = ("plan_generators", "weight_log_derivative")
 
 
 @pytest.mark.parametrize(

@@ -262,10 +262,11 @@ def test_each_word_class_is_solved_once(monkeypatch):
             shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
             smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
             generators += [
-                (d, k, c * word["count"], kind)
-                for d, k, c, kind in assemble.product_generators(
+                (d, k, c * copies * word["count"], kind)
+                for _q, _j, _y, copies, listed in assemble.plan_generators(
                     l * m_dim, shifted_rel, 1, smash, char, D, D
                 )
+                for d, k, c, kind in listed
             ]
         assert report.rhs_totals == free_commutative(D, D, generators).degree_totals()
 
@@ -379,10 +380,11 @@ def both_sides_report(m_dim, rel, labels, D, char, words):
         shifted_rel = {q + (l - 1) * m_dim: b for q, b in rel.items()}
         smash = hilton._smash_betti(labels, tuple(word["multiplicities"]))
         generators += [
-            (d, k, c * word["count"], kind)
-            for d, k, c, kind in assemble.product_generators(
+            (d, k, c * copies * word["count"], kind)
+            for _q, _j, _y, copies, listed in assemble.plan_generators(
                 l * m_dim, shifted_rel, 1, smash, char, D, D
             )
+            for d, k, c, kind in listed
         ]
     rhs = free_commutative(D, D, generators).degree_totals()
     first = next(((d, a, b) for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
@@ -391,9 +393,9 @@ def both_sides_report(m_dim, rel, labels, D, char, words):
 
 def regraded_sides(m_dim, rel, labels, D, char, words):
     """Both sides' generators regraded to (0, degree), as listed before the
-    check folded each class with ``product_beta``: one ``product_generators``
-    call per suspension class, on its lowest module, and each member's
-    weight-k generators raised by k * Delta."""
+    check folded each class with ``product_beta``: one ``plan_generators``
+    call per suspension class, on its lowest module, flattened ``copies``
+    times, and each member's weight-k generators raised by k * Delta."""
     wedge = Counter()
     for x in labels:
         wedge.update(x)
@@ -412,9 +414,13 @@ def regraded_sides(m_dim, rel, labels, D, char, words):
     sides = ([], [])
     for (shape, _parity), members in classes.items():
         base = min(low for _side, low, _count in members)
-        census = assemble.product_generators(
-            m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
-        )
+        census = [
+            (d, k, c * copies, kind)
+            for _q, _j, _y, copies, listed in assemble.plan_generators(
+                m_dim, rel, 1, {base + d: c for d, c in shape}, char, D, D
+            )
+            for d, k, c, kind in listed
+        ]
         for side, low, count in members:
             delta = low - base
             sides[side].extend(

@@ -275,9 +275,8 @@ def test_oracle_borrows_nothing_from_the_engine():
 
 CAP_CHECKED_SOLVE = {"free_commutative", "free_commutative_from_beta", "require_caps"}
 PLAN_WALK = {
-    "factor_plan", "plan_generators", "product_generators", "product_beta",
-    "atom_census", "closed_census", "raised_generators", "generator_census",
-    "lie_atom_counts",
+    "factor_plan", "plan_generators", "product_beta", "atom_census",
+    "closed_census", "generator_census", "lie_atom_counts",
 }
 
 

@@ -64,8 +64,8 @@ MUTANTS = {
     ),
     "copies_dropped": (
         "src/confighom/assemble.py",
-        "(d, k, c * copies, kind)",
-        "(d, k, c, kind)",
+        "(d - 2 * k, k, c * copies, kind)",
+        "(d - 2 * k, k, c, kind)",
         "a factor with several relative classes counted once",
     ),
     "regrade_undone": (
@@ -111,21 +111,21 @@ MUTANTS = {
         "the top multiple of each length never scattered onto",
     ),
     "exterior_tag_dropped": (
-        "src/confighom/loops.py",
+        "src/confighom/assemble.py",
         "POLYNOMIAL if polynomial_only or d % 2 == 0 else EXTERIOR",
         "POLYNOMIAL",
         "every generator tagged polynomial, odd degrees included",
     ),
     "tag_by_unraised_degree": (
-        "src/confighom/loops.py",
+        "src/confighom/assemble.py",
         "polynomial_only or d % 2 == 0",
         "polynomial_only or (d - rise) % 2 == 0",
         "a generator's kind taken from its degree before the raise",
     ),
     "raise_by_half": (
         "src/confighom/assemble.py",
-        "raised_generators(atoms, q - q0, j, char, max_degree, max_weight)",
-        "raised_generators(atoms, (q - q0) // 2, j, char, max_degree, max_weight)",
+        "rise = q - q0",
+        "rise = (q - q0) // 2",
         "a factor's atoms raised by (q - q0) // 2, not q - q0",
     ),
     "degree_zero_labels_dropped": (
